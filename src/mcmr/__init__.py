@@ -13,10 +13,11 @@ Subpackages by theme:
   windows, the Clifford twirl and its structure validation,
 * :mod:`mcmr.rb` — randomized-benchmarking sequences, exact survival,
   decay fits, bootstrap, focus-ion SPAM simulation and campaign running,
-* :mod:`mcmr.cli` — the ``mcmr`` command.
+* :mod:`mcmr.config` — the field-driven parsing every JSON config shares,
+* :mod:`mcmr.cli` — the ``mcmr`` command (not imported by the package).
 """
 
-from . import channels, clifford, cli, liouville, micromotion, rb
+from . import channels, clifford, liouville, micromotion, rb
 from .errors import AssumptionError, ConfigError, DataFormatError, FitError
 
 __version__ = "0.1.0"

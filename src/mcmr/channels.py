@@ -39,7 +39,9 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import clifford, liouville
+from .config import Config, checked
 from .errors import AssumptionError, ConfigError
+from .micromotion import rate_generator
 
 N_LEVELS = 4
 POLARIZATION_BALANCED = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
@@ -107,11 +109,11 @@ def _normalized_weights(polarization) -> np.ndarray:
     if w.shape != (3,):
         raise ConfigError("polarization must have three components "
                           "[w_minus, w_pi, w_plus]")
-    if np.any(w < 0):
+    if not np.all(w >= 0):
         raise ConfigError("polarization weights must be non-negative")
     total = w.sum()
-    if total <= 0:
-        raise ConfigError("polarization weights must not all vanish")
+    if not 0 < total < np.inf:
+        raise ConfigError("polarization weights must be finite and not all vanish")
     return w / total
 
 
@@ -163,11 +165,7 @@ def rate_scattering_channel(rates: np.ndarray, kind: str = "custom",
         raise ValueError(f"rates must be {N_LEVELS}x{N_LEVELS}, got {r.shape}")
     if np.any(r < 0):
         raise ValueError("rates must be non-negative")
-    generator = r.T.copy()
-    np.fill_diagonal(generator, 0.0)
-    off_diag_out = r.sum(axis=1) - np.diag(r)
-    generator[np.diag_indices(N_LEVELS)] = -off_diag_out
-    transfer = expm(generator)
+    transfer = expm(rate_generator(r))
 
     totals = r.sum(axis=1)
     mvec = np.zeros((liouville.N_BASIS, liouville.N_BASIS))
@@ -245,35 +243,42 @@ def depolarizing(p: float) -> LeakageChannel:
                           kind="depolarizing", params={"p": float(p)})
 
 
-def channel_from_config(config: dict) -> LeakageChannel:
-    """Build a crosstalk channel from its JSON description.
+@dataclass(frozen=True)
+class ChannelSpec(Config):
+    """JSON description of one crosstalk channel (``dark_branching``: reset only)."""
 
-    Expected keys: ``kind`` ("measurement" or "reset"), ``gamma_t``,
-    optional ``polarization`` ([w_minus, w_pi, w_plus], default balanced)
-    and, for reset channels only, optional ``dark_branching``.
-    """
-    if not isinstance(config, dict):
-        raise ConfigError("channel config must be an object")
-    known = {"kind", "gamma_t", "polarization", "dark_branching"}
-    extra = set(config) - known
-    if extra:
-        raise ConfigError(f"unknown channel config keys: {', '.join(sorted(extra))}")
-    kind = config.get("kind")
-    if kind not in ("measurement", "reset"):
-        raise ConfigError(f"channel kind must be 'measurement' or 'reset', got {kind!r}")
-    if "gamma_t" not in config:
-        raise ConfigError("channel config requires gamma_t")
-    try:
-        gamma_t = float(config["gamma_t"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"gamma_t must be a number: {exc}") from exc
-    polarization = config.get("polarization", POLARIZATION_BALANCED)
-    if kind == "measurement":
-        if "dark_branching" in config:
+    kind: str = checked(one_of=("measurement", "reset"))
+    gamma_t: float = checked(ge=0.0)
+    polarization: tuple[float, ...] = POLARIZATION_BALANCED
+    dark_branching: float = checked(DEFAULT_DARK_BRANCHING, ge=0.0, le=1.0)
+
+    def __post_init__(self):
+        super().__post_init__()
+        _normalized_weights(self.polarization)
+
+    def build(self) -> LeakageChannel:
+        if self.kind == "reset":
+            return reset_crosstalk(self.gamma_t, self.polarization,
+                                   self.dark_branching)
+        return measurement_crosstalk(self.gamma_t, self.polarization)
+
+    def to_dict(self) -> dict:
+        out = super().to_dict()
+        if self.kind != "reset":
+            del out["dark_branching"]
+        return out
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "ChannelSpec":
+        spec = super().from_dict(data)
+        if spec.kind != "reset" and "dark_branching" in data:
             raise ConfigError("dark_branching only applies to reset channels")
-        return measurement_crosstalk(gamma_t, polarization)
-    branching = float(config.get("dark_branching", DEFAULT_DARK_BRANCHING))
-    return reset_crosstalk(gamma_t, polarization, branching)
+        return spec
+
+
+def channel_from_config(config: dict) -> LeakageChannel:
+    """Build a crosstalk channel from its JSON description (a :class:`ChannelSpec`)."""
+    return ChannelSpec.from_dict(config).build()
 
 
 # ---------------------------------------------------------------------------

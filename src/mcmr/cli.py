@@ -17,12 +17,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import micromotion, rb
+from .config import Config, checked, load_json
 from .errors import AssumptionError, ConfigError, DataFormatError, FitError
 
 DEFAULT_SCAN_POINTS = 400
@@ -43,19 +46,19 @@ def _write_json(path, payload) -> None:
         fh.write("\n")
 
 
-def _load_json(path, what: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"{what} file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-
-
 def _ensure_out(path) -> str:
     os.makedirs(path, exist_ok=True)
     return path
+
+
+#: flag name -> (test, requirement) for values argparse's types let through
+_FLAG_LIMITS = {
+    "seed": (lambda v: v >= 0, "non-negative"),
+    "resamples": (lambda v: v == 0 or v >= 2, "0 or at least 2"),
+    "ls_ratio": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "points": (lambda v: v >= 2, "at least 2"),
+    "max_index": (lambda v: 0 < v < math.inf, "positive and finite"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -115,40 +118,32 @@ def _cmd_scan(args) -> int:
 # depump
 
 
-def _depump_times(config: dict) -> np.ndarray:
-    if "times_s" in config:
-        times = np.asarray(config["times_s"], dtype=float)
-        if times.ndim != 1 or times.size < 3:
+@dataclass(frozen=True)
+class DepumpConfig(Config):
+    """``mcmr depump`` input; ``times_s`` overrides ``points`` times up to ``t_max_s``."""
+
+    gamma_per_s: float = checked(gt=0.0)
+    times_s: tuple[float, ...] | None = checked(None, ge=0.0)
+    t_max_s: float | None = checked(None, gt=0.0)
+    points: int = checked(12, ge=3)
+    shots: int = checked(1000, ge=1)
+    free_amplitude: bool = False
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.times_s is None and self.t_max_s is None:
+            raise ConfigError("t_max_s is required when times_s is not given")
+        if self.times_s is not None and len(self.times_s) < 3:
             raise ConfigError("times_s must list at least three times")
-        return times
-    if "t_max_s" in config:
-        points = int(config.get("points", 12))
-        if points < 3:
-            raise ConfigError("points must be at least 3")
-        t_max = float(config["t_max_s"])
-        if t_max <= 0:
-            raise ConfigError("t_max_s must be positive")
-        return np.linspace(0.0, t_max, points)
-    raise ConfigError("depump config needs either times_s or t_max_s")
 
 
 def _cmd_depump(args) -> int:
-    config = _load_json(args.config, "depump config")
-    known = {"gamma_per_s", "times_s", "t_max_s", "points", "shots",
-             "free_amplitude"}
-    extra = set(config) - known
-    if extra:
-        raise ConfigError(f"unknown depump config keys: {', '.join(sorted(extra))}")
-    if "gamma_per_s" not in config:
-        raise ConfigError("depump config requires gamma_per_s")
-    gamma = float(config["gamma_per_s"])
-    if gamma <= 0:
-        raise ConfigError("gamma_per_s must be positive")
-    shots = int(config.get("shots", 1000))
-    if shots < 1:
-        raise ConfigError("shots must be positive")
-    free_amplitude = bool(config.get("free_amplitude", False))
-    times = _depump_times(config)
+    config = DepumpConfig.from_dict(load_json(args.config, "depump config"))
+    gamma, shots = config.gamma_per_s, config.shots
+    if config.times_s is not None:
+        times = np.asarray(config.times_s, dtype=float)
+    else:
+        times = np.linspace(0.0, config.t_max_s, config.points)
 
     rng = np.random.default_rng(args.seed)
     probs = micromotion.depump_probability(gamma, times)
@@ -164,7 +159,7 @@ def _cmd_depump(args) -> int:
             writer.writerow((_fmt(t), shots, int(d), _fmt(d / shots)))
 
     fit = micromotion.fit_depump(times, fractions, shots=shots,
-                                 free_amplitude=free_amplitude)
+                                 free_amplitude=config.free_amplitude)
     _write_json(os.path.join(out, "depump_fit.json"), {
         "gamma_per_s": fit.gamma,
         "gamma_sigma_per_s": fit.gamma_sigma,
@@ -204,11 +199,7 @@ def _results_payload(analysis: rb.AnalysisResult, reference=None,
                      experiment=None, probe=None) -> dict:
     payload = analysis.to_dict()
     if reference is not None:
-        payload["channel_reference"] = {
-            "base": reference.base, "leakage": reference.leakage,
-            "seepage": reference.seepage, "epsilon": reference.epsilon,
-            "t_minus": reference.t_minus,
-        }
+        payload["channel_reference"] = asdict(reference)
     if experiment is not None:
         payload["experiment"] = experiment
     if probe is not None:
@@ -324,6 +315,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, (test, requirement) in _FLAG_LIMITS.items():
+            value = getattr(args, name, None)
+            if value is not None and not test(value):
+                flag = "--" + name.replace("_", "-")
+                raise ConfigError(f"{flag} must be {requirement}, got {value}")
         return args.func(args)
     except (ConfigError, AssumptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -136,18 +136,7 @@ def kraus_to_superop(kraus_ops) -> np.ndarray:
     Hermiticity-preserving map; a large imaginary residue raises.
     """
     kraus_ops = [np.asarray(A, dtype=complex) for A in kraus_ops]
-    if not kraus_ops:
-        raise ValueError("need at least one Kraus operator")
-    for A in kraus_ops:
-        if A.shape != (DIM, DIM):
-            raise ValueError(f"Kraus operators must be {DIM}x{DIM}, got {A.shape}")
-    mvec = sum(np.kron(A.conj(), A) for A in kraus_ops)
-    bmat = _basis_matrix()
-    m = bmat.conj().T @ mvec @ bmat
-    residue = float(np.max(np.abs(m.imag)))
-    if residue > IMAG_TOL:
-        raise ValueError(f"map is not Hermiticity-preserving: residue {residue:.3e}")
-    return m.real
+    return vec_to_basis_superop(sum(np.kron(A.conj(), A) for A in kraus_ops))
 
 
 def vec_to_basis_superop(mvec: np.ndarray) -> np.ndarray:

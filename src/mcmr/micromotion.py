@@ -23,7 +23,6 @@ scattering.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -32,6 +31,7 @@ from scipy import special
 from scipy.linalg import expm
 from scipy.optimize import brentq, curve_fit
 
+from .config import Config, checked, load_json
 from .errors import ConfigError, DataFormatError, FitError
 
 #: default number of sideband harmonics kept in the suppression sum
@@ -40,18 +40,9 @@ DEFAULT_HARMONIC_CUTOFF = 50
 #: number of F=1 ground-state sublevels in the optical-pumping rate model
 N_BRIGHT = 3
 
-_CONFIG_KEYS = (
-    "rf_frequency_hz",
-    "secular_frequency_hz",
-    "linewidth_hz",
-    "wavelength_m",
-    "beam_angle_deg",
-    "displacement_m",
-)
-
 
 @dataclass(frozen=True)
-class TrapBeamConfig:
+class TrapBeamConfig(Config):
     """Trap drive, ion displacement and detection-beam geometry.
 
     Frequencies may be supplied as ordinary or angular frequencies as long as
@@ -59,19 +50,12 @@ class TrapBeamConfig:
     the physics.
     """
 
-    rf_frequency_hz: float
-    secular_frequency_hz: float
-    linewidth_hz: float
-    wavelength_m: float
+    rf_frequency_hz: float = checked(gt=0.0)
+    secular_frequency_hz: float = checked(gt=0.0)
+    linewidth_hz: float = checked(gt=0.0)
+    wavelength_m: float = checked(gt=0.0)
     beam_angle_deg: float
-    displacement_m: float
-
-    def __post_init__(self):
-        for key in ("rf_frequency_hz", "secular_frequency_hz", "linewidth_hz", "wavelength_m"):
-            if not getattr(self, key) > 0:
-                raise ConfigError(f"{key} must be positive")
-        if self.displacement_m < 0:
-            raise ConfigError("displacement_m must be non-negative")
+    displacement_m: float = checked(ge=0.0)
 
     @property
     def wavenumber(self) -> float:
@@ -82,40 +66,8 @@ class TrapBeamConfig:
         return self.rf_frequency_hz / self.linewidth_hz
 
     @classmethod
-    def from_dict(cls, data: dict) -> "TrapBeamConfig":
-        missing = [k for k in _CONFIG_KEYS if k not in data]
-        if missing:
-            raise ConfigError(f"missing config keys: {', '.join(missing)}")
-        extra = [k for k in data if k not in _CONFIG_KEYS]
-        if extra:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(extra))}")
-        try:
-            values = {k: float(data[k]) for k in _CONFIG_KEYS}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"non-numeric config value: {exc}") from exc
-        return cls(**values)
-
-    @classmethod
     def from_json(cls, path) -> "TrapBeamConfig":
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except FileNotFoundError as exc:
-            raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError(f"config root in {path} must be an object")
-        return cls.from_dict(data)
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in _CONFIG_KEYS}
-
-
-def micromotion_amplitude(secular_frequency: float, rf_frequency: float,
-                          displacement: float) -> float:
-    """Excess-motion amplitude ``sqrt(2) * (omega_sec / omega_rf) * r``."""
-    return math.sqrt(2.0) * (secular_frequency / rf_frequency) * displacement
+        return cls.from_dict(load_json(path, "trap config"))
 
 
 def modulation_index(config: TrapBeamConfig,
@@ -132,15 +84,11 @@ def modulation_index(config: TrapBeamConfig,
 
 def displacement_for_index(config: TrapBeamConfig, index: float) -> float:
     """Invert :func:`modulation_index` (it is linear in the displacement)."""
-    slope = modulation_index(config, displacement=1.0)
-    # angle-free slope sets the scale; a beam this close to perpendicular
-    # cannot be inverted meaningfully
-    scale = (config.wavenumber * math.sqrt(2.0)
-             * config.secular_frequency_hz / config.rf_frequency_hz)
-    if abs(slope) < 1e-9 * scale:
+    # a beam this close to perpendicular cannot be inverted meaningfully
+    if abs(math.cos(math.radians(config.beam_angle_deg))) < 1e-9:
         raise ConfigError("modulation index does not depend on displacement "
                           "(beam perpendicular to the motion?)")
-    return float(index / slope)
+    return float(index / modulation_index(config, displacement=1.0))
 
 
 def suppression_factor(index, rf_over_linewidth: float,
@@ -217,6 +165,15 @@ def depump_probability(gamma: float, t):
     return out
 
 
+def rate_generator(rates: np.ndarray) -> np.ndarray:
+    """Population generator G (``dp/dt = G p``) of jump rates ``rates[a, b]``."""
+    g = rates.T.copy()
+    np.fill_diagonal(g, 0.0)
+    out_rates = rates.sum(axis=1) - np.diag(rates)  # elastic jumps do not move population
+    g[np.diag_indices(len(rates))] = -out_rates
+    return g
+
+
 @dataclass(frozen=True)
 class RateModel:
     """Scattering rates among the three bright sublevels.
@@ -264,12 +221,7 @@ class RateModel:
 
     def generator(self) -> np.ndarray:
         """Population-evolution generator G with ``dp/dt = G p``."""
-        r = self.rates
-        g = r.T.copy()
-        np.fill_diagonal(g, 0.0)
-        out_rates = r.sum(axis=1) - np.diag(r)  # elastic jumps do not move population
-        g[np.diag_indices(N_BRIGHT)] = -out_rates
-        return g
+        return rate_generator(self.rates)
 
     def total_rates(self) -> np.ndarray:
         """Total scattering rate per source level, elastic term included."""

@@ -32,15 +32,16 @@ campaign outputs are reproducible byte for byte, serial or parallel.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from . import channels, clifford, liouville
+from .channels import ChannelSpec  # rb.ChannelSpec; resolves the ProbeSpec hints
+from .config import Config, checked, load_json, parse
 from .errors import ConfigError, DataFormatError, FitError
 
 DEFAULT_LENGTHS = (2, 11, 81)
@@ -72,7 +73,7 @@ def _as_matrix(channel_or_matrix) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpamModel:
+class SpamModel(Config):
     """Preparation and readout imperfections of the probe qubit.
 
     ``prep_flip`` prepares |1> instead of |0>; ``prep_leak`` prepares the
@@ -80,16 +81,13 @@ class SpamModel:
     outcome.  The two effect vectors always sum to the identity.
     """
 
-    prep_flip: float = 0.0
-    prep_leak: float = 0.0
-    dark_to_bright: float = 0.0
-    bright_to_dark: float = 0.0
+    prep_flip: float = checked(0.0, ge=0.0, le=1.0)
+    prep_leak: float = checked(0.0, ge=0.0, le=1.0)
+    dark_to_bright: float = checked(0.0, ge=0.0, le=1.0)
+    bright_to_dark: float = checked(0.0, ge=0.0, le=1.0)
 
     def __post_init__(self):
-        for name in ("prep_flip", "prep_leak", "dark_to_bright", "bright_to_dark"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {v!r}")
+        super().__post_init__()
         if self.prep_flip + self.prep_leak > 1.0:
             raise ConfigError("prep_flip + prep_leak must not exceed 1")
 
@@ -110,18 +108,6 @@ class SpamModel:
     def bright_effect(self) -> np.ndarray:
         return (self.dark_to_bright * liouville.dark_effect_vector()
                 + (1.0 - self.bright_to_dark) * liouville.bright_effect_vector())
-
-    def to_dict(self) -> dict:
-        return {"prep_flip": self.prep_flip, "prep_leak": self.prep_leak,
-                "dark_to_bright": self.dark_to_bright,
-                "bright_to_dark": self.bright_to_dark}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SpamModel":
-        extra = set(data) - {"prep_flip", "prep_leak", "dark_to_bright", "bright_to_dark"}
-        if extra:
-            raise ConfigError(f"unknown SPAM keys: {', '.join(sorted(extra))}")
-        return cls(**{k: float(v) for k, v in data.items()})
 
 
 PERFECT_SPAM = SpamModel()
@@ -397,7 +383,7 @@ class RBDataset:
 
     @classmethod
     def from_csv(cls, path) -> "RBDataset":
-        records = []
+        records, seen = [], set()
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -419,6 +405,10 @@ class RBDataset:
                 if dark + bright != shots:
                     raise DataFormatError(
                         f"{path}:{lineno}: dark + bright != shots")
+                if (length, seq_id) in seen:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: repeats length {length}, seq_id {seq_id}")
+                seen.add((length, seq_id))
                 records.append(DatasetRecord(length, seq_id, pauli, target,
                                              shots, dark))
         try:
@@ -678,33 +668,15 @@ class AnalysisResult:
         return self.bootstrap.sigmas.get(name)
 
     def to_dict(self) -> dict:
-        def stats_rows(stats):
-            return [{"length": s.length, "n_sequences": s.n_sequences,
-                     "mean": s.mean, "sem": s.sem} for s in stats]
-
         out = {
             "lengths": list(self.lengths),
             "sequences_per_length": {str(k): v for k, v in
                                      sorted(self.sequences_per_length.items())},
             "shots": list(self.shots),
-            "standard": {
-                "amplitude": self.standard.amplitude,
-                "base": self.standard.base,
-                "per_length": stats_rows(self.standard.per_length),
-            },
-            "leakage": {
-                "intercept": self.leakage_fit.intercept,
-                "asymptote": self.leakage_fit.asymptote,
-                "t_minus": self.leakage_fit.t_minus,
-                "leakage": self.leakage_fit.leakage,
-                "seepage": self.leakage_fit.seepage,
-                "per_length": stats_rows(self.leakage_fit.per_length),
-            },
+            "standard": asdict(self.standard),
+            "leakage": asdict(self.leakage_fit),
             "epsilon": self.epsilon,
-            "scattering_estimates": {
-                "standard": self.scattering.standard,
-                "leakage": self.scattering.leakage,
-            },
+            "scattering_estimates": asdict(self.scattering),
         }
         if self.bootstrap is not None:
             out["bootstrap"] = {
@@ -740,7 +712,7 @@ def analyze_dataset(dataset: RBDataset, ls_ratio: float = 1.0,
 
 
 @dataclass(frozen=True)
-class FocusModel:
+class FocusModel(Config):
     """Classical error model of the measured/reset (focus) ion.
 
     Per measurement window a bright shot depumps to dark with probability
@@ -751,34 +723,11 @@ class FocusModel:
     the ion and the sampled ideal bit is the reference for error counting.
     """
 
-    prep_flip: float = 0.0
-    dark_to_bright: float = 0.0
-    bright_to_dark: float = 0.0
-    depump_per_measure: float = 0.0
-    reset_error: float = 0.0
-
-    def __post_init__(self):
-        for name in ("prep_flip", "dark_to_bright", "bright_to_dark",
-                     "depump_per_measure", "reset_error"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1], got {v!r}")
-
-    def to_dict(self) -> dict:
-        return {"prep_flip": self.prep_flip,
-                "dark_to_bright": self.dark_to_bright,
-                "bright_to_dark": self.bright_to_dark,
-                "depump_per_measure": self.depump_per_measure,
-                "reset_error": self.reset_error}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FocusModel":
-        known = {"prep_flip", "dark_to_bright", "bright_to_dark",
-                 "depump_per_measure", "reset_error"}
-        extra = set(data) - known
-        if extra:
-            raise ConfigError(f"unknown focus-model keys: {', '.join(sorted(extra))}")
-        return cls(**{k: float(v) for k, v in data.items()})
+    prep_flip: float = checked(0.0, ge=0.0, le=1.0)
+    dark_to_bright: float = checked(0.0, ge=0.0, le=1.0)
+    bright_to_dark: float = checked(0.0, ge=0.0, le=1.0)
+    depump_per_measure: float = checked(0.0, ge=0.0, le=1.0)
+    reset_error: float = checked(0.0, ge=0.0, le=1.0)
 
 
 @dataclass(frozen=True)
@@ -921,47 +870,20 @@ def spam_report(records) -> tuple[SpamReportEntry, ...]:
 
 
 @dataclass(frozen=True)
-class ChannelSpec:
-    """JSON-friendly description of one crosstalk channel."""
-
-    kind: str
-    gamma_t: float
-    polarization: tuple = channels.POLARIZATION_BALANCED
-    dark_branching: float = channels.DEFAULT_DARK_BRANCHING
-
-    def build(self) -> channels.LeakageChannel:
-        config = {"kind": self.kind, "gamma_t": self.gamma_t,
-                  "polarization": list(self.polarization)}
-        if self.kind == "reset":
-            config["dark_branching"] = self.dark_branching
-        return channels.channel_from_config(config)
-
-    def to_dict(self) -> dict:
-        out = {"kind": self.kind, "gamma_t": self.gamma_t,
-               "polarization": list(self.polarization)}
-        if self.kind == "reset":
-            out["dark_branching"] = self.dark_branching
-        return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ChannelSpec":
-        channels.channel_from_config(data)  # full validation
-        kwargs = {"kind": data["kind"], "gamma_t": float(data["gamma_t"])}
-        if "polarization" in data:
-            kwargs["polarization"] = tuple(float(w) for w in data["polarization"])
-        if "dark_branching" in data:
-            kwargs["dark_branching"] = float(data["dark_branching"])
-        return cls(**kwargs)
-
-
-@dataclass(frozen=True)
-class ProbeSpec:
+class ProbeSpec(Config):
     """Per-probe channel strengths and readout model."""
 
     measurement: ChannelSpec | None = None
     reset: ChannelSpec | None = None
-    gate_depolarizing: float = 0.0
+    gate_depolarizing: float = checked(0.0, ge=0.0, le=4.0 / 3.0)
     spam: SpamModel = PERFECT_SPAM
+
+    def __post_init__(self):
+        super().__post_init__()
+        for slot in ("measurement", "reset"):
+            spec = getattr(self, slot)
+            if spec is not None and spec.kind != slot:
+                raise ConfigError(f"{slot}.kind must be {slot!r}, got {spec.kind!r}")
 
     def slot_channel(self, interleaved_ops) -> channels.LeakageChannel:
         """The error applied after each random Clifford, in op order."""
@@ -977,121 +899,46 @@ class ProbeSpec:
             return channels.identity_channel()
         return channels.compose(*steps)
 
-    def to_dict(self) -> dict:
-        return {
-            "measurement": None if self.measurement is None else self.measurement.to_dict(),
-            "reset": None if self.reset is None else self.reset.to_dict(),
-            "gate_depolarizing": self.gate_depolarizing,
-            "spam": self.spam.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ProbeSpec":
-        known = {"measurement", "reset", "gate_depolarizing", "spam"}
-        extra = set(data) - known
-        if extra:
-            raise ConfigError(f"unknown probe keys: {', '.join(sorted(extra))}")
-        meas = data.get("measurement")
-        rst = data.get("reset")
-        if meas is not None and meas.get("kind") != "measurement":
-            raise ConfigError("probe 'measurement' entry must have kind 'measurement'")
-        if rst is not None and rst.get("kind") != "reset":
-            raise ConfigError("probe 'reset' entry must have kind 'reset'")
-        return cls(
-            measurement=None if meas is None else ChannelSpec.from_dict(meas),
-            reset=None if rst is None else ChannelSpec.from_dict(rst),
-            gate_depolarizing=float(data.get("gate_depolarizing", 0.0)),
-            spam=SpamModel.from_dict(data.get("spam", {})),
-        )
-
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(Config):
     """One benchmarking experiment: interleaved ops, probes, focus, sampling."""
 
     name: str
-    interleaved_ops: tuple = ()
-    initial_focus_state: int = 0
-    probes: dict = field(default_factory=dict)
+    interleaved_ops: tuple[str, ...] = checked((), one_of=INTERLEAVED_OPS)
+    initial_focus_state: int = checked(0, one_of=(0, 1))
+    probes: dict[str, ProbeSpec] = field(default_factory=dict)
     focus: FocusModel = FocusModel()
-    lengths: tuple = DEFAULT_LENGTHS
-    sequences_per_length: int = DEFAULT_SEQUENCES_PER_LENGTH
-    shots: int = DEFAULT_SHOTS
+    lengths: tuple[int, ...] = checked(DEFAULT_LENGTHS, ge=1)
+    sequences_per_length: int = checked(DEFAULT_SEQUENCES_PER_LENGTH, ge=1)
+    shots: int = checked(DEFAULT_SHOTS, ge=1)
     balanced: bool = True
 
     def __post_init__(self):
-        if not self.name or not all(c.isalnum() or c in "-_" for c in self.name):
-            raise ConfigError(
-                f"experiment name must be non-empty [-_ alphanumeric], got {self.name!r}")
-        for op in self.interleaved_ops:
-            if op not in INTERLEAVED_OPS:
-                raise ConfigError(f"unknown interleaved op {op!r}")
-        if self.initial_focus_state not in (0, 1):
-            raise ConfigError("initial_focus_state must be 0 or 1")
-        if not self.probes:
-            raise ConfigError("experiment needs at least one probe")
-        for label in self.probes:
+        super().__post_init__()
+        for label in (self.name, *self.probes):
             if not label or not all(c.isalnum() or c in "-_" for c in label):
-                raise ConfigError(f"bad probe label {label!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "interleaved_ops": list(self.interleaved_ops),
-            "initial_focus_state": self.initial_focus_state,
-            "probes": {label: spec.to_dict()
-                       for label, spec in sorted(self.probes.items())},
-            "focus": self.focus.to_dict(),
-            "lengths": list(self.lengths),
-            "sequences_per_length": self.sequences_per_length,
-            "shots": self.shots,
-            "balanced": self.balanced,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {"name", "interleaved_ops", "initial_focus_state", "probes",
-                 "focus", "lengths", "sequences_per_length", "shots", "balanced"}
-        extra = set(data) - known
-        if extra:
-            raise ConfigError(f"unknown experiment keys: {', '.join(sorted(extra))}")
-        if "name" not in data or "probes" not in data:
-            raise ConfigError("experiment config requires 'name' and 'probes'")
-        probes = {label: ProbeSpec.from_dict(spec)
-                  for label, spec in data["probes"].items()}
-        return cls(
-            name=str(data["name"]),
-            interleaved_ops=tuple(data.get("interleaved_ops", ())),
-            initial_focus_state=int(data.get("initial_focus_state", 0)),
-            probes=probes,
-            focus=FocusModel.from_dict(data.get("focus", {})),
-            lengths=tuple(int(l) for l in data.get("lengths", DEFAULT_LENGTHS)),
-            sequences_per_length=int(data.get("sequences_per_length",
-                                              DEFAULT_SEQUENCES_PER_LENGTH)),
-            shots=int(data.get("shots", DEFAULT_SHOTS)),
-            balanced=bool(data.get("balanced", True)),
-        )
+                raise ConfigError(f"experiment and probe names must be non-empty "
+                                  f"[-_ alphanumeric], got {label!r}")
+        if not self.probes:
+            raise ConfigError("probes must name at least one probe")
 
 
 def load_campaign(path) -> list[ExperimentConfig]:
     """Read a campaign JSON file: ``{"experiments": [...]}``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"campaign file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    if not isinstance(data, dict) or "experiments" not in data:
-        raise ConfigError(f"{path}: campaign file must contain an 'experiments' list")
-    experiments = data["experiments"]
-    if not isinstance(experiments, list) or not experiments:
+    data = load_json(path, "campaign")
+    configs = parse(tuple[ExperimentConfig, ...], data.get("experiments"),
+                    "experiments")
+    if not configs:
         raise ConfigError(f"{path}: 'experiments' must be a non-empty list")
-    configs = [ExperimentConfig.from_dict(e) for e in experiments]
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError(f"{path}: duplicate experiment names")
-    return configs
+    for i, c in enumerate(configs):
+        if len(set(c.lengths)) < 3:  # the leakage fit's minimum
+            raise ConfigError(f"experiments[{i}].lengths must hold at least "
+                              f"three distinct lengths, got {list(c.lengths)}")
+    return list(configs)
 
 
 @dataclass(frozen=True)

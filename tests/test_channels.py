@@ -272,6 +272,15 @@ def test_channel_from_config_validation():
             {"kind": "measurement", "gamma_t": 0.01, "typo": 1})
     with pytest.raises(ConfigError):
         channels.channel_from_config({"kind": "reset", "gamma_t": "fast"})
+    for bad in ({"kind": "reset", "gamma_t": "nan"},
+                {"kind": "reset", "gamma_t": True},
+                {"kind": "reset", "gamma_t": -1e-3},
+                {"kind": ["reset"], "gamma_t": 1e-3},
+                {"kind": "reset", "gamma_t": 1e-3, "polarization": "pi"},
+                {"kind": "reset", "gamma_t": 1e-3, "polarization": [1, "nan", 1]},
+                {"kind": "reset", "gamma_t": 1e-3, "dark_branching": None}):
+        with pytest.raises(ConfigError):
+            channels.channel_from_config(bad)
 
 
 def test_leakage_channel_validation():

@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mcmr
 from mcmr import cli, micromotion, rb
 from mcmr.errors import FitError
 
@@ -24,7 +28,12 @@ def write_json(path, payload):
     return str(path)
 
 
-def small_campaign(tmp_path, names=("measure-dark",)):
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def small_campaign(tmp_path, names=("measure-dark",), **overrides):
     experiments = []
     for name in names:
         experiments.append({
@@ -36,6 +45,7 @@ def small_campaign(tmp_path, names=("measure-dark",)):
             "lengths": [2, 5, 9],
             "sequences_per_length": 4,
             "shots": 20,
+            **overrides,
         })
     return write_json(tmp_path / "campaign.json", {"experiments": experiments})
 
@@ -91,6 +101,23 @@ def test_scan_missing_config_exits_2(tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+    for key, value in (("displacement_m", float("nan")),
+                       ("beam_angle_deg", float("nan")),
+                       ("rf_frequency_hz", float("inf"))):
+        config_path = write_json(tmp_path / "bad.json",
+                                 {**TRAP_CONFIG, key: value})
+        rc = cli.main(["scan", "--config", config_path,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2, key
+        assert_one_error_line(capsys)
+    config_path = write_json(tmp_path / "trap.json", TRAP_CONFIG)
+    for flags in (["--points", "0"], ["--points", "1"],
+                  ["--max-index", "nan"]):
+        rc = cli.main(["scan", "--config", config_path,
+                       "--out", str(tmp_path / "out"), *flags])
+        assert rc == 2, flags
+        assert_one_error_line(capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +179,18 @@ def test_depump_config_validation(tmp_path, capsys):
         {"gamma_per_s": 156.25, "times_s": [0.01, 0.02]},    # too few
         {"gamma_per_s": -2.0, "t_max_s": 0.04},
         {"gamma_per_s": 156.25, "t_max_s": 0.04, "shots": 0},
+        {"gamma_per_s": float("nan"), "t_max_s": 0.04},
+        {"gamma_per_s": 156.25, "times_s": [0, 0.01, "nan"]},
+        [1, 2],                                              # non-object root
+        {"gamma_per_s": 156.25, "t_max_s": 0.04, "shots": 2.5},
+        {"gamma_per_s": 156.25, "t_max_s": 0.04, "free_amplitude": "no"},
     ]
     for i, payload in enumerate(cases):
         config_path = write_json(tmp_path / f"bad{i}.json", payload)
         rc = cli.main(["depump", "--config", config_path,
                        "--out", str(tmp_path / f"out{i}")])
         assert rc == 2, payload
-    capsys.readouterr()
+        assert_one_error_line(capsys)
 
 
 def test_depump_fit_failure_exits_4(tmp_path, capsys, monkeypatch):
@@ -252,6 +284,38 @@ def test_benchmark_bad_campaign_exits_2(tmp_path, capsys):
     assert rc == 2
     capsys.readouterr()
 
+    config_path = small_campaign(tmp_path)
+    for flags in (["--resamples", "1"], ["--resamples", "-3"],
+                  ["--seed", "-1"]):
+        rc = cli.main(["benchmark", "--config", config_path,
+                       "--out", str(tmp_path / "out"), *flags])
+        assert rc == 2, flags
+        assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"probes": {"probe": {"gate_depolarizing": 2.0}}},
+    {"probes": {"probe": {"gate_depolarizing": -0.1}}},
+    {"probes": [1]},
+    {"probes": {"probe": {"measurement": {"kind": "measurement",
+                                          "gamma_t": "nan"}}}},
+    {"probes": {"probe": {"spam": [1]}}},
+    {"shots": "x"},
+    {"shots": 2.7},
+    {"balanced": "false"},
+    {"interleaved_ops": "measure"},
+    {"lengths": [5, 5, 5]},
+])
+def test_benchmark_bad_config_values_exit_2(tmp_path, capsys, overrides):
+    config_path = small_campaign(tmp_path, **overrides)
+    rc = cli.main(["benchmark", "--config", config_path,
+                   "--out", str(tmp_path / "out"), "--resamples", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    key = next(iter(overrides))
+    assert key in err
+
 
 # ---------------------------------------------------------------------------
 # fit
@@ -292,6 +356,33 @@ def test_fit_missing_or_malformed_data_exits_3(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_fit_bad_flags_exit_2(tmp_path, capsys):
+    config_path = small_campaign(tmp_path)
+    bench_out = tmp_path / "bench"
+    assert cli.main(["benchmark", "--config", config_path,
+                     "--out", str(bench_out), "--resamples", "0"]) == 0
+    data = str(bench_out / "measure-dark_probe.csv")
+    for flags in (["--ls-ratio", "-1"], ["--ls-ratio", "nan"],
+                  ["--resamples", "1"], ["--resamples", "-3"]):
+        rc = cli.main(["fit", "--data", data, "--out", str(tmp_path / "out"),
+                       *flags])
+        assert rc == 2, flags
+        assert_one_error_line(capsys)
+
+
+def test_fit_duplicate_rows_exit_3(tmp_path, capsys):
+    config_path = small_campaign(tmp_path)
+    bench_out = tmp_path / "bench"
+    assert cli.main(["benchmark", "--config", config_path,
+                     "--out", str(bench_out), "--resamples", "0"]) == 0
+    lines = (bench_out / "measure-dark_probe.csv").read_text().splitlines()
+    dup = tmp_path / "dup.csv"
+    dup.write_text("\n".join(lines + [lines[1]]) + "\n")
+    rc = cli.main(["fit", "--data", str(dup), "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert_one_error_line(capsys)
+
+
 def test_fit_two_length_dataset_exits_3(tmp_path, capsys):
     seqs = rb.generate_sequences(lengths=(2, 9), sequences_per_length=4,
                                  seed=15)
@@ -325,3 +416,16 @@ def test_fit_optimizer_failure_exits_4(tmp_path, capsys, monkeypatch):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_module_entry_point_runs_without_warning(tmp_path):
+    src = os.path.dirname(os.path.dirname(mcmr.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "mcmr.cli",
+         "scan", "--config", str(tmp_path / "none.json"),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -153,6 +153,17 @@ def test_config_round_trip_and_validation(tmp_path):
         micromotion.TrapBeamConfig.from_json(tmp_path / "absent.json")
     with pytest.raises(ConfigError):
         micromotion.TrapBeamConfig(**{**config.to_dict(), "linewidth_hz": 0.0})
+    for key, value in (("displacement_m", float("nan")),
+                       ("beam_angle_deg", float("nan")),
+                       ("rf_frequency_hz", float("inf")),
+                       ("displacement_m", -1e-6),
+                       ("wavelength_m", True),
+                       ("linewidth_hz", [1.0])):
+        with pytest.raises(ConfigError, match=key):
+            micromotion.TrapBeamConfig.from_dict({**config.to_dict(), key: value})
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError):
+        micromotion.TrapBeamConfig.from_json(path)
 
 
 # ---------------------------------------------------------------------------

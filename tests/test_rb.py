@@ -270,6 +270,11 @@ def test_dataset_csv_validation(tmp_path):
     with pytest.raises(DataFormatError, match="inconsistent"):
         rb.RBDataset.from_csv(path)
 
+    path.write_text(f"{header}\n2,0,I,0,100,60,40\n2,1,X,1,100,30,70\n"
+                    f"2,0,I,0,100,55,45\n")
+    with pytest.raises(DataFormatError, match=":4: repeats length 2, seq_id 0"):
+        rb.RBDataset.from_csv(path)
+
 
 def test_simulate_dataset_deterministic_by_seed():
     seqs = rb.generate_sequences(lengths=(2, 7), sequences_per_length=6, seed=1)
@@ -570,6 +575,28 @@ def test_probe_spec_validation():
         rb.ProbeSpec.from_dict({"measurement": {"kind": "reset", "gamma_t": 1e-3}})
     with pytest.raises(ConfigError):
         rb.ProbeSpec.from_dict({"unknown": 1})
+    with pytest.raises(ConfigError):
+        rb.ProbeSpec(reset=rb.ChannelSpec("measurement", 1e-3))
+    bad = [
+        {"gate_depolarizing": 2.0},
+        {"gate_depolarizing": -0.1},
+        {"gate_depolarizing": "nan"},
+        {"gate_depolarizing": True},
+        {"spam": [1]},
+        {"spam": {"prep_flip": 0.7, "prep_leak": 0.4}},
+        {"measurement": "measurement"},
+        {"measurement": {"kind": "measurement", "gamma_t": "nan"}},
+        {"measurement": {"kind": "measurement", "gamma_t": 1e-3,
+                         "polarization": "balanced"}},
+        {"measurement": {"kind": "measurement", "gamma_t": 1e-3,
+                         "polarization": [1.0, 1.0]}},
+        {"reset": {"kind": "reset", "gamma_t": 1e-3, "dark_branching": 1.5}},
+    ]
+    for data in bad:
+        with pytest.raises(ConfigError):
+            rb.ProbeSpec.from_dict(data)
+    with pytest.raises(ConfigError, match=r"^measurement\.gamma_t must be a finite"):
+        rb.ProbeSpec.from_dict(bad[7])
 
 
 def test_experiment_config_round_trip_and_validation():
@@ -594,6 +621,29 @@ def test_experiment_config_round_trip_and_validation():
         rb.ExperimentConfig.from_dict({"name": "x"})
     with pytest.raises(ConfigError):
         rb.ExperimentConfig.from_dict({**config.to_dict(), "typo": 1})
+    with pytest.raises(ConfigError):
+        rb.ExperimentConfig(name="ok", shots=0, probes={"p": rb.ProbeSpec()})
+    bad = [
+        {"probes": [1]},
+        {"probes": {"probe": None}},
+        {"shots": "x"},
+        {"shots": 2.7},
+        {"shots": float("inf")},
+        {"balanced": "false"},
+        {"interleaved_ops": "measure"},
+        {"initial_focus_state": 2},
+        {"lengths": [2, 0, 5]},
+        {"lengths": 5},
+        {"name": 5},
+        {"focus": {"reset_error": -0.5}},
+        {"probes": {"probe": {"gate_depolarizing": 2.0}}},
+    ]
+    for override in bad:
+        with pytest.raises(ConfigError):
+            rb.ExperimentConfig.from_dict({**config.to_dict(), **override})
+    with pytest.raises(ConfigError, match="interleaved_ops must be a list"):
+        rb.ExperimentConfig.from_dict({**config.to_dict(),
+                                       "interleaved_ops": "measure"})
 
 
 def test_load_campaign_validation(tmp_path):
@@ -614,6 +664,14 @@ def test_load_campaign_validation(tmp_path):
     path.write_text(json.dumps({"runs": []}))
     with pytest.raises(ConfigError):
         rb.load_campaign(path)
+    path.write_text(json.dumps({"experiments": [
+        {**config.to_dict(), "lengths": [5, 5, 5]}]}))
+    with pytest.raises(ConfigError, match="three distinct lengths"):
+        rb.load_campaign(path)
+    for root in ([config.to_dict()], {"experiments": []}, {"experiments": [1]}):
+        path.write_text(json.dumps(root))
+        with pytest.raises(ConfigError):
+            rb.load_campaign(path)
     with pytest.raises(ConfigError):
         rb.load_campaign(tmp_path / "absent.json")
 
