@@ -182,7 +182,11 @@ def rate_scattering_channel(rates: np.ndarray, kind: str = "custom",
         for b in range(N_LEVELS):
             mvec[vec_index(b, b), vec_index(a, a)] = transfer[b, a]
     matrix = liouville.vec_to_basis_superop(mvec)
-    return LeakageChannel(matrix, kind=kind, params=dict(params or {}))
+    params = dict(params or {})
+    if not np.all(np.isfinite(matrix)):
+        raise ConfigError(f"{kind} channel is not finite: scattering rates too "
+                          f"large (gamma_t {params.get('gamma_t', 'not given')})")
+    return LeakageChannel(matrix, kind=kind, params=params)
 
 
 def measurement_crosstalk(gamma_t: float,

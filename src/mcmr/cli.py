@@ -251,12 +251,9 @@ def _cmd_benchmark(args) -> int:
 
 
 def _cmd_fit(args) -> int:
-    if not os.path.exists(args.data):
-        raise DataFormatError(f"dataset file not found: {args.data}")
     dataset = rb.RBDataset.from_csv(args.data)
-    rng = np.random.default_rng(args.seed)
     analysis = rb.analyze_dataset(dataset, ls_ratio=args.ls_ratio,
-                                  resamples=args.resamples, rng=rng)
+                                  resamples=args.resamples, seed=args.seed)
     out = _ensure_out(args.out)
     stem = os.path.splitext(os.path.basename(args.data))[0]
     _write_decay_csv(os.path.join(out, f"{stem}_decay.csv"), analysis)
@@ -323,6 +320,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, AssumptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a size flag or config value too large to allocate
+        print(f"error: input too large: {exc}", file=sys.stderr)
         return 2
     except DataFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

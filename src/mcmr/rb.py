@@ -23,10 +23,11 @@ The module provides:
   depumping, reset) feeding mid-circuit SPAM reports,
 * experiment configuration objects and a campaign runner.
 
-Randomness policy: every public entry point takes a seed (or an
-``numpy.random.SeedSequence``) and derives independent child streams for
-sequence generation, shot sampling, focus trajectories and the bootstrap, so
-campaign outputs are reproducible byte for byte, serial or parallel.
+Randomness policy: every public entry point takes one ``seed`` (anything
+``numpy.random.default_rng`` accepts, a ``Generator`` included); campaigns
+derive independent child streams for sequence generation, shot sampling,
+focus trajectories and the bootstrap, so campaign outputs are reproducible
+byte for byte, serial or parallel.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import csv
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.optimize import OptimizeWarning, curve_fit
@@ -61,11 +62,6 @@ FOCUS_HEADER = ("length", "seq_id", "slot", "meas_index", "shots", "errors")
 #: fraction of bootstrap refits allowed to fail before the analysis is
 #: declared unstable
 BOOTSTRAP_FAILURE_BUDGET = 0.10
-
-
-def _as_matrix(channel_or_matrix) -> np.ndarray:
-    m = getattr(channel_or_matrix, "matrix", channel_or_matrix)
-    return np.asarray(m, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +125,7 @@ class RBSequence:
 
 def generate_sequences(lengths=DEFAULT_LENGTHS,
                        sequences_per_length: int = DEFAULT_SEQUENCES_PER_LENGTH,
-                       seed=None, rng: np.random.Generator | None = None,
-                       balanced: bool = True) -> list[RBSequence]:
+                       seed=None, balanced: bool = True) -> list[RBSequence]:
     """Draw random benchmarking sequences.
 
     With ``balanced=True`` (the default) exactly half of each length's
@@ -140,8 +135,7 @@ def generate_sequences(lengths=DEFAULT_LENGTHS,
     random per sequence, which inflates the pooled variance (useful as a
     negative control).
     """
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     lengths = tuple(int(l) for l in lengths)
     if any(l < 1 for l in lengths):
         raise ConfigError("sequence lengths must be positive")
@@ -181,7 +175,7 @@ def survival_dark_probabilities(sequences, slot_channel,
     interleaved crosstalk, composed with any gate error); the inversion gate
     is applied clean.
     """
-    slot = _as_matrix(slot_channel)
+    slot = slot_channel.matrix
     gates = clifford.superop_table()
     stepped = np.einsum("ij,njk->nik", slot, gates)
     prep = spam.prep_vector()
@@ -210,7 +204,7 @@ def exact_average_survival(slot_channel, spam: SpamModel, length: int,
     """
     if length < 1:
         raise ValueError("length must be positive")
-    slot = _as_matrix(slot_channel)
+    slot = slot_channel.matrix
     gates = clifford.superop_table()
     stepped = np.einsum("ij,njk->nik", slot, gates)
     table = clifford.clifford_table()
@@ -280,9 +274,7 @@ def decay_coefficients(slot_channel, spam: SpamModel = PERFECT_SPAM) -> DecayCoe
     exchange between the subspace identities, whose eigensystem supplies the
     ``t_minus`` branch and the constant.
     """
-    ch = slot_channel if isinstance(slot_channel, channels.LeakageChannel) \
-        else channels.LeakageChannel(_as_matrix(slot_channel))
-    tw = channels.twirl(ch)
+    tw = channels.twirl(slot_channel)
     eig = channels.decay_eigensystem(tw.leakage, tw.seepage)
     prep = spam.prep_vector()
     effects = {0: spam.dark_effect(), 1: spam.bright_effect()}
@@ -309,6 +301,21 @@ def decay_coefficients(slot_channel, spam: SpamModel = PERFECT_SPAM) -> DecayCoe
 
 # ---------------------------------------------------------------------------
 # datasets
+
+
+def _read_csv(path, header: tuple[str, ...], what: str) -> list[tuple[int, list]]:
+    """``(line number, row)`` of every non-empty data row after a checked header."""
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise DataFormatError(f"cannot read {what} file {path}: {exc.strerror}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"{path} is not a {what} CSV: {exc}") from exc
+    if not rows or tuple(h.strip() for h in rows[0]) != header:
+        raise DataFormatError(
+            f"bad {what} header in {path}: expected {','.join(header)}")
+    return [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
 
 
 @dataclass(frozen=True)
@@ -384,33 +391,25 @@ class RBDataset:
     @classmethod
     def from_csv(cls, path) -> "RBDataset":
         records, seen = [], set()
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(h.strip() for h in header) != DATASET_HEADER:
+        for lineno, row in _read_csv(path, DATASET_HEADER, "dataset"):
+            if len(row) != len(DATASET_HEADER):
+                raise DataFormatError(f"{path}:{lineno}: wrong column count")
+            try:
+                length, seq_id = int(row[0]), int(row[1])
+                pauli = row[2].strip()
+                target, shots = int(row[3]), int(row[4])
+                dark, bright = int(row[5]), int(row[6])
+            except ValueError as exc:
+                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+            if dark + bright != shots:
                 raise DataFormatError(
-                    f"bad dataset header in {path}: expected {','.join(DATASET_HEADER)}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(DATASET_HEADER):
-                    raise DataFormatError(f"{path}:{lineno}: wrong column count")
-                try:
-                    length, seq_id = int(row[0]), int(row[1])
-                    pauli = row[2].strip()
-                    target, shots = int(row[3]), int(row[4])
-                    dark, bright = int(row[5]), int(row[6])
-                except ValueError as exc:
-                    raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-                if dark + bright != shots:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: dark + bright != shots")
-                if (length, seq_id) in seen:
-                    raise DataFormatError(
-                        f"{path}:{lineno}: repeats length {length}, seq_id {seq_id}")
-                seen.add((length, seq_id))
-                records.append(DatasetRecord(length, seq_id, pauli, target,
-                                             shots, dark))
+                    f"{path}:{lineno}: dark + bright != shots")
+            if (length, seq_id) in seen:
+                raise DataFormatError(
+                    f"{path}:{lineno}: repeats length {length}, seq_id {seq_id}")
+            seen.add((length, seq_id))
+            records.append(DatasetRecord(length, seq_id, pauli, target,
+                                         shots, dark))
         try:
             return cls(tuple(records))
         except DataFormatError as exc:
@@ -418,13 +417,11 @@ class RBDataset:
 
 
 def simulate_dataset(sequences, slot_channel, shots: int,
-                     spam: SpamModel = PERFECT_SPAM, seed=None,
-                     rng: np.random.Generator | None = None) -> RBDataset:
+                     spam: SpamModel = PERFECT_SPAM, seed=None) -> RBDataset:
     """Binomial shot sampling of the exact per-sequence dark probabilities."""
     if shots < 1:
         raise ConfigError("shots must be positive")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     p_dark = survival_dark_probabilities(sequences, slot_channel, spam)
     dark = rng.binomial(shots, p_dark)
     return RBDataset.from_counts(sequences, shots, dark)
@@ -467,13 +464,31 @@ class LeakageFit:
     per_length: tuple[PerLengthStats, ...]
 
 
-def _per_length_stats(dataset: RBDataset, value) -> tuple[PerLengthStats, ...]:
-    stats = []
-    for length, group in sorted(dataset.by_length().items()):
-        vals = np.array([value(r) for r in group])
-        sem = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
-        stats.append(PerLengthStats(length, vals.size, float(vals.mean()), sem))
-    return tuple(stats)
+def _length_columns(dataset: RBDataset) -> list[tuple]:
+    """``(length, shots, dark_counts, target_outcome)`` per length, in record order."""
+    return [(length, *(np.array([getattr(r, name) for r in group])
+                       for name in ("shots", "dark_counts", "target_outcome")))
+            for length, group in sorted(dataset.by_length().items())]
+
+
+def _summary(length: int, values: np.ndarray) -> PerLengthStats:
+    sem = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
+    return PerLengthStats(length, values.size, float(values.mean()), sem)
+
+
+def _stats(columns) -> tuple[tuple[PerLengthStats, ...], tuple[PerLengthStats, ...]]:
+    correct, dark = [], []
+    for length, shots, darks, targets in columns:
+        hits = np.where(targets == 0, darks, shots - darks)
+        correct.append(_summary(length, hits / shots))
+        dark.append(_summary(length, darks / shots))
+    return tuple(correct), tuple(dark)
+
+
+def per_length_stats(dataset: RBDataset) -> tuple[tuple[PerLengthStats, ...],
+                                                  tuple[PerLengthStats, ...]]:
+    """Per-length (correct-outcome, dark-outcome) statistics: the fits' input."""
+    return _stats(_length_columns(dataset))
 
 
 def _fit_sigma(stats) -> np.ndarray | None:
@@ -483,41 +498,60 @@ def _fit_sigma(stats) -> np.ndarray | None:
     return sems
 
 
-def fit_standard(dataset: RBDataset) -> StandardFit:
-    """Fit the correct-outcome fractions to ``amplitude * base**l + 1/2``."""
-    stats = _per_length_stats(dataset, lambda r: r.correct_fraction)
-    if len(stats) < 2:
-        raise DataFormatError("standard fit needs at least two distinct lengths")
-    lengths = np.array([s.length for s in stats], dtype=float)
-    means = np.array([s.mean for s in stats])
+def _lengths_means(stats) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([s.length for s in stats], dtype=float),
+            np.array([s.mean for s in stats]))
 
-    first, last = means[0] - 0.5, means[-1] - 0.5
+
+def _rate_guess(lengths, excess, lo: float, hi: float, default: float) -> float:
+    """Per-step decay rate of ``excess`` (means above the asymptote) from its ends."""
+    first, last = excess[0], excess[-1]
     if first > 1e-12 and last > 1e-12 and lengths[-1] > lengths[0]:
-        base0 = float(np.clip((last / first) ** (1.0 / (lengths[-1] - lengths[0])),
-                              1e-6, 1.0))
-    else:
-        base0 = 0.9
-    amp0 = float(np.clip(first / base0 ** lengths[0] if first > 0 else 0.4,
-                         1e-6, 0.75))
+        return float(np.clip((last / first) ** (1.0 / (lengths[-1] - lengths[0])),
+                             lo, hi))
+    return default
+
+
+def _decay_fit(what: str, model, stats, p0, bounds) -> list[float]:
+    """Bounded, SEM-weighted ``curve_fit`` of the per-length means."""
+    lengths, means = _lengths_means(stats)
     try:
         with warnings.catch_warnings():
             # parameter covariance is unused (uncertainties come from the bootstrap)
             warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(
-                lambda l, a, b: a * np.power(b, l) + 0.5,
-                lengths, means, p0=[amp0, base0], sigma=_fit_sigma(stats),
-                bounds=([0.0, 1e-9], [0.75, 1.0]), maxfev=20000)
+            popt, _ = curve_fit(model, lengths, means, p0=p0,
+                                sigma=_fit_sigma(stats), bounds=bounds,
+                                maxfev=20000)
     except (RuntimeError, ValueError) as exc:
-        raise FitError(f"standard decay fit failed: {exc}") from exc
-    amplitude, base = map(float, popt)
-    if not (np.isfinite(amplitude) and np.isfinite(base)):
-        raise FitError("standard decay fit returned non-finite parameters")
+        raise FitError(f"{what} decay fit failed: {exc}") from exc
+    params = [float(v) for v in popt]
+    if not all(np.isfinite(params)):
+        raise FitError(f"{what} decay fit returned non-finite parameters")
+    return params
+
+
+def fit_standard(stats) -> StandardFit:
+    """Fit correct-outcome fractions to ``amplitude * base**l + 1/2``.
+
+    ``stats`` is the correct-outcome half of :func:`per_length_stats`.
+    """
+    if len(stats) < 2:
+        raise DataFormatError("standard fit needs at least two distinct lengths")
+    lengths, means = _lengths_means(stats)
+    excess = means - 0.5
+    base0 = _rate_guess(lengths, excess, 1e-6, 1.0, 0.9)
+    amp0 = float(np.clip(excess[0] / base0 ** lengths[0] if excess[0] > 0 else 0.4,
+                         1e-6, 0.75))
+    amplitude, base = _decay_fit(
+        "standard", lambda l, a, b: a * np.power(b, l) + 0.5, stats,
+        [amp0, base0], ([0.0, 1e-9], [0.75, 1.0]))
     return StandardFit(amplitude, base, stats)
 
 
-def fit_leakage(dataset: RBDataset, ls_ratio: float = 1.0) -> LeakageFit:
+def fit_leakage(stats, ls_ratio: float = 1.0) -> LeakageFit:
     """Fit pooled dark-outcome fractions to ``B * t**(l+1) + C``.
 
+    ``stats`` is the dark-outcome half of :func:`per_length_stats`.
     ``ls_ratio`` is the expected leakage/seepage ratio of the interleaved
     channel (1 for measurement windows, below 1 when resets repump); it only
     seeds the optimiser's starting point via
@@ -527,32 +561,14 @@ def fit_leakage(dataset: RBDataset, ls_ratio: float = 1.0) -> LeakageFit:
     """
     if ls_ratio <= 0:
         raise ValueError("ls_ratio must be positive")
-    stats = _per_length_stats(dataset, lambda r: r.dark_fraction)
     if len(stats) < 3:
         raise DataFormatError("leakage fit needs at least three distinct lengths")
-    lengths = np.array([s.length for s in stats], dtype=float)
-    means = np.array([s.mean for s in stats])
-
+    lengths, means = _lengths_means(stats)
     c0 = 1.0 / (2.0 * (1.0 + ls_ratio))
-    b0 = 0.5 - c0
-    num, den = means[-1] - c0, means[0] - c0
-    if num > 1e-12 and den > 1e-12 and lengths[-1] > lengths[0]:
-        t0 = float(np.clip((num / den) ** (1.0 / (lengths[-1] - lengths[0])),
-                           1e-3, 1.0 - 1e-9))
-    else:
-        t0 = 0.95
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(
-                lambda l, b, c, t: b * np.power(t, l + 1.0) + c,
-                lengths, means, p0=[b0, c0, t0], sigma=_fit_sigma(stats),
-                bounds=([0.0, 0.0, 1e-9], [1.0, 1.0, 1.0]), maxfev=20000)
-    except (RuntimeError, ValueError) as exc:
-        raise FitError(f"leakage decay fit failed: {exc}") from exc
-    intercept, asymptote, t_minus = map(float, popt)
-    if not all(np.isfinite(v) for v in (intercept, asymptote, t_minus)):
-        raise FitError("leakage decay fit returned non-finite parameters")
+    t0 = _rate_guess(lengths, means - c0, 1e-3, 1.0 - 1e-9, 0.95)
+    intercept, asymptote, t_minus = _decay_fit(
+        "leakage", lambda l, b, c, t: b * np.power(t, l + 1.0) + c, stats,
+        [0.5 - c0, c0, t0], ([0.0, 0.0, 1e-9], [1.0, 1.0, 1.0]))
     leakage = 2.0 * intercept * (1.0 - t_minus)
     seepage = 2.0 * asymptote * (1.0 - t_minus)
     return LeakageFit(intercept, asymptote, t_minus, leakage, seepage, stats)
@@ -598,8 +614,7 @@ class BootstrapResult:
 
 
 def bootstrap_analysis(dataset: RBDataset, n_resamples: int = 200,
-                       seed=None, rng: np.random.Generator | None = None,
-                       ls_ratio: float = 1.0) -> BootstrapResult:
+                       seed=None, ls_ratio: float = 1.0) -> BootstrapResult:
     """Semi-parametric bootstrap of both decay fits.
 
     Each resample draws sequences with replacement within every length, then
@@ -609,37 +624,31 @@ def bootstrap_analysis(dataset: RBDataset, n_resamples: int = 200,
     """
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    groups = dataset.by_length()
+    rng = np.random.default_rng(seed)
+    columns = _length_columns(dataset)
     samples: dict[str, list[float]] = {k: [] for k in _BOOTSTRAP_FIELDS}
     failures = 0
     for _ in range(n_resamples):
-        records = []
-        for _, group in sorted(groups.items()):
-            picks = rng.integers(0, len(group), len(group))
-            for j in picks:
-                r = group[j]
-                dark = int(rng.binomial(r.shots, r.dark_counts / r.shots))
-                records.append(replace(r, dark_counts=dark))
-        resampled = RBDataset(tuple(records))
+        resampled = []
+        for length, shots, darks, targets in columns:
+            picks = rng.integers(0, shots.size, shots.size)
+            n = shots[picks]
+            resampled.append((length, n, rng.binomial(n, darks[picks] / n),
+                              targets[picks]))
+        correct, dark = _stats(resampled)
         try:
-            std = fit_standard(resampled)
-            leak = fit_leakage(resampled, ls_ratio=ls_ratio)
+            std = fit_standard(correct)
+            leak = fit_leakage(dark, ls_ratio=ls_ratio)
         except FitError:
             failures += 1
             continue
         est = scattering_estimates(std.base, leak.t_minus)
-        samples["amplitude"].append(std.amplitude)
-        samples["base"].append(std.base)
-        samples["intercept"].append(leak.intercept)
-        samples["asymptote"].append(leak.asymptote)
-        samples["t_minus"].append(leak.t_minus)
-        samples["leakage"].append(leak.leakage)
-        samples["seepage"].append(leak.seepage)
-        samples["epsilon"].append(average_error(std.base, leak.leakage))
-        samples["scattering_standard"].append(est.standard)
-        samples["scattering_leakage"].append(est.leakage)
+        values = {**vars(std), **vars(leak),
+                  "epsilon": average_error(std.base, leak.leakage),
+                  "scattering_standard": est.standard,
+                  "scattering_leakage": est.leakage}
+        for name in _BOOTSTRAP_FIELDS:
+            samples[name].append(values[name])
     if failures > BOOTSTRAP_FAILURE_BUDGET * n_resamples:
         raise FitError(
             f"bootstrap unstable: {failures}/{n_resamples} refits failed")
@@ -688,16 +697,16 @@ class AnalysisResult:
 
 
 def analyze_dataset(dataset: RBDataset, ls_ratio: float = 1.0,
-                    resamples: int = 200, seed=None,
-                    rng: np.random.Generator | None = None) -> AnalysisResult:
+                    resamples: int = 200, seed=None) -> AnalysisResult:
     """Run both decay fits plus the bootstrap (``resamples=0`` skips it)."""
-    std = fit_standard(dataset)
-    leak = fit_leakage(dataset, ls_ratio=ls_ratio)
+    correct, dark = per_length_stats(dataset)
+    std = fit_standard(correct)
+    leak = fit_leakage(dark, ls_ratio=ls_ratio)
     boot = None
     if resamples:
         boot = bootstrap_analysis(dataset, n_resamples=resamples, seed=seed,
-                                  rng=rng, ls_ratio=ls_ratio)
-    counts = {length: len(group) for length, group in dataset.by_length().items()}
+                                  ls_ratio=ls_ratio)
+    counts = {s.length: s.n_sequences for s in correct}
     shots = tuple(sorted({r.shots for r in dataset.records}))
     return AnalysisResult(
         standard=std, leakage_fit=leak,
@@ -743,8 +752,7 @@ class FocusRecord:
 
 
 def simulate_focus(sequences, interleaved_ops, initial_state: int,
-                   model: FocusModel, shots: int, seed=None,
-                   rng: np.random.Generator | None = None) -> list[FocusRecord]:
+                   model: FocusModel, shots: int, seed=None) -> list[FocusRecord]:
     """Per-shot classical trajectories of the focus ion through every sequence.
 
     Returns one record per (sequence, slot, in-slot measurement).  Errors are
@@ -756,8 +764,7 @@ def simulate_focus(sequences, interleaved_ops, initial_state: int,
     for op in interleaved_ops:
         if op not in INTERLEAVED_OPS:
             raise ConfigError(f"unknown interleaved op {op!r}")
-    if rng is None:
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     records = []
     for seq in sequences:
         state = np.full(shots, initial_state, dtype=np.int8)
@@ -804,24 +811,17 @@ def write_focus_csv(records, path) -> None:
 
 def read_focus_csv(path) -> list[FocusRecord]:
     records = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != FOCUS_HEADER:
-            raise DataFormatError(f"bad focus header in {path}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                vals = [int(x) for x in row]
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-            if len(vals) != len(FOCUS_HEADER):
-                raise DataFormatError(f"{path}:{lineno}: wrong column count")
-            rec = FocusRecord(*vals)
-            if not 0 <= rec.errors <= rec.shots:
-                raise DataFormatError(f"{path}:{lineno}: errors outside [0, shots]")
-            records.append(rec)
+    for lineno, row in _read_csv(path, FOCUS_HEADER, "focus"):
+        try:
+            vals = [int(x) for x in row]
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        if len(vals) != len(FOCUS_HEADER):
+            raise DataFormatError(f"{path}:{lineno}: wrong column count")
+        rec = FocusRecord(*vals)
+        if not 0 <= rec.errors <= rec.shots:
+            raise DataFormatError(f"{path}:{lineno}: errors outside [0, shots]")
+        records.append(rec)
     return records
 
 
@@ -953,10 +953,8 @@ class ChannelReference:
 
 
 def channel_reference(slot_channel) -> ChannelReference:
-    ch = slot_channel if isinstance(slot_channel, channels.LeakageChannel) \
-        else channels.LeakageChannel(_as_matrix(slot_channel))
-    base = channels.decay_base(ch)
-    leak, seep = channels.leakage_seepage(ch)
+    base = channels.decay_base(slot_channel)
+    leak, seep = channels.leakage_seepage(slot_channel)
     return ChannelReference(base=base, leakage=leak, seepage=seep,
                             epsilon=average_error(base, leak),
                             t_minus=1.0 - leak - seep)
@@ -985,29 +983,30 @@ def run_experiment(config: ExperimentConfig, seed=None,
     seq_ss, focus_ss, probes_ss = ss.spawn(3)
     sequences = generate_sequences(
         config.lengths, config.sequences_per_length,
-        rng=np.random.default_rng(seq_ss), balanced=config.balanced)
+        seed=seq_ss, balanced=config.balanced)
 
     datasets, analyses, references = {}, {}, {}
     probe_children = probes_ss.spawn(len(config.probes))
     for child, (label, probe) in zip(probe_children,
                                      sorted(config.probes.items())):
         sample_ss, boot_ss = child.spawn(2)
-        slot = probe.slot_channel(config.interleaved_ops)
+        try:
+            slot = probe.slot_channel(config.interleaved_ops)
+        except ConfigError as exc:
+            raise ConfigError(f"{config.name}: probes.{label}: {exc}") from exc
         ref = channel_reference(slot)
         ratio = ref.leakage / ref.seepage if ref.seepage > 1e-15 else 1.0
         dataset = simulate_dataset(sequences, slot, config.shots,
-                                   spam=probe.spam,
-                                   rng=np.random.default_rng(sample_ss))
+                                   spam=probe.spam, seed=sample_ss)
         analysis = analyze_dataset(dataset, ls_ratio=max(ratio, 1e-3),
-                                   resamples=resamples,
-                                   rng=np.random.default_rng(boot_ss))
+                                   resamples=resamples, seed=boot_ss)
         datasets[label] = dataset
         analyses[label] = analysis
         references[label] = ref
 
     focus_records = tuple(simulate_focus(
         sequences, config.interleaved_ops, config.initial_focus_state,
-        config.focus, config.shots, rng=np.random.default_rng(focus_ss)))
+        config.focus, config.shots, seed=focus_ss))
     return ExperimentResult(config=config, datasets=datasets,
                             analyses=analyses, references=references,
                             focus_records=focus_records,
@@ -1033,45 +1032,32 @@ def run_campaign(configs, seed=None, resamples: int = 200,
     return [_run_campaign_job(job) for job in jobs]
 
 
-def standard_experiments(gamma_t_measure: float = 2e-3,
-                         gamma_t_reset: float = 2e-4,
-                         gate_depolarizing: float = 2e-4,
-                         polarization=channels.POLARIZATION_BALANCED,
-                         dark_branching: float = channels.DEFAULT_DARK_BRANCHING,
-                         focus: FocusModel | None = None,
-                         probe_label: str = "probe",
-                         spam: SpamModel = PERFECT_SPAM,
-                         lengths=DEFAULT_LENGTHS,
-                         sequences_per_length: int = DEFAULT_SEQUENCES_PER_LENGTH,
-                         shots: int = DEFAULT_SHOTS) -> list[ExperimentConfig]:
+def standard_experiments() -> list[ExperimentConfig]:
     """The canonical experiment set, from bare control to bleed-through.
 
     Covers: no interleaved ops (control), reset only, measurement with the
     focus ion dark or bright, measurement+reset in both focus configurations
     (the bright one re-excites the ion each slot), and a double
-    measure/reset slot with a randomised focus ion (bleed-through).
+    measure/reset slot with a randomised focus ion (bleed-through).  One
+    probe, ``"probe"``: ``gamma_t`` 2e-3 per measurement and 2e-4 per reset
+    window, 2e-4 gate depolarizing, every other setting at its default.
     """
-    focus = focus or FocusModel()
-    meas = ChannelSpec("measurement", gamma_t_measure, tuple(polarization))
-    rst = ChannelSpec("reset", gamma_t_reset, tuple(polarization), dark_branching)
-    probe = ProbeSpec(measurement=meas, reset=rst,
-                      gate_depolarizing=gate_depolarizing, spam=spam)
-    sampling = {"lengths": tuple(lengths),
-                "sequences_per_length": sequences_per_length, "shots": shots,
-                "probes": {probe_label: probe}, "focus": focus}
+    probe = ProbeSpec(measurement=ChannelSpec("measurement", 2e-3),
+                      reset=ChannelSpec("reset", 2e-4), gate_depolarizing=2e-4)
+    common = {"probes": {"probe": probe}}
     return [
-        ExperimentConfig(name="control", interleaved_ops=(), **sampling),
-        ExperimentConfig(name="reset", interleaved_ops=("reset",), **sampling),
+        ExperimentConfig(name="control", interleaved_ops=(), **common),
+        ExperimentConfig(name="reset", interleaved_ops=("reset",), **common),
         ExperimentConfig(name="measure-dark", interleaved_ops=("measure",),
-                         **sampling),
+                         **common),
         ExperimentConfig(name="measure-bright", interleaved_ops=("measure",),
-                         initial_focus_state=1, **sampling),
+                         initial_focus_state=1, **common),
         ExperimentConfig(name="measure-reset-dark",
-                         interleaved_ops=("measure", "reset"), **sampling),
+                         interleaved_ops=("measure", "reset"), **common),
         ExperimentConfig(name="measure-reset-bright",
                          interleaved_ops=("measure", "reset", "x_pi"),
-                         initial_focus_state=1, **sampling),
+                         initial_focus_state=1, **common),
         ExperimentConfig(name="bleed-through",
                          interleaved_ops=("random_su2", "measure", "reset",
-                                          "measure", "reset"), **sampling),
+                                          "measure", "reset"), **common),
     ]

@@ -1,17 +1,22 @@
 """Shared test helpers: independent oracles and synthetic channel factories.
 
-The Lindblad oracle here intentionally uses a different construction from the
-package (one 16x16 generator exponential in the column-stacked basis instead
-of a 4x4 population exponential plus analytic coherence factors), so
-agreement is a genuine cross-check.
+The record-based bootstrap here rebuilds every resample as records, one
+scalar binomial draw each; the package's per-length array bootstrap must
+reproduce it draw for draw.  The Lindblad oracle here intentionally uses a
+different construction from the package (one 16x16 generator exponential in
+the column-stacked basis instead of a 4x4 population exponential plus
+analytic coherence factors), so agreement is a genuine cross-check.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from scipy.linalg import expm
 
-from mcmr import channels, liouville
+from mcmr import channels, liouville, rb
+from mcmr.errors import FitError
 
 
 def lindblad_vec_oracle(rates: np.ndarray) -> np.ndarray:
@@ -111,3 +116,57 @@ def equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> bool
     if abs(abs(phase) - 1.0) > atol:
         return False
     return bool(np.allclose(a, phase * b, atol=atol))
+
+
+def record_stats(dataset: rb.RBDataset, value) -> tuple:
+    """Per-length statistics of ``value(record)``, read off the record properties."""
+    stats = []
+    for length, group in sorted(dataset.by_length().items()):
+        vals = np.array([value(r) for r in group])
+        sem = float(vals.std(ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0
+        stats.append(rb.PerLengthStats(length, vals.size, float(vals.mean()), sem))
+    return tuple(stats)
+
+
+def record_bootstrap(dataset: rb.RBDataset, n_resamples: int, seed,
+                     ls_ratio: float = 1.0) -> tuple[int, dict]:
+    """Record-based bootstrap: ``(failures, samples)`` as ``rb.bootstrap_analysis``.
+
+    Every resample is rebuilt as a new dataset of records (one
+    ``dataclasses.replace`` and one scalar binomial draw per chosen record)
+    and the fit inputs come from the record properties.  The fits are the
+    package's, called through the module like the bootstrap calls them.
+    """
+    rng = np.random.default_rng(seed)
+    groups = dataset.by_length()
+    samples = {k: [] for k in rb._BOOTSTRAP_FIELDS}
+    failures = 0
+    for _ in range(n_resamples):
+        records = []
+        for _, group in sorted(groups.items()):
+            picks = rng.integers(0, len(group), len(group))
+            for j in picks:
+                r = group[j]
+                dark = int(rng.binomial(r.shots, r.dark_counts / r.shots))
+                records.append(dataclasses.replace(r, dark_counts=dark))
+        resampled = rb.RBDataset(tuple(records))
+        try:
+            std = rb.fit_standard(record_stats(resampled,
+                                               lambda r: r.correct_fraction))
+            leak = rb.fit_leakage(record_stats(resampled, lambda r: r.dark_fraction),
+                                  ls_ratio=ls_ratio)
+        except FitError:
+            failures += 1
+            continue
+        est = rb.scattering_estimates(std.base, leak.t_minus)
+        samples["amplitude"].append(std.amplitude)
+        samples["base"].append(std.base)
+        samples["intercept"].append(leak.intercept)
+        samples["asymptote"].append(leak.asymptote)
+        samples["t_minus"].append(leak.t_minus)
+        samples["leakage"].append(leak.leakage)
+        samples["seepage"].append(leak.seepage)
+        samples["epsilon"].append(rb.average_error(std.base, leak.leakage))
+        samples["scattering_standard"].append(est.standard)
+        samples["scattering_leakage"].append(est.leakage)
+    return failures, {k: np.array(v) for k, v in samples.items()}

@@ -281,6 +281,11 @@ def test_channel_from_config_validation():
                 {"kind": "reset", "gamma_t": 1e-3, "dark_branching": None}):
         with pytest.raises(ConfigError):
             channels.channel_from_config(bad)
+    # finite but so large that the window's channel overflows to NaN
+    assert np.all(np.isfinite(channels.measurement_crosstalk(1e6).matrix))
+    for kind in ("measurement", "reset"):
+        with pytest.raises(ConfigError, match="gamma_t 1e\\+300"):
+            channels.channel_from_config({"kind": kind, "gamma_t": 1e300})
 
 
 def test_leakage_channel_validation():

@@ -113,7 +113,8 @@ def test_scan_missing_config_exits_2(tmp_path, capsys):
         assert_one_error_line(capsys)
     config_path = write_json(tmp_path / "trap.json", TRAP_CONFIG)
     for flags in (["--points", "0"], ["--points", "1"],
-                  ["--max-index", "nan"]):
+                  ["--max-index", "nan"],
+                  ["--points", "100000000000000"]):  # refused, never allocated
         rc = cli.main(["scan", "--config", config_path,
                        "--out", str(tmp_path / "out"), *flags])
         assert rc == 2, flags
@@ -305,6 +306,8 @@ def test_benchmark_bad_campaign_exits_2(tmp_path, capsys):
     {"balanced": "false"},
     {"interleaved_ops": "measure"},
     {"lengths": [5, 5, 5]},
+    {"probes": {"probe": {"measurement": {"kind": "measurement",
+                                          "gamma_t": 1e300}}}},
 ])
 def test_benchmark_bad_config_values_exit_2(tmp_path, capsys, overrides):
     config_path = small_campaign(tmp_path, **overrides)
@@ -354,6 +357,14 @@ def test_fit_missing_or_malformed_data_exits_3(tmp_path, capsys):
     rc = cli.main(["fit", "--data", str(bad), "--out", str(tmp_path / "out")])
     assert rc == 3
     capsys.readouterr()
+
+    bad.write_bytes(b"length,seq_id,\xff\n")
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    for data in (bad, folder):
+        rc = cli.main(["fit", "--data", str(data), "--out", str(tmp_path / "out")])
+        assert rc == 3, data
+        assert_one_error_line(capsys)
 
 
 def test_fit_bad_flags_exit_2(tmp_path, capsys):

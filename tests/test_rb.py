@@ -8,6 +8,7 @@ import pytest
 
 from mcmr import channels, clifford, liouville, rb
 from mcmr.errors import ConfigError, DataFormatError, FitError
+from synthetic import record_bootstrap, record_stats
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +276,14 @@ def test_dataset_csv_validation(tmp_path):
     with pytest.raises(DataFormatError, match=":4: repeats length 2, seq_id 0"):
         rb.RBDataset.from_csv(path)
 
+    path.write_bytes(f"{header}\n2,0,I,0,100,60,40\n".encode() + b"\xff\n")
+    with pytest.raises(DataFormatError, match="not a dataset CSV"):
+        rb.RBDataset.from_csv(path)
+    with pytest.raises(DataFormatError, match="cannot read dataset file"):
+        rb.RBDataset.from_csv(tmp_path)
+    with pytest.raises(DataFormatError, match="cannot read dataset file"):
+        rb.RBDataset.from_csv(tmp_path / "absent.csv")
+
 
 def test_simulate_dataset_deterministic_by_seed():
     seqs = rb.generate_sequences(lengths=(2, 7), sequences_per_length=6, seed=1)
@@ -282,7 +291,7 @@ def test_simulate_dataset_deterministic_by_seed():
     a = rb.simulate_dataset(seqs, slot, shots=80, seed=42)
     b = rb.simulate_dataset(seqs, slot, shots=80, seed=42)
     c = rb.simulate_dataset(seqs, slot, shots=80,
-                            rng=np.random.default_rng(42))
+                            seed=np.random.default_rng(42))
     assert a.records == b.records == c.records
     d = rb.simulate_dataset(seqs, slot, shots=80, seed=43)
     assert a.records != d.records
@@ -296,7 +305,7 @@ def test_simulate_dataset_deterministic_by_seed():
 
 def test_fit_standard_noiseless_inversion():
     ds = make_exact_dataset(0.99)
-    fit = rb.fit_standard(ds)
+    fit = rb.fit_standard(rb.per_length_stats(ds)[0])
     assert abs(fit.base - 0.99) < 1e-6
     assert abs(fit.amplitude - 0.5) < 1e-6
     assert [s.length for s in fit.per_length] == [2, 11, 81]
@@ -305,7 +314,7 @@ def test_fit_standard_noiseless_inversion():
 def test_fit_standard_requires_two_lengths():
     ds = make_exact_dataset(0.99, lengths=(5,))
     with pytest.raises(DataFormatError):
-        rb.fit_standard(ds)
+        rb.fit_standard(rb.per_length_stats(ds)[0])
 
 
 def test_fit_leakage_noiseless_inversion():
@@ -320,7 +329,7 @@ def test_fit_leakage_noiseless_inversion():
                 length=length, seq_id=seq_id, pauli=pauli,
                 target_outcome=clifford.target_outcome(pauli), shots=shots,
                 dark_counts=round(p_dark * shots)))
-    fit = rb.fit_leakage(rb.RBDataset(tuple(records)))
+    fit = rb.fit_leakage(rb.per_length_stats(rb.RBDataset(tuple(records)))[1])
     assert abs(fit.t_minus - t_minus) < 1e-6
     assert abs(fit.intercept - intercept) < 1e-6
     assert abs(fit.asymptote - asymptote) < 1e-6
@@ -331,9 +340,10 @@ def test_fit_leakage_noiseless_inversion():
 def test_fit_leakage_requires_three_lengths_and_valid_ratio():
     ds = make_exact_dataset(0.99, lengths=(2, 11))
     with pytest.raises(DataFormatError):
-        rb.fit_leakage(ds)
+        rb.fit_leakage(rb.per_length_stats(ds)[1])
     with pytest.raises(ValueError):
-        rb.fit_leakage(make_exact_dataset(0.99), ls_ratio=0.0)
+        rb.fit_leakage(rb.per_length_stats(make_exact_dataset(0.99))[1],
+                       ls_ratio=0.0)
 
 
 def test_fits_recover_channel_truth_from_simulation():
@@ -345,9 +355,9 @@ def test_fits_recover_channel_truth_from_simulation():
                                  sequences_per_length=64, seed=77)
     ds = rb.simulate_dataset(seqs, slot, shots=400, seed=78)
 
-    std = rb.fit_standard(ds)
+    std = rb.fit_standard(rb.per_length_stats(ds)[0])
     assert abs(std.base - ref.base) < 5e-4
-    leak_fit = rb.fit_leakage(ds, ls_ratio=1.0)
+    leak_fit = rb.fit_leakage(rb.per_length_stats(ds)[1], ls_ratio=1.0)
     assert abs(leak_fit.t_minus - ref.t_minus) < 2e-3
     # the t**(l+1) parameterisation absorbs one decay factor into B
     coeff = rb.decay_coefficients(slot)
@@ -414,6 +424,67 @@ def test_bootstrap_instability_raises(monkeypatch):
         rb.bootstrap_analysis(ds, n_resamples=20, seed=41)
     with pytest.raises(ValueError):
         rb.bootstrap_analysis(ds, n_resamples=1)
+
+
+def _oracle_dataset(case: str) -> rb.RBDataset:
+    slot = channels.measurement_crosstalk(8e-3)
+    if case == "unbalanced":
+        seqs = rb.generate_sequences(lengths=(2, 9, 30), sequences_per_length=7,
+                                     seed=61, balanced=False)
+        return rb.simulate_dataset(seqs, slot, shots=60, seed=62)
+    seqs = rb.generate_sequences(lengths=(2, 9, 30), sequences_per_length=10,
+                                 seed=63)
+    if case != "unequal-shots":
+        return rb.simulate_dataset(seqs, slot, shots=60, seed=64)
+    # unequal shots per record, unequal sequences per length, and records at
+    # dark rate exactly 0 and 1
+    rng = np.random.default_rng(65)
+    p_dark = rb.survival_dark_probabilities(seqs, slot)
+    records = []
+    for seq, p in zip(seqs, p_dark):
+        if seq.length == 9 and seq.seq_id >= 6:
+            continue
+        shots = int(rng.integers(5, 200))
+        dark = int(rng.binomial(shots, p))
+        if seq.length == 2 and seq.seq_id < 2:
+            dark = shots if seq.target_outcome == 0 else 0
+        records.append(rb.DatasetRecord(seq.length, seq.seq_id, seq.pauli,
+                                        seq.target_outcome, shots, dark))
+    return rb.RBDataset(tuple(records))
+
+
+@pytest.mark.parametrize("case", ["balanced", "unbalanced", "unequal-shots",
+                                  "failing-refits"])
+def test_bootstrap_matches_record_oracle(case, monkeypatch):
+    """The array bootstrap reproduces the record-based one draw for draw."""
+    ds = _oracle_dataset(case)
+    correct, dark = rb.per_length_stats(ds)
+    assert correct == record_stats(ds, lambda r: r.correct_fraction)
+    assert dark == record_stats(ds, lambda r: r.dark_fraction)
+    if case == "failing-refits":
+        # the refits with the top 5% of asymptotes fail, so equal failure
+        # counts need equal resamples
+        real_fit_leakage = rb.fit_leakage
+        cutoff = np.quantile(rb.bootstrap_analysis(
+            ds, n_resamples=60, seed=66, ls_ratio=0.8).samples["asymptote"], 0.95)
+
+        def flaky(stats, ls_ratio=1.0):
+            fit = real_fit_leakage(stats, ls_ratio=ls_ratio)
+            if fit.asymptote > cutoff:
+                raise FitError("synthetic failure")
+            return fit
+
+        monkeypatch.setattr(rb, "fit_leakage", flaky)
+    boot = rb.bootstrap_analysis(ds, n_resamples=60, seed=66, ls_ratio=0.8)
+    failures, samples = record_bootstrap(ds, n_resamples=60, seed=66,
+                                         ls_ratio=0.8)
+    assert boot.failures == failures
+    if case == "failing-refits":
+        assert failures > 0
+    assert set(boot.samples) == set(samples)
+    for name, values in samples.items():
+        assert len(values) == 60 - failures
+        np.testing.assert_array_equal(boot.samples[name], values, err_msg=name)
 
 
 def test_analyze_dataset_structure():
@@ -528,6 +599,11 @@ def test_focus_csv_round_trip_and_validation(tmp_path):
     path.write_text(f"{header}\n2,0,1,0,30,45\n")
     with pytest.raises(DataFormatError, match="outside"):
         rb.read_focus_csv(path)
+    path.write_bytes(b"\xff" + f"{header}\n".encode())
+    with pytest.raises(DataFormatError, match="not a focus CSV"):
+        rb.read_focus_csv(path)
+    with pytest.raises(DataFormatError, match="cannot read focus file"):
+        rb.read_focus_csv(tmp_path)
 
 
 # ---------------------------------------------------------------------------
