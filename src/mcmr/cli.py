@@ -58,6 +58,7 @@ _FLAG_LIMITS = {
     "ls_ratio": (lambda v: 0 < v < math.inf, "positive and finite"),
     "points": (lambda v: v >= 2, "at least 2"),
     "max_index": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "parallel": (lambda v: v >= 1, "at least 1"),
 }
 
 
@@ -186,11 +187,11 @@ def _write_decay_csv(path, analysis: rb.AnalysisResult) -> None:
         writer.writerow(DECAY_HEADER)
         for length in analysis.lengths:
             s, d = std[length], dark[length]
-            std_fit = (analysis.standard.amplitude
-                       * analysis.standard.base ** length + 0.5)
-            dark_fit = (analysis.leakage_fit.intercept
-                        * analysis.leakage_fit.t_minus ** (length + 1)
-                        + analysis.leakage_fit.asymptote)
+            std_fit = rb.standard_decay(length, analysis.standard.amplitude,
+                                        analysis.standard.base)
+            dark_fit = rb.leakage_decay(length, analysis.leakage_fit.intercept,
+                                        analysis.leakage_fit.asymptote,
+                                        analysis.leakage_fit.t_minus)
             writer.writerow((length, _fmt(s.mean), _fmt(s.sem), _fmt(std_fit),
                              _fmt(d.mean), _fmt(d.sem), _fmt(dark_fit)))
 

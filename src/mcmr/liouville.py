@@ -187,10 +187,6 @@ def embed_gate(qubit_unitary: np.ndarray, extra_unitary: np.ndarray | None = Non
     return m.real
 
 
-def identity_superop() -> np.ndarray:
-    return np.eye(N_BASIS)
-
-
 def identity_supervector() -> np.ndarray:
     """Supervector of the identity operator, (sqrt(2), 0, 0, 0, sqrt(2), 0, ..., 0)."""
     vec = np.zeros(N_BASIS)
@@ -207,14 +203,6 @@ def dark_effect_vector() -> np.ndarray:
 def bright_effect_vector() -> np.ndarray:
     """POVM effect for the bright outcome: ``1 - |0><0|`` (all scattering levels)."""
     return to_supervector(np.diag([0.0, 1.0, 1.0, 1.0]))
-
-
-def subspace_projector_superop(levels=COMPUTATIONAL_LEVELS) -> np.ndarray:
-    """Superoperator of ``rho -> P rho P`` for the projector onto ``levels``."""
-    P = np.zeros((DIM, DIM))
-    for a in levels:
-        P[a, a] = 1.0
-    return kraus_to_superop([P])
 
 
 def born_probability(effect_vec: np.ndarray, state_vec: np.ndarray) -> float:

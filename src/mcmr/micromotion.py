@@ -138,17 +138,24 @@ def first_null_modulation_index(bracket: tuple[float, float] = (2.0, 3.0)) -> fl
     return carrier_null_index(bracket)
 
 
-def suppression_scan(config: TrapBeamConfig, displacements: np.ndarray,
-                     harmonic_cutoff: int = DEFAULT_HARMONIC_CUTOFF):
+def suppression_scan(config: TrapBeamConfig, displacements: np.ndarray):
     """Modulation index and suppression for an array of displacements."""
     disp = np.asarray(displacements, dtype=float)
     idx = modulation_index(config, displacement=disp)
-    sup = suppression_factor(idx, config.rf_over_linewidth, harmonic_cutoff)
+    sup = suppression_factor(idx, config.rf_over_linewidth)
     return idx, sup
 
 
 # ---------------------------------------------------------------------------
 # optical pumping among the bright (F=1) sublevels
+
+
+#: asymptotic dark fraction of a bright state under equal-rate scattering
+BRIGHT_ASYMPTOTE = 2.0 / 3.0
+
+
+def _depump_curve(t, gamma, amplitude=BRIGHT_ASYMPTOTE):
+    return amplitude * (1.0 - np.exp(-3.0 * gamma * t))
 
 
 def depump_probability(gamma: float, t):
@@ -159,7 +166,7 @@ def depump_probability(gamma: float, t):
     population of the two field-insensitive neighbours of the initial state.
     """
     t = np.asarray(t, dtype=float)
-    out = (2.0 / 3.0) * (1.0 - np.exp(-3.0 * gamma * t))
+    out = _depump_curve(t, gamma)
     if np.ndim(t) == 0:
         return float(out)
     return out
@@ -202,39 +209,15 @@ class RateModel:
             raise ValueError("gamma must be non-negative")
         return cls(np.full((N_BRIGHT, N_BRIGHT), float(gamma)))
 
-    @classmethod
-    def from_physics(cls, rabi_rates, detunings, linewidth: float) -> "RateModel":
-        """Lorentzian scattering rates, independent of the final sublevel.
-
-        Each source level ``a`` scatters at
-        ``R_a = rabi_rates[a]**2 * linewidth / (linewidth**2 / 4 + detunings[a]**2)``
-        into every final sublevel (elastic included) with equal weight.
-        """
-        rabi = np.asarray(rabi_rates, dtype=float)
-        det = np.asarray(detunings, dtype=float)
-        if rabi.shape != (N_BRIGHT,) or det.shape != (N_BRIGHT,):
-            raise ValueError(f"need {N_BRIGHT} Rabi rates and detunings")
-        if linewidth <= 0:
-            raise ValueError("linewidth must be positive")
-        per_source = rabi ** 2 * linewidth / (linewidth ** 2 / 4.0 + det ** 2)
-        return cls(np.repeat(per_source[:, None], N_BRIGHT, axis=1))
-
     def generator(self) -> np.ndarray:
         """Population-evolution generator G with ``dp/dt = G p``."""
         return rate_generator(self.rates)
 
-    def total_rates(self) -> np.ndarray:
-        """Total scattering rate per source level, elastic term included."""
-        return self.rates.sum(axis=1)
-
     def evolve(self, populations, times):
         """Populations at the requested times.
 
-        Diagonalises the generator once; falls back to matrix exponentials
-        when the eigenbasis is ill-conditioned.
-
-        Returns an array of shape ``(len(times), 3)``, or ``(3,)`` for a
-        scalar time.
+        One matrix exponential of the generator per time.  Returns an array
+        of shape ``(len(times), 3)``, or ``(3,)`` for a scalar time.
         """
         p0 = np.asarray(populations, dtype=float)
         if p0.shape != (N_BRIGHT,):
@@ -244,34 +227,12 @@ class RateModel:
         scalar = np.ndim(times) == 0
         ts = np.atleast_1d(np.asarray(times, dtype=float))
         g = self.generator()
-        vals, vecs = np.linalg.eig(g)
-        if np.linalg.cond(vecs) < 1e8:
-            coeffs = np.linalg.solve(vecs, p0.astype(complex))
-            out = np.einsum("tk,ik,k->ti", np.exp(np.outer(ts, vals)), vecs, coeffs)
-            residue = float(np.max(np.abs(out.imag)))
-            if residue > 1e-9:  # pragma: no cover - real generator, tiny residues
-                raise ArithmeticError(f"imaginary residue {residue:.3e} in evolution")
-            out = out.real
-        else:  # pragma: no cover - needs a nearly defective generator
-            out = np.stack([expm(g * t) @ p0 for t in ts])
+        out = np.stack([expm(g * t) @ p0 for t in ts])
         return out[0] if scalar else out
-
-    def steady_state(self) -> np.ndarray:
-        """Stationary populations (eigenvector of the generator at zero)."""
-        vals, vecs = np.linalg.eig(self.generator())
-        k = int(np.argmin(np.abs(vals)))
-        v = vecs[:, k].real
-        total = v.sum()
-        if abs(total) < 1e-12:
-            raise ArithmeticError("degenerate stationary vector")
-        v = v / total
-        return np.clip(v, 0.0, None)
 
 
 # ---------------------------------------------------------------------------
 # depump-curve fitting
-
-BRIGHT_ASYMPTOTE = 2.0 / 3.0
 
 
 @dataclass(frozen=True)
@@ -336,27 +297,19 @@ def fit_depump(times, dark_fractions, shots=None,
     t_half = t[above[0]] if above.size and t[above[0]] > 0 else max(float(np.median(t)), 1e-12)
     gamma0 = math.log(2.0) / (3.0 * t_half)
 
+    if free_amplitude:
+        p0, bounds = [gamma0, a0], ([0.0, 0.0], [np.inf, 1.0])
+    else:  # the curve's amplitude stays at its default, 2/3
+        p0, bounds = [gamma0], (0.0, np.inf)
     try:
-        if free_amplitude:
-            popt, pcov = curve_fit(
-                lambda tt, g, a: a * (1.0 - np.exp(-3.0 * g * tt)),
-                t, f, p0=[gamma0, a0], sigma=sigma,
-                absolute_sigma=sigma is not None,
-                bounds=([0.0, 0.0], [np.inf, 1.0]), maxfev=10000,
-            )
-            gamma, amp = popt
-            gamma_sig, amp_sig = np.sqrt(np.diag(pcov))
-        else:
-            popt, pcov = curve_fit(
-                lambda tt, g: BRIGHT_ASYMPTOTE * (1.0 - np.exp(-3.0 * g * tt)),
-                t, f, p0=[gamma0], sigma=sigma,
-                absolute_sigma=sigma is not None,
-                bounds=(0.0, np.inf), maxfev=10000,
-            )
-            gamma, amp = popt[0], BRIGHT_ASYMPTOTE
-            gamma_sig, amp_sig = float(np.sqrt(pcov[0, 0])), 0.0
+        popt, pcov = curve_fit(_depump_curve, t, f, p0=p0, sigma=sigma,
+                               absolute_sigma=sigma is not None,
+                               bounds=bounds, maxfev=10000)
     except (RuntimeError, ValueError) as exc:
         raise FitError(f"depump fit failed: {exc}") from exc
+    sigmas = np.sqrt(np.diag(pcov))
+    gamma, gamma_sig = popt[0], sigmas[0]
+    amp, amp_sig = (popt[1], sigmas[1]) if free_amplitude else (BRIGHT_ASYMPTOTE, 0.0)
     if not np.isfinite(gamma) or gamma <= 0:
         raise FitError(f"depump fit returned unusable rate {gamma!r}")
     return DepumpFit(float(gamma), float(gamma_sig), float(amp), float(amp_sig),

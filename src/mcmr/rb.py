@@ -14,8 +14,6 @@ The module provides:
 
 * sequence generation with a balanced (or deliberately unbalanced) Pauli mix,
 * exact per-sequence survival probabilities in the Liouville picture,
-* the exact all-sequences average via a transfer-matrix accumulation that is
-  algebraically identical to enumerating all ``24**l`` sequences,
 * closed-form decay coefficients from the channel's eigensystem,
 * binomial sampling, the two decay fits, scattering-probability estimators,
   and a semi-parametric bootstrap,
@@ -190,64 +188,6 @@ def survival_dark_probabilities(sequences, slot_channel,
     return out
 
 
-def exact_average_survival(slot_channel, spam: SpamModel, length: int,
-                           paulis=PAULI_LABELS) -> dict:
-    """Average survival over *all* sequences of a length, for each net Pauli.
-
-    Propagates one accumulator per possible running net element; after the
-    final step each accumulator is closed with that net element's inversion.
-    Because the survival depends on a sequence only through the running
-    product, this equals the literal average over all ``24**l`` sequences at
-    ``O(l * 24^2)`` cost.
-
-    Returns ``{(pauli, outcome): probability}`` for both outcomes.
-    """
-    if length < 1:
-        raise ValueError("length must be positive")
-    slot = slot_channel.matrix
-    gates = clifford.superop_table()
-    stepped = np.einsum("ij,njk->nik", slot, gates)
-    table = clifford.clifford_table()
-    compose_into = [[clifford.compose(table[i], table[d]).index
-                     for d in range(clifford.GROUP_ORDER)]
-                    for i in range(clifford.GROUP_ORDER)]
-    prep = spam.prep_vector()
-
-    states = [stepped[i] @ prep for i in range(clifford.GROUP_ORDER)]
-    for _ in range(length - 1):
-        nxt = [np.zeros(liouville.N_BASIS) for _ in range(clifford.GROUP_ORDER)]
-        for d in range(clifford.GROUP_ORDER):
-            moved = np.einsum("nij,j->ni", stepped, states[d])
-            for i in range(clifford.GROUP_ORDER):
-                nxt[compose_into[i][d]] += moved[i]
-        states = nxt
-
-    effects = {0: spam.dark_effect(), 1: spam.bright_effect()}
-    norm = float(clifford.GROUP_ORDER) ** length
-    out = {}
-    for label in paulis:
-        pauli = clifford.pauli_element(label)
-        totals = {0: 0.0, 1: 0.0}
-        for d in range(clifford.GROUP_ORDER):
-            inv = clifford.compose(pauli, clifford.inverse(table[d]))
-            v = gates[inv.index] @ states[d]
-            for k in (0, 1):
-                totals[k] += float(effects[k] @ v)
-        for k in (0, 1):
-            out[(label, k)] = totals[k] / norm
-    return out
-
-
-def _identity_block_superop(block: np.ndarray) -> np.ndarray:
-    """Embed a 2x2 matrix acting on the (qubit identity, extra identity) span."""
-    out = np.zeros((liouville.N_BASIS, liouville.N_BASIS))
-    idx = (0, 4)
-    for a in range(2):
-        for b in range(2):
-            out[idx[a], idx[b]] = block[a, b]
-    return out
-
-
 @dataclass(frozen=True)
 class DecayCoefficients:
     """Closed-form survival ``A * base**l + B * t_minus**l + C`` per (pauli, outcome)."""
@@ -277,23 +217,19 @@ def decay_coefficients(slot_channel, spam: SpamModel = PERFECT_SPAM) -> DecayCoe
     tw = channels.twirl(slot_channel)
     eig = channels.decay_eigensystem(tw.leakage, tw.seepage)
     prep = spam.prep_vector()
-    effects = {0: spam.dark_effect(), 1: spam.bright_effect()}
-    traceless_proj = np.zeros((liouville.N_BASIS, liouville.N_BASIS))
-    for i in (1, 2, 3):
-        traceless_proj[i, i] = 1.0
+    pair = [0, 4]  # (qubit identity, extra identity): the span the 2x2 exchange acts on
 
     amplitudes, intercepts, asymptotes = {}, {}, {}
-    for k in (0, 1):
-        effect = effects[k]
+    for k, effect in enumerate((spam.dark_effect(), spam.bright_effect())):
         if eig.degenerate:
             intercepts[k] = 0.0
-            asymptotes[k] = float(effect @ _identity_block_superop(np.eye(2)) @ prep)
+            asymptotes[k] = float(effect[pair] @ prep[pair])
         else:
-            intercepts[k] = float(effect @ _identity_block_superop(eig.pi_minus) @ prep)
-            asymptotes[k] = float(effect @ _identity_block_superop(eig.pi_plus) @ prep)
+            intercepts[k] = float(effect[pair] @ eig.pi_minus @ prep[pair])
+            asymptotes[k] = float(effect[pair] @ eig.pi_plus @ prep[pair])
         for label in PAULI_LABELS:
             pauli_gate = clifford.superop(clifford.pauli_element(label))
-            amplitudes[(label, k)] = float(effect @ pauli_gate @ traceless_proj @ prep)
+            amplitudes[(label, k)] = float(effect @ pauli_gate[:, 1:4] @ prep[1:4])
     return DecayCoefficients(base=tw.base, t_minus=eig.t_minus,
                              amplitudes=amplitudes, intercepts=intercepts,
                              asymptotes=asymptotes, degenerate=eig.degenerate)
@@ -350,6 +286,8 @@ class RBDataset:
         if not self.records:
             raise DataFormatError("dataset has no records")
         for r in self.records:
+            if r.length < 1:
+                raise DataFormatError(f"non-positive length in record {r}")
             if r.shots <= 0:
                 raise DataFormatError(f"non-positive shots in record {r}")
             if not 0 <= r.dark_counts <= r.shots:
@@ -512,6 +450,16 @@ def _rate_guess(lengths, excess, lo: float, hi: float, default: float) -> float:
     return default
 
 
+def standard_decay(length, amplitude, base):
+    """Correct-outcome decay law ``amplitude * base**length + 1/2``."""
+    return amplitude * base ** length + 0.5
+
+
+def leakage_decay(length, intercept, asymptote, t_minus):
+    """Pooled dark-outcome decay law ``intercept * t_minus**(length+1) + asymptote``."""
+    return intercept * t_minus ** (length + 1.0) + asymptote
+
+
 def _decay_fit(what: str, model, stats, p0, bounds) -> list[float]:
     """Bounded, SEM-weighted ``curve_fit`` of the per-length means."""
     lengths, means = _lengths_means(stats)
@@ -542,9 +490,8 @@ def fit_standard(stats) -> StandardFit:
     base0 = _rate_guess(lengths, excess, 1e-6, 1.0, 0.9)
     amp0 = float(np.clip(excess[0] / base0 ** lengths[0] if excess[0] > 0 else 0.4,
                          1e-6, 0.75))
-    amplitude, base = _decay_fit(
-        "standard", lambda l, a, b: a * np.power(b, l) + 0.5, stats,
-        [amp0, base0], ([0.0, 1e-9], [0.75, 1.0]))
+    amplitude, base = _decay_fit("standard", standard_decay, stats,
+                                 [amp0, base0], ([0.0, 1e-9], [0.75, 1.0]))
     return StandardFit(amplitude, base, stats)
 
 
@@ -567,7 +514,7 @@ def fit_leakage(stats, ls_ratio: float = 1.0) -> LeakageFit:
     c0 = 1.0 / (2.0 * (1.0 + ls_ratio))
     t0 = _rate_guess(lengths, means - c0, 1e-3, 1.0 - 1e-9, 0.95)
     intercept, asymptote, t_minus = _decay_fit(
-        "leakage", lambda l, b, c, t: b * np.power(t, l + 1.0) + c, stats,
+        "leakage", leakage_decay, stats,
         [0.5 - c0, c0, t0], ([0.0, 0.0, 1e-9], [1.0, 1.0, 1.0]))
     leakage = 2.0 * intercept * (1.0 - t_minus)
     seepage = 2.0 * asymptote * (1.0 - t_minus)
@@ -761,6 +708,8 @@ def simulate_focus(sequences, interleaved_ops, initial_state: int,
     """
     if initial_state not in (0, 1):
         raise ConfigError("initial_state must be 0 or 1")
+    if shots < 1:
+        raise ConfigError("shots must be positive")
     for op in interleaved_ops:
         if op not in INTERLEAVED_OPS:
             raise ConfigError(f"unknown interleaved op {op!r}")
@@ -819,6 +768,8 @@ def read_focus_csv(path) -> list[FocusRecord]:
         if len(vals) != len(FOCUS_HEADER):
             raise DataFormatError(f"{path}:{lineno}: wrong column count")
         rec = FocusRecord(*vals)
+        if rec.length < 1 or rec.shots < 1:
+            raise DataFormatError(f"{path}:{lineno}: length and shots must be positive")
         if not 0 <= rec.errors <= rec.shots:
             raise DataFormatError(f"{path}:{lineno}: errors outside [0, shots]")
         records.append(rec)
@@ -1027,7 +978,7 @@ def run_campaign(configs, seed=None, resamples: int = 200,
     jobs = [(cfg, child.entropy, resamples)
             for cfg, child in zip(configs, children)]
     if parallel > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+        with ProcessPoolExecutor(max_workers=min(parallel, len(jobs))) as pool:
             return list(pool.map(_run_campaign_job, jobs))
     return [_run_campaign_job(job) for job in jobs]
 

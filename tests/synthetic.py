@@ -1,6 +1,8 @@
 """Shared test helpers: independent oracles and synthetic channel factories.
 
-The record-based bootstrap here rebuilds every resample as records, one
+The all-sequences survival average here accumulates the running Clifford
+product exactly; the package's closed-form ``rb.decay_coefficients`` must
+match it.  The record-based bootstrap here rebuilds every resample as records, one
 scalar binomial draw each; the package's per-length array bootstrap must
 reproduce it draw for draw.  The Lindblad oracle here intentionally uses a
 different construction from the package (one 16x16 generator exponential in
@@ -15,7 +17,7 @@ import dataclasses
 import numpy as np
 from scipy.linalg import expm
 
-from mcmr import channels, liouville, rb
+from mcmr import channels, clifford, liouville, rb
 from mcmr.errors import FitError
 
 
@@ -116,6 +118,53 @@ def equal_up_to_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) -> bool
     if abs(abs(phase) - 1.0) > atol:
         return False
     return bool(np.allclose(a, phase * b, atol=atol))
+
+
+def exact_average_survival(slot_channel, spam: rb.SpamModel, length: int) -> dict:
+    """Average survival over *all* sequences of a length, for each net Pauli.
+
+    Propagates one accumulator per possible running net element; after the
+    final step each accumulator is closed with that net element's inversion.
+    Because the survival depends on a sequence only through the running
+    product, this equals the literal average over all ``24**l`` sequences at
+    ``O(l * 24^2)`` cost.
+
+    Returns ``{(pauli, outcome): probability}`` for both outcomes.
+    """
+    if length < 1:
+        raise ValueError("length must be positive")
+    slot = slot_channel.matrix
+    gates = clifford.superop_table()
+    stepped = np.einsum("ij,njk->nik", slot, gates)
+    table = clifford.clifford_table()
+    compose_into = [[clifford.compose(table[i], table[d]).index
+                     for d in range(clifford.GROUP_ORDER)]
+                    for i in range(clifford.GROUP_ORDER)]
+    prep = spam.prep_vector()
+
+    states = [stepped[i] @ prep for i in range(clifford.GROUP_ORDER)]
+    for _ in range(length - 1):
+        nxt = [np.zeros(liouville.N_BASIS) for _ in range(clifford.GROUP_ORDER)]
+        for d in range(clifford.GROUP_ORDER):
+            moved = np.einsum("nij,j->ni", stepped, states[d])
+            for i in range(clifford.GROUP_ORDER):
+                nxt[compose_into[i][d]] += moved[i]
+        states = nxt
+
+    effects = {0: spam.dark_effect(), 1: spam.bright_effect()}
+    norm = float(clifford.GROUP_ORDER) ** length
+    out = {}
+    for label in clifford.PAULI_LABELS:
+        pauli = clifford.pauli_element(label)
+        totals = {0: 0.0, 1: 0.0}
+        for d in range(clifford.GROUP_ORDER):
+            inv = clifford.compose(pauli, clifford.inverse(table[d]))
+            v = gates[inv.index] @ states[d]
+            for k in (0, 1):
+                totals[k] += float(effects[k] @ v)
+        for k in (0, 1):
+            out[(label, k)] = totals[k] / norm
+    return out
 
 
 def record_stats(dataset: rb.RBDataset, value) -> tuple:

@@ -10,7 +10,7 @@ column-stacked representation.  Both are used below.
 import numpy as np
 import pytest
 
-from mcmr import channels, clifford, liouville
+from mcmr import channels, clifford, liouville, rb
 from mcmr.errors import AssumptionError, ConfigError
 
 from synthetic import choi_matrix, lindblad_vec_oracle, random_lambda_channel
@@ -295,7 +295,7 @@ def test_leakage_channel_validation():
     with pytest.raises(ValueError):
         ch.matrix[0, 0] = 2.0
     vec = liouville.identity_supervector()
-    np.testing.assert_allclose(ch.apply(vec), vec)
+    np.testing.assert_allclose(ch.matrix @ vec, vec)
 
 
 def test_swap_channel_has_half_leakage_and_seepage():
@@ -377,6 +377,15 @@ def test_twirl_measurement_t_minus_closed_form():
 def test_twirl_rejects_sigma_imbalance():
     with pytest.raises(AssumptionError):
         channels.twirl(channels.measurement_crosstalk(0.1, (0.5, 0.3, 0.2)))
+    # an imbalance just small enough to pass the structure check still spills
+    # past the closed-form tolerance, and that is an assumption failure too
+    nearly = channels.measurement_crosstalk(0.1, (1 / 3 + 1e-8, 1 / 3, 1 / 3 - 1e-8))
+    channels.validate_leakage_form(nearly)
+    with pytest.raises(AssumptionError, match="spill") as info:
+        channels.twirl(nearly)
+    assert [name for name, _ in info.value.violations] == ["spill"]
+    with pytest.raises(AssumptionError, match="spill"):
+        rb.decay_coefficients(nearly)
     # equal sigma weights keep the extra manifold symmetric, so an uneven
     # pi component alone stays twirlable
     tw = channels.twirl(channels.measurement_crosstalk(0.1, (0.25, 0.5, 0.25)))

@@ -287,7 +287,7 @@ def test_benchmark_bad_campaign_exits_2(tmp_path, capsys):
 
     config_path = small_campaign(tmp_path)
     for flags in (["--resamples", "1"], ["--resamples", "-3"],
-                  ["--seed", "-1"]):
+                  ["--seed", "-1"], ["--parallel", "0"], ["--parallel", "-3"]):
         rc = cli.main(["benchmark", "--config", config_path,
                        "--out", str(tmp_path / "out"), *flags])
         assert rc == 2, flags
@@ -365,6 +365,19 @@ def test_fit_missing_or_malformed_data_exits_3(tmp_path, capsys):
         rc = cli.main(["fit", "--data", str(data), "--out", str(tmp_path / "out")])
         assert rc == 3, data
         assert_one_error_line(capsys)
+
+    # a non-positive length would otherwise be fitted like any other
+    header = ",".join(rb.DATASET_HEADER)
+    for length in (-2, 0):
+        rows = [f"{l},{i},{p},{t},50,{25 + t},{25 - t}" for l in (length, 5, 9)
+                for i, (p, t) in enumerate((("I", 0), ("X", 1), ("Z", 0), ("Y", 1)))]
+        bad.write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / f"out{length}"
+        rc = cli.main(["fit", "--data", str(bad), "--out", str(out),
+                       "--resamples", "0"])
+        assert rc == 3, length
+        assert_one_error_line(capsys)
+        assert not out.exists()
 
 
 def test_fit_bad_flags_exit_2(tmp_path, capsys):

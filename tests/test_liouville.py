@@ -155,16 +155,8 @@ def test_born_probability_rejects_large_violations():
         liouville.born_probability(dark, vec)
 
 
-def test_subspace_projector_superop_keeps_selected_levels():
-    proj = liouville.subspace_projector_superop((0, 1))
-    rho = np.diag([0.3, 0.3, 0.2, 0.2]).astype(complex)
-    rho[0, 2] = rho[2, 0] = 0.1
-    out = liouville.from_supervector(proj @ liouville.to_supervector(rho))
-    np.testing.assert_allclose(out, np.diag([0.3, 0.3, 0.0, 0.0]), atol=1e-14)
-
-
 def test_tp_defect_detects_trace_leak():
-    mat = liouville.identity_superop().copy()
+    mat = np.eye(16)
     assert liouville.tp_defect(mat) < 1e-15
     mat[0, 1] += 1e-3
     assert liouville.tp_defect(mat) > 1e-4

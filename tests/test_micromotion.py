@@ -214,26 +214,6 @@ def test_elastic_rates_do_not_move_population():
     quiet = micromotion.RateModel(np.diag([50.0, 120.0, 300.0]))
     p0 = np.array([0.2, 0.5, 0.3])
     np.testing.assert_allclose(quiet.evolve(p0, 0.1), p0, atol=1e-12)
-    np.testing.assert_allclose(quiet.total_rates(), [50.0, 120.0, 300.0])
-
-
-def test_from_physics_rates_and_steady_state():
-    """Lorentzian rates; stationary populations weight as 1/R per level."""
-    rabi = np.array([1.0e6, 2.0e6, 1.5e6])
-    det = np.array([0.0, 5.0e6, -8.0e6])
-    gamma = 10.0e6
-    model = micromotion.RateModel.from_physics(rabi, det, gamma)
-    per_source = rabi ** 2 * gamma / (gamma ** 2 / 4.0 + det ** 2)
-    np.testing.assert_allclose(model.total_rates(), 3.0 * per_source, rtol=1e-12)
-    steady = model.steady_state()
-    expected = (1.0 / per_source) / (1.0 / per_source).sum()
-    np.testing.assert_allclose(steady, expected, rtol=1e-9)
-    np.testing.assert_allclose(model.evolve(steady, 1.0e-3), steady, atol=1e-9)
-
-
-def test_equal_rates_steady_state_is_uniform():
-    steady = micromotion.RateModel.equal_rates(42.0).steady_state()
-    np.testing.assert_allclose(steady, np.full(3, 1.0 / 3.0), atol=1e-12)
 
 
 def test_rate_model_validation():

@@ -8,7 +8,7 @@ import pytest
 
 from mcmr import channels, clifford, liouville, rb
 from mcmr.errors import ConfigError, DataFormatError, FitError
-from synthetic import record_bootstrap, record_stats
+from synthetic import exact_average_survival, record_bootstrap, record_stats
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +127,7 @@ def test_exact_average_survival_matches_literal_enumeration():
     effects = {0: spam.dark_effect(), 1: spam.bright_effect()}
 
     length = 2
-    got = rb.exact_average_survival(slot, spam, length)
+    got = exact_average_survival(slot, spam, length)
     for label in clifford.PAULI_LABELS:
         pauli = clifford.pauli_element(label)
         totals = {0: 0.0, 1: 0.0}
@@ -186,7 +186,7 @@ def test_decay_coefficients_match_exact_average():
                         dark_to_bright=0.02, bright_to_dark=0.04)
     coeff = rb.decay_coefficients(slot, spam)
     for length in (1, 2, 3, 7):
-        exact = rb.exact_average_survival(slot, spam, length)
+        exact = exact_average_survival(slot, spam, length)
         for label in clifford.PAULI_LABELS:
             for outcome in (0, 1):
                 assert abs(coeff.survival(label, outcome, length)
@@ -235,6 +235,9 @@ def test_dataset_properties_and_validation():
         rb.RBDataset(())
     with pytest.raises(DataFormatError):
         rb.RBDataset((dataclasses.replace(rec, shots=0),))
+    for length in (0, -2):
+        with pytest.raises(DataFormatError, match="non-positive length"):
+            rb.RBDataset((dataclasses.replace(rec, length=length),))
     with pytest.raises(DataFormatError):
         rb.RBDataset((dataclasses.replace(rec, dark_counts=rec.shots + 1),))
     with pytest.raises(DataFormatError):
@@ -275,6 +278,11 @@ def test_dataset_csv_validation(tmp_path):
                     f"2,0,I,0,100,55,45\n")
     with pytest.raises(DataFormatError, match=":4: repeats length 2, seq_id 0"):
         rb.RBDataset.from_csv(path)
+
+    for length in (0, -2):
+        path.write_text(f"{header}\n{length},0,I,0,100,60,40\n5,0,X,1,100,30,70\n")
+        with pytest.raises(DataFormatError, match="non-positive length"):
+            rb.RBDataset.from_csv(path)
 
     path.write_bytes(f"{header}\n2,0,I,0,100,60,40\n".encode() + b"\xff\n")
     with pytest.raises(DataFormatError, match="not a dataset CSV"):
@@ -559,6 +567,8 @@ def test_simulate_focus_validation():
         rb.simulate_focus(seqs, ("teleport",), 0, rb.FocusModel(), shots=10)
     with pytest.raises(ConfigError):
         rb.simulate_focus(seqs, ("measure",), 2, rb.FocusModel(), shots=10)
+    with pytest.raises(ConfigError, match="shots"):  # spam_report divides by shots
+        rb.simulate_focus(seqs, ("measure",), 0, rb.FocusModel(), shots=0)
     with pytest.raises(ConfigError):
         rb.FocusModel(depump_per_measure=1.5)
     with pytest.raises(ConfigError):
@@ -599,6 +609,10 @@ def test_focus_csv_round_trip_and_validation(tmp_path):
     path.write_text(f"{header}\n2,0,1,0,30,45\n")
     with pytest.raises(DataFormatError, match="outside"):
         rb.read_focus_csv(path)
+    for row in ("0,0,1,0,30,3", "-2,0,1,0,30,3", "2,0,1,0,0,0"):
+        path.write_text(f"{header}\n2,0,1,0,30,3\n{row}\n")
+        with pytest.raises(DataFormatError, match=":3: length and shots must be positive"):
+            rb.read_focus_csv(path)
     path.write_bytes(b"\xff" + f"{header}\n".encode())
     with pytest.raises(DataFormatError, match="not a focus CSV"):
         rb.read_focus_csv(path)
@@ -803,6 +817,30 @@ def test_run_campaign_serial_equals_parallel():
         assert s.config.name == p.config.name
         assert s.datasets["probe"].records == p.datasets["probe"].records
         assert s.focus_records == p.focus_records
+
+
+def test_run_campaign_caps_workers_at_experiment_count(monkeypatch):
+    """A pool never starts more workers than there are experiments."""
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(rb, "ProcessPoolExecutor", RecordingPool)
+    configs = [small_config("exp-a"), small_config("exp-b")]
+    results = rb.run_campaign(configs, seed=7, resamples=0, parallel=64)
+    assert started == [2]
+    assert [r.config.name for r in results] == ["exp-a", "exp-b"]
 
 
 def test_standard_experiments_cover_the_canonical_set():
