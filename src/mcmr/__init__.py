@@ -7,8 +7,8 @@ Subpackages by theme:
   and the depumping-curve fit,
 * :mod:`mcmr.liouville` — the 16-element Hermitian operator basis for a
   qubit with two extra levels,
-* :mod:`mcmr.clifford` — the 24-element Clifford group with exact
-  integer-image composition,
+* :mod:`mcmr.clifford` — the 24-element Clifford group as exact integer
+  product and inverse tables,
 * :mod:`mcmr.channels` — CPTP crosstalk channels for measurement/reset
   windows, the Clifford twirl and its structure validation,
 * :mod:`mcmr.rb` — randomized-benchmarking sequences, exact survival,

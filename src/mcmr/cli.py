@@ -208,8 +208,28 @@ def _results_payload(analysis: rb.AnalysisResult, reference=None,
     return payload
 
 
+def _benchmark_files(configs) -> dict:
+    """``{name: (focus CSV, {probe: (dataset, decay, results)})}`` file names.
+
+    Raises ConfigError when two outputs would share a file name.
+    """
+    files, seen = {}, set()
+    for config in configs:
+        name = config.name
+        probes = {label: tuple(f"{name}_{label}{suffix}" for suffix in
+                               (".csv", "_decay.csv", "_results.json"))
+                  for label in config.probes}
+        files[name] = (f"{name}_focus.csv", probes)
+        for file in (files[name][0], *(f for names in probes.values() for f in names)):
+            if file in seen:
+                raise ConfigError(f"two outputs of the campaign would both write {file}")
+            seen.add(file)
+    return files
+
+
 def _cmd_benchmark(args) -> int:
     configs = rb.load_campaign(args.config)
+    files = _benchmark_files(configs)
     out = _ensure_out(args.out)
     results = rb.run_campaign(configs, seed=args.seed,
                               resamples=args.resamples, parallel=args.parallel)
@@ -217,14 +237,13 @@ def _cmd_benchmark(args) -> int:
                "experiments": {}}
     for result in results:
         name = result.config.name
-        focus_path = os.path.join(out, f"{name}_focus.csv")
-        rb.write_focus_csv(result.focus_records, focus_path)
+        focus_file, probe_files = files[name]
+        rb.write_focus_csv(result.focus_records, os.path.join(out, focus_file))
         probes_summary = {}
         for label, analysis in sorted(result.analyses.items()):
-            dataset_path = os.path.join(out, f"{name}_{label}.csv")
-            result.datasets[label].to_csv(dataset_path)
-            _write_decay_csv(os.path.join(out, f"{name}_{label}_decay.csv"),
-                             analysis)
+            dataset_file, decay_file, results_file = probe_files[label]
+            result.datasets[label].to_csv(os.path.join(out, dataset_file))
+            _write_decay_csv(os.path.join(out, decay_file), analysis)
             payload = _results_payload(analysis, result.references[label],
                                        experiment=result.config.to_dict(),
                                        probe=label)
@@ -234,8 +253,7 @@ def _cmd_benchmark(args) -> int:
                  "per_length": [{"length": l, "shots": s, "errors": err,
                                  "rate": r} for (l, s, err, r) in e.per_length]}
                 for e in result.spam]
-            _write_json(os.path.join(out, f"{name}_{label}_results.json"),
-                        payload)
+            _write_json(os.path.join(out, results_file), payload)
             probes_summary[label] = {
                 "epsilon": analysis.epsilon,
                 "base": analysis.standard.base,

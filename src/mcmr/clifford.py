@@ -1,12 +1,12 @@
-"""The 24-element single-qubit Clifford group with exact composition.
+"""The 24-element single-qubit Clifford group as integer index tables.
 
-The group is generated once by closing {Hadamard, phase gate} under
-multiplication.  Every element stores a 2x2 unitary (with an arbitrary
+The group is generated once, at import, by closing {Hadamard, phase gate}
+under multiplication.  Every element stores a 2x2 unitary (with an arbitrary
 global phase) together with its action on the Pauli axes as a signed 3x3
-permutation with integer entries.  Composition, inversion and element
-identification all use the integer images, so the group bookkeeping is exact
-and immune to floating-point drift; the unitaries are only consulted when a
-matrix representation is needed.
+permutation with integer entries.  The integer images give an exact 24x24
+product table and an inverse table, so composition, inversion and element
+identification are index lookups, immune to floating-point drift; the
+unitaries are only consulted when a matrix representation is needed.
 
 Pauli operators are themselves group elements; :func:`pauli_element` looks
 them up by label.  The convention for randomized-benchmarking targets is
@@ -28,53 +28,36 @@ PAULI_LABELS = ("I", "X", "Y", "Z")
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 _PHASE = np.array([[1, 0], [0, 1j]], dtype=complex)
-_PAULI_2x2 = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-_PAULI_IMAGES = {
-    "I": np.eye(3, dtype=int),
-    "X": np.diag([1, -1, -1]).astype(int),
-    "Y": np.diag([-1, 1, -1]).astype(int),
-    "Z": np.diag([-1, -1, 1]).astype(int),
-}
+_PAULI_2x2 = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_PAULI_DIAGONALS = {"I": (1, 1, 1), "X": (1, -1, -1), "Y": (-1, 1, -1),
+                    "Z": (-1, -1, 1)}
 
 
 @dataclass(frozen=True, eq=False)
 class CliffordElement:
-    """One group element: table index, unitary, and signed Pauli permutation."""
+    """One group element: table index, unitary, and signed Pauli permutation.
+
+    Every element handed out is one of the 24 table singletons, so identity
+    is equality.
+    """
 
     index: int
     unitary: np.ndarray = field(repr=False)
     image: np.ndarray = field(repr=False)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CliffordElement) and other.index == self.index
-
-    def __hash__(self) -> int:
-        return hash(self.index)
-
 
 def _image_of(unitary: np.ndarray) -> np.ndarray:
     """Signed permutation R[a, b] = Tr(P_a U P_b U^dag)/2, exact integers."""
-    img = np.zeros((3, 3), dtype=int)
-    for a, Pa in enumerate(_PAULI_2x2.values()):
-        for b, Pb in enumerate(_PAULI_2x2.values()):
-            val = 0.5 * np.trace(Pa @ unitary @ Pb @ unitary.conj().T)
-            entry = int(round(val.real))
-            if abs(val - entry) > 1e-9:
-                raise ValueError("matrix is not a Clifford unitary")
-            img[a, b] = entry
+    val = 0.5 * np.einsum("aij,jk,bkl,li->ab", _PAULI_2x2, unitary, _PAULI_2x2,
+                          unitary.conj().T)
+    img = np.rint(val.real).astype(int)
+    if np.abs(val - img).max() > 1e-9:
+        raise ValueError("matrix is not a Clifford unitary")
     return img
 
 
-_table: tuple[CliffordElement, ...] | None = None
-_index_by_image: dict[bytes, int] = {}
-_superops: np.ndarray | None = None
-
-
-def _build_table() -> tuple[CliffordElement, ...]:
+def _build_group():
+    """Elements, product table, inverse table and Pauli indices of the group."""
     unitaries = [np.eye(2, dtype=complex)]
     images = [np.eye(3, dtype=int)]
     seen = {images[0].tobytes(): 0}
@@ -89,53 +72,44 @@ def _build_table() -> tuple[CliffordElement, ...]:
                 unitaries.append(candidate)
                 images.append(img)
         cursor += 1
-    if len(unitaries) != GROUP_ORDER:  # pragma: no cover - closure is a fixed fact
-        raise RuntimeError(f"group closure produced {len(unitaries)} elements")
-    elements = []
-    for idx, (u, img) in enumerate(zip(unitaries, images)):
-        u = u.copy()
-        u.setflags(write=False)
-        img = img.copy()
-        img.setflags(write=False)
-        elements.append(CliffordElement(index=idx, unitary=u, image=img))
-    _index_by_image.update(seen)
-    return tuple(elements)
+    for array in (*unitaries, *images):
+        array.setflags(write=False)
+    elements = tuple(CliffordElement(index, u, img)
+                     for index, (u, img) in enumerate(zip(unitaries, images)))
+    # product[a][b] applies b first, then a
+    product = tuple(tuple(seen[(a @ b).tobytes()] for b in images) for a in images)
+    inverse = tuple(row.index(0) for row in product)
+    paulis = {label: seen[np.diag(d).tobytes()]
+              for label, d in _PAULI_DIAGONALS.items()}
+    superops = np.stack([liouville.embed_gate(u) for u in unitaries])
+    superops.setflags(write=False)
+    return elements, product, inverse, paulis, superops
+
+
+_ELEMENTS, _PRODUCT, _INVERSE, _PAULI_INDEX, _SUPEROPS = _build_group()
 
 
 def clifford_table() -> tuple[CliffordElement, ...]:
     """All 24 elements in a fixed, deterministic order (identity first)."""
-    global _table
-    if _table is None:
-        _table = _build_table()
-    return _table
-
-
-def _lookup(image: np.ndarray) -> CliffordElement:
-    table = clifford_table()
-    key = np.ascontiguousarray(image, dtype=int).tobytes()
-    try:
-        return table[_index_by_image[key]]
-    except KeyError:  # pragma: no cover - only reachable with corrupted input
-        raise KeyError("image does not belong to the group") from None
+    return _ELEMENTS
 
 
 def compose(after: CliffordElement, before: CliffordElement) -> CliffordElement:
     """Element equal to applying ``before`` first, then ``after``."""
-    return _lookup(after.image @ before.image)
+    return _ELEMENTS[_PRODUCT[after.index][before.index]]
 
 
 def inverse(element: CliffordElement) -> CliffordElement:
-    """Group inverse (signed permutations invert by transposition)."""
-    return _lookup(element.image.T)
+    """Group inverse."""
+    return _ELEMENTS[_INVERSE[element.index]]
 
 
 def pauli_element(label: str) -> CliffordElement:
     """The group element realising Pauli ``label`` (one of I, X, Y, Z)."""
     try:
-        image = _PAULI_IMAGES[label]
+        return _ELEMENTS[_PAULI_INDEX[label]]
     except KeyError:
         raise ValueError(f"unknown Pauli label {label!r}") from None
-    return _lookup(image)
 
 
 def target_outcome(label: str) -> int:
@@ -149,14 +123,10 @@ def target_outcome(label: str) -> int:
 
 def net_element(indices) -> CliffordElement:
     """Product of table elements applied in the given order (first acts first)."""
-    table = clifford_table()
-    indices = list(indices)
-    if not indices:
-        return table[0]
-    net = table[indices[0]]
-    for idx in indices[1:]:
-        net = compose(table[idx], net)
-    return net
+    net = 0
+    for idx in indices:
+        net = _PRODUCT[idx][net]
+    return _ELEMENTS[net]
 
 
 def inversion_element(indices, pauli_label: str) -> CliffordElement:
@@ -165,20 +135,13 @@ def inversion_element(indices, pauli_label: str) -> CliffordElement:
     Applying the table elements ``indices`` in order and then the returned
     element realises ``pauli_label`` exactly (up to global phase).
     """
-    net = net_element(indices)
-    return compose(pauli_element(pauli_label), inverse(net))
+    return compose(pauli_element(pauli_label), inverse(net_element(indices)))
 
 
 def superop_table() -> np.ndarray:
     """Read-only (24, 16, 16) stack of superoperators, identity on extra levels."""
-    global _superops
-    if _superops is None:
-        table = clifford_table()
-        stack = np.stack([liouville.embed_gate(el.unitary) for el in table])
-        stack.setflags(write=False)
-        _superops = stack
-    return _superops
+    return _SUPEROPS
 
 
 def superop(element: CliffordElement) -> np.ndarray:
-    return superop_table()[element.index]
+    return _SUPEROPS[element.index]

@@ -22,7 +22,10 @@ from .errors import ConfigError
 _LIMITS = {"ge": (operator.ge, ">="), "gt": (operator.gt, ">"),
            "le": (operator.le, "<="), "one_of": (lambda v, c: v in c, "one of")}
 _EXPECTED = {tuple: "a list", dict: "an object", bool: "true or false",
-             str: "a string", int: "an integer", float: "a finite number"}
+             str: "a string", int: "an integer in the int64 range",
+             float: "a finite number"}
+#: largest integer a config or data file may hold (numpy's int64)
+INT64_MAX = 2 ** 63 - 1
 
 
 def checked(default=dataclasses.MISSING, **limits):
@@ -58,7 +61,9 @@ def parse(hint, value, where: str):
             if hint is float and math.isfinite(x):
                 return x
             if hint is int and x.is_integer():
-                return value if isinstance(value, int) else int(x)
+                n = value if isinstance(value, int) else int(x)
+                if -INT64_MAX - 1 <= n <= INT64_MAX:
+                    return n
     elif hint is bool or hint is str:
         if isinstance(value, hint):
             return value

@@ -40,7 +40,7 @@ from scipy.optimize import OptimizeWarning, curve_fit
 
 from . import channels, clifford, liouville
 from .channels import ChannelSpec  # rb.ChannelSpec; resolves the ProbeSpec hints
-from .config import Config, checked, load_json, parse
+from .config import INT64_MAX, Config, checked, load_json
 from .errors import ConfigError, DataFormatError, FitError
 
 DEFAULT_LENGTHS = (2, 11, 81)
@@ -135,8 +135,9 @@ def generate_sequences(lengths=DEFAULT_LENGTHS,
     """
     rng = np.random.default_rng(seed)
     lengths = tuple(int(l) for l in lengths)
-    if any(l < 1 for l in lengths):
-        raise ConfigError("sequence lengths must be positive")
+    if any(l < 1 for l in lengths) or len(set(lengths)) != len(lengths):
+        raise ConfigError(f"sequence lengths must be positive and distinct, "
+                          f"got {list(lengths)}")
     if sequences_per_length < 1:
         raise ConfigError("sequences_per_length must be positive")
     if balanced and sequences_per_length % 2:
@@ -290,6 +291,10 @@ class RBDataset:
                 raise DataFormatError(f"non-positive length in record {r}")
             if r.shots <= 0:
                 raise DataFormatError(f"non-positive shots in record {r}")
+            if r.shots > INT64_MAX:
+                raise DataFormatError(f"shots beyond the int64 range in record {r}")
+            if r.seq_id < 0:
+                raise DataFormatError(f"negative seq_id in record {r}")
             if not 0 <= r.dark_counts <= r.shots:
                 raise DataFormatError(f"dark_counts outside [0, shots] in record {r}")
             if r.pauli not in PAULI_LABELS:
@@ -686,25 +691,16 @@ class FocusModel(Config):
     reset_error: float = checked(0.0, ge=0.0, le=1.0)
 
 
-@dataclass(frozen=True)
-class FocusRecord:
-    """Error tally of one in-slot measurement: ``errors`` of ``shots`` wrong."""
-
-    length: int
-    seq_id: int
-    slot: int
-    meas_index: int
-    shots: int
-    errors: int
-
-
 def simulate_focus(sequences, interleaved_ops, initial_state: int,
-                   model: FocusModel, shots: int, seed=None) -> list[FocusRecord]:
+                   model: FocusModel, shots: int, seed=None) -> np.ndarray:
     """Per-shot classical trajectories of the focus ion through every sequence.
 
-    Returns one record per (sequence, slot, in-slot measurement).  Errors are
-    counted against the ideal error-free trajectory, which is tracked
-    alongside (after a ``random_su2`` the sampled random bit is the ideal).
+    Returns an int64 table with columns :data:`FOCUS_HEADER`, one row per
+    (sequence, slot, in-slot measurement) in that order.  Errors are counted
+    against the ideal error-free trajectory, which is tracked alongside
+    (after a ``random_su2`` the sampled random bit is the ideal).  All
+    sequences of one length run together as ``(n_seq, shots)`` arrays, one
+    length at a time in order of first appearance.
     """
     if initial_state not in (0, 1):
         raise ConfigError("initial_state must be 0 or 1")
@@ -714,52 +710,59 @@ def simulate_focus(sequences, interleaved_ops, initial_state: int,
         if op not in INTERLEAVED_OPS:
             raise ConfigError(f"unknown interleaved op {op!r}")
     rng = np.random.default_rng(seed)
-    records = []
-    for seq in sequences:
-        state = np.full(shots, initial_state, dtype=np.int8)
-        ideal = np.full(shots, initial_state, dtype=np.int8)
+    n_meas = tuple(interleaved_ops).count("measure")
+    if not n_meas:  # nothing is read out
+        return np.empty((0, len(FOCUS_HEADER)), dtype=np.int64)
+    lengths = np.array([s.length for s in sequences], dtype=np.int64)
+    seq_ids = np.array([s.seq_id for s in sequences], dtype=np.int64)
+    n_rows = lengths * n_meas
+    first_row = np.cumsum(n_rows) - n_rows
+    seq = np.repeat(np.arange(len(sequences)), n_rows)
+    within = np.arange(n_rows.sum()) - first_row[seq]
+    table = np.column_stack([lengths[seq], seq_ids[seq], within // n_meas + 1,
+                             within % n_meas, np.full_like(seq, shots),
+                             np.zeros_like(seq)])
+    for length in dict.fromkeys(lengths.tolist()):
+        members = np.flatnonzero(lengths == length)
+        size = (members.size, shots)
+        state = np.full(size, initial_state, dtype=np.int8)
+        ideal = state.copy()
         if model.prep_flip > 0:
-            flip = rng.random(shots) < model.prep_flip
-            state[flip] ^= 1
-        for slot in range(1, seq.length + 1):
-            meas_index = 0
+            state ^= rng.random(size) < model.prep_flip
+        errors = []
+        for _ in range(length):
             for op in interleaved_ops:
                 if op == "measure":
                     if model.depump_per_measure > 0:
-                        drop = (state == 1) & (rng.random(shots) < model.depump_per_measure)
-                        state[drop] = 0
+                        state[(state == 1) & (rng.random(size) < model.depump_per_measure)] = 0
                     confusion = np.where(state == 1, model.bright_to_dark,
                                          model.dark_to_bright)
-                    outcome = np.where(rng.random(shots) < confusion, 1 - state, state)
-                    records.append(FocusRecord(
-                        length=seq.length, seq_id=seq.seq_id, slot=slot,
-                        meas_index=meas_index, shots=shots,
-                        errors=int(np.sum(outcome != ideal))))
-                    meas_index += 1
+                    outcome = state ^ (rng.random(size) < confusion)
+                    errors.append(np.sum(outcome != ideal, axis=1))
                 elif op == "reset":
-                    keep = rng.random(shots) < model.reset_error
-                    state = np.where(keep, state, 0).astype(np.int8)
-                    ideal = np.zeros(shots, dtype=np.int8)
+                    state[rng.random(size) >= model.reset_error] = 0
+                    ideal = np.zeros_like(state)
                 elif op == "x_pi":
-                    state = (1 - state).astype(np.int8)
-                    ideal = (1 - ideal).astype(np.int8)
+                    state, ideal = 1 - state, 1 - ideal
                 elif op == "random_su2":
-                    ideal = rng.integers(0, 2, shots).astype(np.int8)
+                    ideal = rng.integers(0, 2, size).astype(np.int8)
                     state = ideal.copy()
-    return records
+        rows = first_row[members, None] + np.arange(length * n_meas)
+        table[rows, 5] = np.stack(errors, axis=1)
+    return table
 
 
 def write_focus_csv(records, path) -> None:
+    """Write a focus table (columns :data:`FOCUS_HEADER`) as CSV."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(FOCUS_HEADER)
-        for r in records:
-            writer.writerow([r.length, r.seq_id, r.slot, r.meas_index,
-                             r.shots, r.errors])
+        writer.writerows(np.asarray(records, dtype=np.int64).tolist())
 
 
-def read_focus_csv(path) -> list[FocusRecord]:
-    records = []
+def read_focus_csv(path) -> np.ndarray:
+    """Read a focus CSV back into the int64 table :func:`simulate_focus` returns."""
+    rows, linenos = [], []
     for lineno, row in _read_csv(path, FOCUS_HEADER, "focus"):
         try:
             vals = [int(x) for x in row]
@@ -767,13 +770,23 @@ def read_focus_csv(path) -> list[FocusRecord]:
             raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
         if len(vals) != len(FOCUS_HEADER):
             raise DataFormatError(f"{path}:{lineno}: wrong column count")
-        rec = FocusRecord(*vals)
-        if rec.length < 1 or rec.shots < 1:
-            raise DataFormatError(f"{path}:{lineno}: length and shots must be positive")
-        if not 0 <= rec.errors <= rec.shots:
-            raise DataFormatError(f"{path}:{lineno}: errors outside [0, shots]")
-        records.append(rec)
-    return records
+        if any(abs(v) > INT64_MAX for v in vals):
+            raise DataFormatError(f"{path}:{lineno}: value outside the int64 range")
+        rows.append(vals)
+        linenos.append(lineno)
+    table = np.array(rows, dtype=np.int64).reshape(-1, len(FOCUS_HEADER))
+    length, seq_id, slot, meas_index, shots, errors = table.T
+    repeated = np.ones(len(table), dtype=bool)
+    repeated[np.unique(table[:, :4], axis=0, return_index=True)[1]] = False
+    for bad, what in (((length < 1) | (shots < 1), "length and shots must be positive"),
+                      ((errors < 0) | (errors > shots), "errors outside [0, shots]"),
+                      ((slot < 1) | (slot > length), "slot outside [1, length]"),
+                      ((seq_id < 0) | (meas_index < 0),
+                       "seq_id and meas_index must be non-negative"),
+                      (repeated, "repeats a (length, seq_id, slot, meas_index) key")):
+        if bad.any():
+            raise DataFormatError(f"{path}:{linenos[int(bad.argmax())]}: {what}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -789,30 +802,26 @@ class SpamReportEntry:
 
 
 def spam_report(records) -> tuple[SpamReportEntry, ...]:
-    """Aggregate focus records per measurement position and per depth.
+    """Aggregate a focus table per measurement position and per depth.
 
     The per-length breakdown is what reveals depth-dependent SPAM (for
     example a bright ion slowly depumping when it is never reset).
     """
-    by_meas: dict[int, list[FocusRecord]] = {}
-    for r in records:
-        by_meas.setdefault(r.meas_index, []).append(r)
+    table = np.asarray(records, dtype=np.int64).reshape(-1, len(FOCUS_HEADER))
+    groups, which = np.unique(table[:, [3, 0]], axis=0, return_inverse=True)
+    # (shots, errors) per group as Python ints: int64 sums could wrap
+    counts = np.zeros((len(groups), 2), dtype=object)
+    np.add.at(counts, which.ravel(), table[:, 4:].astype(object))
     entries = []
-    for meas_index, group in sorted(by_meas.items()):
-        shots = sum(r.shots for r in group)
-        errors = sum(r.errors for r in group)
+    for meas_index in np.unique(groups[:, 0]).tolist():
+        rows = groups[:, 0] == meas_index
+        per_length = tuple((length, s, e, e / s) for (_, length), (s, e)
+                           in zip(groups[rows].tolist(), counts[rows].tolist()))
+        shots, errors = counts[rows].sum(axis=0).tolist()
         rate = errors / shots
         sigma = float(np.sqrt(max(rate * (1 - rate), 1.0 / shots) / shots))
-        per_length = []
-        by_len: dict[int, list[FocusRecord]] = {}
-        for r in group:
-            by_len.setdefault(r.length, []).append(r)
-        for length, sub in sorted(by_len.items()):
-            s = sum(r.shots for r in sub)
-            e = sum(r.errors for r in sub)
-            per_length.append((length, s, e, e / s))
         entries.append(SpamReportEntry(meas_index, shots, errors, rate, sigma,
-                                       tuple(per_length)))
+                                       per_length))
     return tuple(entries)
 
 
@@ -873,20 +882,27 @@ class ExperimentConfig(Config):
                                   f"[-_ alphanumeric], got {label!r}")
         if not self.probes:
             raise ConfigError("probes must name at least one probe")
+        if len(set(self.lengths)) != len(self.lengths):
+            raise ConfigError(f"lengths must not repeat a length, got {list(self.lengths)}")
+
+
+@dataclass(frozen=True)
+class Campaign(Config):
+    """The root object of a campaign JSON file."""
+
+    experiments: tuple[ExperimentConfig, ...]
 
 
 def load_campaign(path) -> list[ExperimentConfig]:
     """Read a campaign JSON file: ``{"experiments": [...]}``."""
-    data = load_json(path, "campaign")
-    configs = parse(tuple[ExperimentConfig, ...], data.get("experiments"),
-                    "experiments")
+    configs = Campaign.from_dict(load_json(path, "campaign")).experiments
     if not configs:
         raise ConfigError(f"{path}: 'experiments' must be a non-empty list")
     names = [c.name for c in configs]
     if len(set(names)) != len(names):
         raise ConfigError(f"{path}: duplicate experiment names")
     for i, c in enumerate(configs):
-        if len(set(c.lengths)) < 3:  # the leakage fit's minimum
+        if len(c.lengths) < 3:  # the leakage fit's minimum
             raise ConfigError(f"experiments[{i}].lengths must hold at least "
                               f"three distinct lengths, got {list(c.lengths)}")
     return list(configs)
@@ -917,7 +933,7 @@ class ExperimentResult:
     datasets: dict
     analyses: dict
     references: dict
-    focus_records: tuple
+    focus_records: np.ndarray  # simulate_focus table
     spam: tuple
 
 
@@ -955,9 +971,9 @@ def run_experiment(config: ExperimentConfig, seed=None,
         analyses[label] = analysis
         references[label] = ref
 
-    focus_records = tuple(simulate_focus(
+    focus_records = simulate_focus(
         sequences, config.interleaved_ops, config.initial_focus_state,
-        config.focus, config.shots, seed=focus_ss))
+        config.focus, config.shots, seed=focus_ss)
     return ExperimentResult(config=config, datasets=datasets,
                             analyses=analyses, references=references,
                             focus_records=focus_records,

@@ -4,10 +4,14 @@ The all-sequences survival average here accumulates the running Clifford
 product exactly; the package's closed-form ``rb.decay_coefficients`` must
 match it.  The record-based bootstrap here rebuilds every resample as records, one
 scalar binomial draw each; the package's per-length array bootstrap must
-reproduce it draw for draw.  The Lindblad oracle here intentionally uses a
-different construction from the package (one 16x16 generator exponential in
-the column-stacked basis instead of a 4x4 population exponential plus
-analytic coherence factors), so agreement is a genuine cross-check.
+reproduce it draw for draw.  The per-sequence focus simulation here runs
+one trajectory array per sequence; the package's per-length batched
+``rb.simulate_focus`` must return the same table whenever no random draw
+decides it, and the same statistics otherwise.  The Lindblad oracle here
+intentionally uses a different construction from the package (one 16x16
+generator exponential in the column-stacked basis instead of a 4x4
+population exponential plus analytic coherence factors), so agreement is a
+genuine cross-check.
 """
 
 from __future__ import annotations
@@ -219,3 +223,44 @@ def record_bootstrap(dataset: rb.RBDataset, n_resamples: int, seed,
         samples["scattering_standard"].append(est.standard)
         samples["scattering_leakage"].append(est.leakage)
     return failures, {k: np.array(v) for k, v in samples.items()}
+
+
+def focus_oracle(sequences, interleaved_ops, initial_state: int,
+                 model: rb.FocusModel, shots: int, seed=None) -> np.ndarray:
+    """Per-sequence focus trajectories: the table ``rb.simulate_focus`` returns.
+
+    Each sequence runs as its own ``(shots,)`` arrays, drawing its random
+    numbers before the next sequence starts.
+    """
+    rng = np.random.default_rng(seed)
+    rows = []
+    for seq in sequences:
+        state = np.full(shots, initial_state, dtype=np.int8)
+        ideal = np.full(shots, initial_state, dtype=np.int8)
+        if model.prep_flip > 0:
+            flip = rng.random(shots) < model.prep_flip
+            state[flip] ^= 1
+        for slot in range(1, seq.length + 1):
+            meas_index = 0
+            for op in interleaved_ops:
+                if op == "measure":
+                    if model.depump_per_measure > 0:
+                        drop = (state == 1) & (rng.random(shots) < model.depump_per_measure)
+                        state[drop] = 0
+                    confusion = np.where(state == 1, model.bright_to_dark,
+                                         model.dark_to_bright)
+                    outcome = np.where(rng.random(shots) < confusion, 1 - state, state)
+                    rows.append((seq.length, seq.seq_id, slot, meas_index, shots,
+                                 int(np.sum(outcome != ideal))))
+                    meas_index += 1
+                elif op == "reset":
+                    keep = rng.random(shots) < model.reset_error
+                    state = np.where(keep, state, 0).astype(np.int8)
+                    ideal = np.zeros(shots, dtype=np.int8)
+                elif op == "x_pi":
+                    state = (1 - state).astype(np.int8)
+                    ideal = (1 - ideal).astype(np.int8)
+                elif op == "random_su2":
+                    ideal = rng.integers(0, 2, shots).astype(np.int8)
+                    state = ideal.copy()
+    return np.array(rows, dtype=np.int64).reshape(-1, len(rb.FOCUS_HEADER))

@@ -308,6 +308,8 @@ def test_benchmark_bad_campaign_exits_2(tmp_path, capsys):
     {"lengths": [5, 5, 5]},
     {"probes": {"probe": {"measurement": {"kind": "measurement",
                                           "gamma_t": 1e300}}}},
+    {"lengths": [2, 2, 5, 9]},
+    {"shots": 1e20},
 ])
 def test_benchmark_bad_config_values_exit_2(tmp_path, capsys, overrides):
     config_path = small_campaign(tmp_path, **overrides)
@@ -318,6 +320,43 @@ def test_benchmark_bad_config_values_exit_2(tmp_path, capsys, overrides):
     assert err.startswith("error: ") and err.count("\n") == 1, err
     key = next(iter(overrides))
     assert key in err
+
+
+def test_benchmark_unknown_campaign_key_exits_2(tmp_path, capsys):
+    with open(small_campaign(tmp_path), encoding="utf-8") as fh:
+        campaign = json.load(fh)
+    for root, key in (({**campaign, "seeed": 3}, "seeed"), ({"runs": []}, "experiments")):
+        config_path = write_json(tmp_path / "root.json", root)
+        out = tmp_path / "out"
+        rc = cli.main(["benchmark", "--config", config_path, "--out", str(out),
+                       "--resamples", "0"])
+        assert rc == 2, root
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert key in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("experiments, shared", [
+    ({"a": ("focus",)}, "a_focus.csv"),
+    ({"a": ("b_c",), "a_b": ("c",)}, "a_b_c.csv"),
+])
+def test_benchmark_shared_output_file_exits_2(tmp_path, capsys, experiments,
+                                              shared):
+    probe = {"measurement": {"kind": "measurement", "gamma_t": 5e-3}}
+    config_path = write_json(tmp_path / "campaign.json", {"experiments": [
+        {"name": name, "interleaved_ops": ["measure"],
+         "probes": {label: probe for label in labels},
+         "lengths": [2, 5, 9], "sequences_per_length": 4, "shots": 20}
+        for name, labels in experiments.items()]})
+    out = tmp_path / "out"
+    rc = cli.main(["benchmark", "--config", config_path, "--out", str(out),
+                   "--resamples", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert shared in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +446,24 @@ def test_fit_duplicate_rows_exit_3(tmp_path, capsys):
     assert_one_error_line(capsys)
 
 
+@pytest.mark.parametrize("resamples", ["20", "0"])
+def test_fit_shots_beyond_int64_exit_3(tmp_path, capsys, resamples):
+    header = ",".join(rb.DATASET_HEADER)
+    big = 10 ** 20
+    rows = [f"{l},{i},{p},{t},{big},{big // 2},{big // 2}" for l in (2, 5, 9)
+            for i, (p, t) in enumerate((("I", 0), ("X", 1), ("Z", 0), ("Y", 1)))]
+    data = tmp_path / "big.csv"
+    data.write_text("\n".join([header, *rows]) + "\n")
+    out = tmp_path / "out"
+    rc = cli.main(["fit", "--data", str(data), "--out", str(out),
+                   "--resamples", resamples])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "int64" in err
+    assert not out.exists()
+
+
 def test_fit_two_length_dataset_exits_3(tmp_path, capsys):
     seqs = rb.generate_sequences(lengths=(2, 9), sequences_per_length=4,
                                  seed=15)
@@ -440,6 +497,17 @@ def test_fit_optimizer_failure_exits_4(tmp_path, capsys, monkeypatch):
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])
+
+
+def test_pytest_collects_from_a_checkout_without_pythonpath():
+    """``python -m pytest`` from the repository root finds the package."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         os.path.join("tests", "test_config.py")],
+        capture_output=True, text=True, env=env, cwd=root, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_module_entry_point_runs_without_warning(tmp_path):

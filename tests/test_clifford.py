@@ -128,3 +128,27 @@ def test_twirl_average_over_group_projects_qubit_paulis():
         vec = np.zeros(liouville.N_BASIS)
         vec[idx] = 1.0
         np.testing.assert_allclose(avg @ vec, vec, atol=1e-12)
+
+
+def test_product_and_inverse_tables_match_integer_images():
+    """All 576 products and 24 inverses equal the signed-permutation algebra."""
+    table = clifford.clifford_table()
+    identity = np.eye(3, dtype=int)
+    for after in table:
+        for before in table:
+            np.testing.assert_array_equal(clifford.compose(after, before).image,
+                                          after.image @ before.image)
+        inv = clifford.inverse(after)
+        np.testing.assert_array_equal(inv.image, after.image.T)
+        np.testing.assert_array_equal(after.image @ inv.image, identity)
+
+
+def test_elements_are_table_singletons():
+    table = clifford.clifford_table()
+    assert [e.index for e in table] == list(range(clifford.GROUP_ORDER))
+    assert clifford.net_element([]) is table[0]
+    assert clifford.net_element([7]) is table[7]
+    assert clifford.pauli_element("I") is table[0]
+    for elem in table:
+        assert clifford.compose(elem, table[0]) is elem
+        assert clifford.inverse(clifford.inverse(elem)) is elem

@@ -47,6 +47,8 @@ experiment = valid(
     lengths=st.lists(st.integers(1, 200), min_size=1, max_size=4).map(tuple),
     sequences_per_length=st.integers(1, 60), shots=st.integers(1, 10 ** 4),
     balanced=st.booleans())
+campaign = valid(rb.Campaign, experiments=st.lists(experiment, min_size=1,
+                                                   max_size=2).map(tuple))
 positive = st.floats(1e-9, 1e9)
 trap = valid(micromotion.TrapBeamConfig, rf_frequency_hz=positive,
              secular_frequency_hz=positive, linewidth_hz=positive,
@@ -64,6 +66,7 @@ CONFIGS = {
     rb.FocusModel: focus,
     rb.ProbeSpec: probe,
     rb.ExperimentConfig: experiment,
+    rb.Campaign: campaign,
     micromotion.TrapBeamConfig: trap,
     DepumpConfig: depump,
 }

@@ -1,8 +1,9 @@
-"""Property tests: valid datasets and focus records survive their CSV round trip."""
+"""Property tests: valid datasets and focus tables survive their CSV round trip."""
 
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,13 +27,21 @@ def datasets(draw):
     return rb.RBDataset(tuple(records))
 
 
+INT64_MAX = 2 ** 63 - 1
+
+focus_keys = st.integers(1, 500).flatmap(lambda length: st.tuples(
+    st.just(length), st.integers(0, 99), st.integers(1, length),
+    st.integers(0, 3)))
+
+
 @st.composite
-def focus_records(draw):
-    shots = draw(st.integers(1, 10 ** 6))
-    return rb.FocusRecord(
-        length=draw(st.integers(1, 500)), seq_id=draw(st.integers(0, 99)),
-        slot=draw(st.integers(1, 500)), meas_index=draw(st.integers(0, 3)),
-        shots=shots, errors=draw(st.integers(0, shots)))
+def focus_tables(draw):
+    """Unique (length, seq_id, slot, meas_index) keys, slot in [1, length]."""
+    rows = []
+    for key in draw(st.lists(focus_keys, max_size=20, unique=True)):
+        shots = draw(st.integers(1, INT64_MAX))
+        rows.append((*key, shots, draw(st.integers(0, shots))))
+    return np.array(rows, dtype=np.int64).reshape(-1, len(rb.FOCUS_HEADER))
 
 
 @PROPERTY_SETTINGS
@@ -45,9 +54,11 @@ def test_dataset_csv_round_trip_is_exact(dataset):
 
 
 @PROPERTY_SETTINGS
-@given(st.lists(focus_records(), max_size=20))
-def test_focus_csv_round_trip_is_exact(records):
+@given(focus_tables())
+def test_focus_csv_round_trip_is_exact(table):
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "focus.csv")
-        rb.write_focus_csv(records, path)
-        assert rb.read_focus_csv(path) == records
+        rb.write_focus_csv(table, path)
+        again = rb.read_focus_csv(path)
+        assert again.dtype == np.int64
+        np.testing.assert_array_equal(again, table)

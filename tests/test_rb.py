@@ -1,6 +1,7 @@
 """Tests for sequence generation, exact survival laws, fits and campaigns."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 
 from mcmr import channels, clifford, liouville, rb
 from mcmr.errors import ConfigError, DataFormatError, FitError
-from synthetic import exact_average_survival, record_bootstrap, record_stats
+from synthetic import (exact_average_survival, focus_oracle, record_bootstrap,
+                       record_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +84,8 @@ def test_generate_sequences_seeded_and_validated():
     assert a != c
     with pytest.raises(ConfigError):
         rb.generate_sequences(lengths=(0,), sequences_per_length=8)
+    with pytest.raises(ConfigError, match="distinct"):
+        rb.generate_sequences(lengths=(2, 2, 5), sequences_per_length=8)
     with pytest.raises(ConfigError):
         rb.generate_sequences(lengths=(3,), sequences_per_length=7)  # odd, balanced
     unbalanced = rb.generate_sequences(lengths=(3,), sequences_per_length=7,
@@ -283,6 +287,15 @@ def test_dataset_csv_validation(tmp_path):
         path.write_text(f"{header}\n{length},0,I,0,100,60,40\n5,0,X,1,100,30,70\n")
         with pytest.raises(DataFormatError, match="non-positive length"):
             rb.RBDataset.from_csv(path)
+
+    path.write_text(f"{header}\n2,0,I,0,100,60,40\n2,-1,X,1,100,30,70\n")
+    with pytest.raises(DataFormatError, match="negative seq_id"):
+        rb.RBDataset.from_csv(path)
+
+    big = 10 ** 20
+    path.write_text(f"{header}\n2,0,I,0,{big},{big},0\n5,0,X,1,100,30,70\n")
+    with pytest.raises(DataFormatError, match="int64"):
+        rb.RBDataset.from_csv(path)
 
     path.write_bytes(f"{header}\n2,0,I,0,100,60,40\n".encode() + b"\xff\n")
     with pytest.raises(DataFormatError, match="not a dataset CSV"):
@@ -528,18 +541,19 @@ def test_simulate_focus_record_shape_and_determinism():
                           depump_per_measure=0.01)
     a = rb.simulate_focus(seqs, ops, 0, model, shots=60, seed=48)
     b = rb.simulate_focus(seqs, ops, 0, model, shots=60, seed=48)
-    assert a == b
+    np.testing.assert_array_equal(a, b)
+    assert a.dtype == np.int64 and a.shape[1] == len(rb.FOCUS_HEADER)
     total_slots = sum(s.length for s in seqs)
     assert len(a) == 2 * total_slots  # two measurements per slot
-    assert {r.meas_index for r in a} == {0, 1}
-    assert all(0 <= r.errors <= r.shots for r in a)
+    assert set(a[:, 3].tolist()) == {0, 1}
+    assert np.all((a[:, 5] >= 0) & (a[:, 5] <= a[:, 4]))
 
 
 def test_simulate_focus_error_free_trajectories():
     seqs = rb.generate_sequences(lengths=(3,), sequences_per_length=4, seed=49)
     records = rb.simulate_focus(seqs, ("measure", "reset", "x_pi", "measure"),
                                 1, rb.FocusModel(), shots=40, seed=50)
-    assert all(r.errors == 0 for r in records)
+    assert len(records) == 2 * 3 * 4 and not records[:, 5].any()
 
 
 def test_simulate_focus_depump_accumulates_without_reset():
@@ -575,15 +589,76 @@ def test_simulate_focus_validation():
         rb.FocusModel.from_dict({"depump": 0.1})
 
 
+# every model here is deterministic: each probability is 0 or 1
+DETERMINISTIC_FOCUS_MODELS = [
+    rb.FocusModel(*flags) for flags in itertools.product((0.0, 1.0), repeat=5)]
+
+
+def test_simulate_focus_equals_oracle_when_no_draw_decides():
+    """Batched and per-sequence trajectories give the same table exactly."""
+    seqs = rb.generate_sequences(lengths=(3, 1, 2), sequences_per_length=4,
+                                 seed=57)
+    seqs = [seqs[i] for i in np.random.default_rng(58).permutation(len(seqs))]
+    for ops in (("measure",), ("measure", "reset", "measure"),
+                ("x_pi", "measure", "reset", "x_pi", "measure")):
+        for model in DETERMINISTIC_FOCUS_MODELS:
+            for initial in (0, 1):
+                table = rb.simulate_focus(seqs, ops, initial, model, shots=7,
+                                          seed=59)
+                np.testing.assert_array_equal(
+                    table, focus_oracle(seqs, ops, initial, model, shots=7,
+                                        seed=60))
+    # a random_su2 focus ion is read out the same way whatever bit it holds
+    for model in (rb.FocusModel(), rb.FocusModel(dark_to_bright=1.0,
+                                                 bright_to_dark=1.0)):
+        ops = ("random_su2", "measure", "reset", "measure")
+        np.testing.assert_array_equal(
+            rb.simulate_focus(seqs, ops, 0, model, shots=7, seed=61),
+            focus_oracle(seqs, ops, 0, model, shots=7, seed=62))
+
+
+def test_simulate_focus_equals_oracle_with_one_sequence_per_length():
+    """With one sequence per length both routes draw the same numbers."""
+    seqs = rb.generate_sequences(lengths=(5, 2, 9), sequences_per_length=1,
+                                 seed=63, balanced=False)
+    model = rb.FocusModel(prep_flip=0.1, dark_to_bright=0.05,
+                          bright_to_dark=0.08, depump_per_measure=0.1,
+                          reset_error=0.2)
+    ops = ("random_su2", "measure", "reset", "measure", "x_pi")
+    for initial in (0, 1):
+        np.testing.assert_array_equal(
+            rb.simulate_focus(seqs, ops, initial, model, shots=50, seed=64),
+            focus_oracle(seqs, ops, initial, model, shots=50, seed=64))
+
+
+@pytest.mark.parametrize("seed", [1103, 2207, 3301])
+def test_simulate_focus_agrees_with_oracle_statistically(seed):
+    """Pooled error rates of both routes agree within 5 sigma per depth."""
+    seqs = rb.generate_sequences(lengths=(2, 6, 20), sequences_per_length=10,
+                                 seed=seed)
+    model = rb.FocusModel(prep_flip=0.05, dark_to_bright=0.03,
+                          bright_to_dark=0.06, depump_per_measure=0.04,
+                          reset_error=0.1)
+    ops = ("x_pi", "measure", "measure", "reset")
+    batched = rb.spam_report(rb.simulate_focus(seqs, ops, 1, model, shots=200,
+                                               seed=seed + 1))
+    oracle = rb.spam_report(focus_oracle(seqs, ops, 1, model, shots=200,
+                                         seed=seed + 2))
+    assert [e.meas_index for e in batched] == [e.meas_index for e in oracle]
+    for new, old in zip(batched, oracle):
+        for (length, shots, _, rate), (_, _, _, expected) in zip(
+                new.per_length, old.per_length):
+            pooled = (rate + expected) / 2
+            sigma = math.sqrt(2 * max(pooled * (1 - pooled), 1 / shots) / shots)
+            assert abs(rate - expected) < 5 * sigma, (new.meas_index, length)
+
+
 def test_spam_report_pooling():
-    records = [
-        rb.FocusRecord(length=2, seq_id=0, slot=1, meas_index=0, shots=100,
-                       errors=3),
-        rb.FocusRecord(length=2, seq_id=1, slot=2, meas_index=0, shots=100,
-                       errors=5),
-        rb.FocusRecord(length=9, seq_id=0, slot=1, meas_index=1, shots=100,
-                       errors=2),
-    ]
+    records = np.array([  # columns rb.FOCUS_HEADER
+        (2, 0, 1, 0, 100, 3),
+        (2, 1, 2, 0, 100, 5),
+        (9, 0, 1, 1, 100, 2),
+    ])
     report = rb.spam_report(records)
     assert [e.meas_index for e in report] == [0, 1]
     first = report[0]
@@ -591,6 +666,12 @@ def test_spam_report_pooling():
     assert first.rate == pytest.approx(0.04)
     assert first.per_length == ((2, 200, 8, 0.04),)
     assert first.sigma > 0
+
+    big = 2 ** 62  # each count fits int64, their sums do not
+    report = rb.spam_report(np.array([(2, 0, 1, 0, big, big // 2),
+                                      (2, 1, 1, 0, big, big // 2)]))
+    assert (report[0].shots, report[0].errors) == (2 * big, big)
+    assert report[0].rate == 0.5
 
 
 def test_focus_csv_round_trip_and_validation(tmp_path):
@@ -600,7 +681,7 @@ def test_focus_csv_round_trip_and_validation(tmp_path):
                                 seed=56)
     path = tmp_path / "focus.csv"
     rb.write_focus_csv(records, path)
-    assert rb.read_focus_csv(path) == list(records)
+    np.testing.assert_array_equal(rb.read_focus_csv(path), records)
 
     path.write_text("length,bogus\n")
     with pytest.raises(DataFormatError):
@@ -618,6 +699,23 @@ def test_focus_csv_round_trip_and_validation(tmp_path):
         rb.read_focus_csv(path)
     with pytest.raises(DataFormatError, match="cannot read focus file"):
         rb.read_focus_csv(tmp_path)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("2,0,1,0,30,3", ":4: repeats a \\(length, seq_id, slot, meas_index\\) key"),
+    ("2,0,3,0,30,3", ":4: slot outside \\[1, length\\]"),
+    ("2,0,0,0,30,3", ":4: slot outside \\[1, length\\]"),
+    ("2,-1,1,0,30,3", ":4: seq_id and meas_index must be non-negative"),
+    ("2,1,1,-1,30,3", ":4: seq_id and meas_index must be non-negative"),
+    (f"2,1,1,0,{2 ** 64},3", ":4: value outside the int64 range"),
+], ids=["duplicate", "slot-above-length", "slot-zero", "negative-seq-id",
+        "negative-meas-index", "beyond-int64"])
+def test_focus_csv_rejects_rows_the_writer_never_produces(tmp_path, row, message):
+    path = tmp_path / "focus.csv"
+    header = ",".join(rb.FOCUS_HEADER)
+    path.write_text(f"{header}\n2,0,1,0,30,3\n2,0,2,0,30,1\n{row}\n")
+    with pytest.raises(DataFormatError, match=message):
+        rb.read_focus_csv(path)
 
 
 # ---------------------------------------------------------------------------
@@ -723,6 +821,9 @@ def test_experiment_config_round_trip_and_validation():
         {"interleaved_ops": "measure"},
         {"initial_focus_state": 2},
         {"lengths": [2, 0, 5]},
+        {"lengths": [2, 2, 5, 9]},
+        {"shots": 1e20},
+        {"shots": 2 ** 63},
         {"lengths": 5},
         {"name": 5},
         {"focus": {"reset_error": -0.5}},
@@ -734,6 +835,13 @@ def test_experiment_config_round_trip_and_validation():
     with pytest.raises(ConfigError, match="interleaved_ops must be a list"):
         rb.ExperimentConfig.from_dict({**config.to_dict(),
                                        "interleaved_ops": "measure"})
+    with pytest.raises(ConfigError, match="lengths must not repeat"):
+        rb.ExperimentConfig(name="ok", probes={"p": rb.ProbeSpec()},
+                            lengths=(2, 2, 5, 9))
+    with pytest.raises(ConfigError, match="shots must be an integer in the int64 range"):
+        rb.ExperimentConfig.from_dict({**config.to_dict(), "shots": 1e20})
+    limit = rb.ExperimentConfig.from_dict({**config.to_dict(), "shots": 2 ** 63 - 1})
+    assert limit.shots == 2 ** 63 - 1
 
 
 def test_load_campaign_validation(tmp_path):
@@ -751,12 +859,19 @@ def test_load_campaign_validation(tmp_path):
                                                 config.to_dict()]}))
     with pytest.raises(ConfigError, match="duplicate"):
         rb.load_campaign(path)
+    path.write_text(json.dumps({"experiments": [config.to_dict()], "seeed": 3}))
+    with pytest.raises(ConfigError, match="seeed is not a known key"):
+        rb.load_campaign(path)
     path.write_text(json.dumps({"runs": []}))
     with pytest.raises(ConfigError):
         rb.load_campaign(path)
     path.write_text(json.dumps({"experiments": [
-        {**config.to_dict(), "lengths": [5, 5, 5]}]}))
+        {**config.to_dict(), "lengths": [5, 9]}]}))
     with pytest.raises(ConfigError, match="three distinct lengths"):
+        rb.load_campaign(path)
+    path.write_text(json.dumps({"experiments": [
+        {**config.to_dict(), "lengths": [5, 5, 5]}]}))
+    with pytest.raises(ConfigError, match="lengths must not repeat"):
         rb.load_campaign(path)
     for root in ([config.to_dict()], {"experiments": []}, {"experiments": [1]}):
         path.write_text(json.dumps(root))
@@ -816,7 +931,7 @@ def test_run_campaign_serial_equals_parallel():
     for s, p in zip(serial, parallel):
         assert s.config.name == p.config.name
         assert s.datasets["probe"].records == p.datasets["probe"].records
-        assert s.focus_records == p.focus_records
+        np.testing.assert_array_equal(s.focus_records, p.focus_records)
 
 
 def test_run_campaign_caps_workers_at_experiment_count(monkeypatch):
