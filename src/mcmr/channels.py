@@ -21,6 +21,9 @@ All channels are expressed in the 16-element Hermitian basis of
 * ``base``: the average of the three qubit Pauli transfer factors, the decay
   base an interleaved benchmarking experiment measures per cycle.
 
+Each is read in one place, :func:`leakage_seepage` and :func:`decay_base`;
+the population-exchange decay factor is ``t_minus = 1 - L - S``.
+
 :func:`twirl` averages a channel over the 24 Clifford gates, after checking
 the structural assumptions that make the averaged channel exactly
 
@@ -53,7 +56,6 @@ STRUCTURE_TOL = 1e-8
 TWIRL_MATCH_TOL = 1e-10
 
 # supervector indices: qubit block, extra block, cross coherences
-_QUBIT = slice(0, 4)
 _REACHABLE = slice(0, 5)
 _EXTRA_TRACELESS = slice(5, 8)
 _CROSS = slice(8, 16)
@@ -287,21 +289,14 @@ def channel_from_config(config: dict) -> LeakageChannel:
 
 
 def leakage_seepage(channel: LeakageChannel) -> tuple[float, float]:
-    """(L, S) computed by applying the channel to the subspace identities.
+    """(L, S): the matrix elements ``matrix[4, 0]`` and ``matrix[0, 4]``.
 
     L is the extra-level population of the evolved maximally mixed qubit
     state; S is the qubit population of the evolved maximally mixed
-    extra-level state.  These equal the matrix elements
-    ``matrix[4, 0]`` / ``matrix[0, 4]`` of the superoperator.
+    extra-level state.
     """
     m = channel.matrix
-    qubit_identity = liouville.to_supervector(np.diag([1.0, 1.0, 0.0, 0.0]))
-    extra_identity = liouville.to_supervector(np.diag([0.0, 0.0, 1.0, 1.0]))
-    leaked = liouville.from_supervector(m @ qubit_identity)
-    seeped = liouville.from_supervector(m @ extra_identity)
-    leak = 0.5 * float(np.real(leaked[2, 2] + leaked[3, 3]))
-    seep = 0.5 * float(np.real(seeped[0, 0] + seeped[1, 1]))
-    return leak, seep
+    return float(m[4, 0]), float(m[0, 4])
 
 
 def decay_base(channel: LeakageChannel) -> float:
@@ -357,7 +352,7 @@ def validate_leakage_form(channel: LeakageChannel) -> None:
 
 @dataclass(frozen=True)
 class TwirledChannel:
-    """Clifford average of a leakage channel, reduced to five numbers.
+    """Clifford average of a leakage channel, reduced to three numbers.
 
     ``matrix`` keeps the full averaged superoperator (traceless extra
     operators pass through the average untouched).
@@ -366,8 +361,6 @@ class TwirledChannel:
     base: float
     leakage: float
     seepage: float
-    qubit_identity: float
-    extra_identity: float
     matrix: np.ndarray = field(repr=False)
 
     @property
@@ -379,29 +372,22 @@ def twirl(channel: LeakageChannel) -> TwirledChannel:
     """Average the channel over the 24 Clifford gates.
 
     Validates the block structure first (see :func:`validate_leakage_form`),
-    performs the explicit 24-element average, and verifies that the averaged
-    matrix matches the closed form on the reachable block before returning
-    the extracted coefficients.  A channel that passes the structure check
-    yet misses the closed form by more than ``TWIRL_MATCH_TOL`` (an imbalance
-    just under ``STRUCTURE_TOL``) raises :class:`AssumptionError` too.
+    performs the explicit 24-element average and checks its reachable block
+    against the closed form predicted from the un-averaged channel: its
+    subspace-identity entries, and :func:`decay_base` on the axis diagonal.
+    A miss by more than ``TWIRL_MATCH_TOL`` (an imbalance just under
+    ``STRUCTURE_TOL``) raises :class:`AssumptionError` too.
     """
     validate_leakage_form(channel)
     gates = clifford.superop_table()
     m = channel.matrix
     averaged = np.einsum("nij,jk,nlk->il", gates, m, gates) / gates.shape[0]
 
-    base = float((averaged[1, 1] + averaged[2, 2] + averaged[3, 3]) / 3.0)
-    leakage = float(averaged[4, 0])
-    seepage = float(averaged[0, 4])
-    qubit_identity = float(averaged[0, 0])
-    extra_identity = float(averaged[4, 4])
-
-    predicted = np.zeros((5, 5))
-    predicted[0, 0] = qubit_identity
-    predicted[1, 1] = predicted[2, 2] = predicted[3, 3] = base
-    predicted[4, 0] = leakage
-    predicted[0, 4] = seepage
-    predicted[4, 4] = extra_identity
+    base = decay_base(channel)
+    leakage, seepage = leakage_seepage(channel)
+    predicted = np.diag([0.0, base, base, base, 0.0])
+    identities = np.ix_([0, 4], [0, 4])
+    predicted[identities] = m[identities]
     mismatch = averaged[_REACHABLE, _REACHABLE] - predicted
     deviations = {
         "block mismatch": float(np.max(np.abs(mismatch))),
@@ -415,33 +401,4 @@ def twirl(channel: LeakageChannel) -> TwirledChannel:
             "Clifford average deviates from its closed form ("
             + ", ".join(f"{k} {v:.3e}" for k, v in deviations.items()) + ")",
             [(k, v) for k, v in deviations.items() if v > TWIRL_MATCH_TOL])
-    return TwirledChannel(base, leakage, seepage, qubit_identity,
-                          extra_identity, averaged)
-
-
-@dataclass(frozen=True)
-class DecayEigensystem:
-    """Spectral pieces of the 2x2 population-exchange matrix [[1-L, S], [L, 1-S]].
-
-    ``pi_plus`` projects onto the stationary direction, ``pi_minus`` onto the
-    decaying one; powers of the matrix are ``pi_plus + t_minus**l * pi_minus``.
-    Both projectors are ``None`` in the degenerate L = S = 0 case, where the
-    matrix is the identity and the split is undefined.
-    """
-
-    t_plus: float
-    t_minus: float
-    pi_plus: np.ndarray | None
-    pi_minus: np.ndarray | None
-    degenerate: bool
-
-
-def decay_eigensystem(leakage: float, seepage: float) -> DecayEigensystem:
-    if leakage < 0 or seepage < 0:
-        raise ValueError("leakage and seepage must be non-negative")
-    total = leakage + seepage
-    if total < 1e-15:
-        return DecayEigensystem(1.0, 1.0, None, None, True)
-    pi_plus = np.array([[seepage, seepage], [leakage, leakage]]) / total
-    pi_minus = np.array([[leakage, -seepage], [-leakage, seepage]]) / total
-    return DecayEigensystem(1.0, 1.0 - total, pi_plus, pi_minus, False)
+    return TwirledChannel(base, leakage, seepage, averaged)

@@ -7,8 +7,8 @@ Four subcommands, all file-driven and deterministic for a fixed ``--seed``:
 * ``benchmark``  simulate and analyse a benchmarking campaign,
 * ``fit``        re-analyse an existing dataset CSV.
 
-Exit codes: 0 success, 2 configuration error, 3 data-format error,
-4 fit failure.  Floating-point values in CSV output carry 17 significant
+Exit codes: 0 success, 2 configuration or output-path error, 3 data-format
+error, 4 fit failure.  Floating-point values in CSV output carry 17 significant
 digits so files round-trip exactly.
 """
 
@@ -31,6 +31,8 @@ from .errors import AssumptionError, ConfigError, DataFormatError, FitError
 DEFAULT_SCAN_POINTS = 400
 DEFAULT_SCAN_MAX_INDEX = 6.0
 DEFAULT_RESAMPLES = 200
+#: longest file name, in bytes, that common file systems accept
+NAME_MAX = 255
 
 DECAY_HEADER = ("length", "standard_mean", "standard_sem", "standard_fit",
                 "dark_mean", "dark_sem", "dark_fit")
@@ -208,10 +210,12 @@ def _results_payload(analysis: rb.AnalysisResult, reference=None,
     return payload
 
 
-def _benchmark_files(configs) -> dict:
+def _benchmark_files(configs, out) -> dict:
     """``{name: (focus CSV, {probe: (dataset, decay, results)})}`` file names.
 
-    Raises ConfigError when two outputs would share a file name.
+    Raises ConfigError, before any work runs, when two outputs would share a
+    file name or a file name in directory ``out`` is longer than
+    ``NAME_MAX`` bytes.
     """
     files, seen = {}, set()
     for config in configs:
@@ -223,13 +227,16 @@ def _benchmark_files(configs) -> dict:
         for file in (files[name][0], *(f for names in probes.values() for f in names)):
             if file in seen:
                 raise ConfigError(f"two outputs of the campaign would both write {file}")
+            if len(os.fsencode(file)) > NAME_MAX:
+                raise ConfigError(f"cannot write {os.path.join(out, file)}: "
+                                  f"file name longer than {NAME_MAX} bytes")
             seen.add(file)
     return files
 
 
 def _cmd_benchmark(args) -> int:
     configs = rb.load_campaign(args.config)
-    files = _benchmark_files(configs)
+    files = _benchmark_files(configs, args.out)
     out = _ensure_out(args.out)
     results = rb.run_campaign(configs, seed=args.seed,
                               resamples=args.resamples, parallel=args.parallel)
@@ -339,6 +346,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, AssumptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output path that cannot be created or written
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
+              file=sys.stderr)
         return 2
     except MemoryError as exc:  # a size flag or config value too large to allocate
         print(f"error: input too large: {exc}", file=sys.stderr)

@@ -54,9 +54,6 @@ BASIS_LABELS = (
 
 _CROSS_PAIRS = ((0, 2), (0, 3), (1, 2), (1, 3))
 
-_basis_cache: np.ndarray | None = None
-_bmat_cache: np.ndarray | None = None
-
 
 def _matrix_unit(i: int, j: int) -> np.ndarray:
     out = np.zeros((DIM, DIM), dtype=complex)
@@ -64,35 +61,32 @@ def _matrix_unit(i: int, j: int) -> np.ndarray:
     return out
 
 
+def _build_basis() -> np.ndarray:
+    s = 1.0 / np.sqrt(2.0)
+    ops = []
+    for (a, b) in (COMPUTATIONAL_LEVELS, EXTRA_LEVELS):
+        ops.append(s * (_matrix_unit(a, a) + _matrix_unit(b, b)))
+        ops.append(s * (_matrix_unit(a, b) + _matrix_unit(b, a)))
+        ops.append(s * (-1j * _matrix_unit(a, b) + 1j * _matrix_unit(b, a)))
+        ops.append(s * (_matrix_unit(a, a) - _matrix_unit(b, b)))
+    for (i, j) in _CROSS_PAIRS:
+        ops.append(s * (_matrix_unit(i, j) + _matrix_unit(j, i)))
+        ops.append(s * (-1j * _matrix_unit(i, j) + 1j * _matrix_unit(j, i)))
+    arr = np.stack(ops)
+    arr.setflags(write=False)
+    return arr
+
+
+#: the 16 Hermitian basis operators, (16, 4, 4), read-only
+_BASIS = _build_basis()
+#: columns are the column-stacked basis operators (a 16x16 unitary), read-only
+_BASIS_MATRIX = np.column_stack([op.flatten(order="F") for op in _BASIS])
+_BASIS_MATRIX.setflags(write=False)
+
+
 def standard_basis() -> np.ndarray:
     """Return the 16 Hermitian basis operators as a read-only (16, 4, 4) array."""
-    global _basis_cache
-    if _basis_cache is None:
-        s = 1.0 / np.sqrt(2.0)
-        ops = []
-        for (a, b) in (COMPUTATIONAL_LEVELS, EXTRA_LEVELS):
-            ops.append(s * (_matrix_unit(a, a) + _matrix_unit(b, b)))
-            ops.append(s * (_matrix_unit(a, b) + _matrix_unit(b, a)))
-            ops.append(s * (-1j * _matrix_unit(a, b) + 1j * _matrix_unit(b, a)))
-            ops.append(s * (_matrix_unit(a, a) - _matrix_unit(b, b)))
-        for (i, j) in _CROSS_PAIRS:
-            ops.append(s * (_matrix_unit(i, j) + _matrix_unit(j, i)))
-            ops.append(s * (-1j * _matrix_unit(i, j) + 1j * _matrix_unit(j, i)))
-        arr = np.stack(ops)
-        arr.setflags(write=False)
-        _basis_cache = arr
-    return _basis_cache
-
-
-def _basis_matrix() -> np.ndarray:
-    """Columns are the column-stacked basis operators (a 16x16 unitary)."""
-    global _bmat_cache
-    if _bmat_cache is None:
-        basis = standard_basis()
-        bmat = np.column_stack([op.flatten(order="F") for op in basis])
-        bmat.setflags(write=False)
-        _bmat_cache = bmat
-    return _bmat_cache
+    return _BASIS
 
 
 def to_supervector(op: np.ndarray) -> np.ndarray:
@@ -148,8 +142,7 @@ def vec_to_basis_superop(mvec: np.ndarray) -> np.ndarray:
     mvec = np.asarray(mvec, dtype=complex)
     if mvec.shape != (N_BASIS, N_BASIS):
         raise ValueError(f"superoperator must be {N_BASIS}x{N_BASIS}, got {mvec.shape}")
-    bmat = _basis_matrix()
-    m = bmat.conj().T @ mvec @ bmat
+    m = _BASIS_MATRIX.conj().T @ mvec @ _BASIS_MATRIX
     residue = float(np.max(np.abs(m.imag)))
     if residue > IMAG_TOL:
         raise ValueError(f"map is not Hermiticity-preserving: residue {residue:.3e}")

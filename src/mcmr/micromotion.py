@@ -37,6 +37,9 @@ from .errors import ConfigError, DataFormatError, FitError
 #: default number of sideband harmonics kept in the suppression sum
 DEFAULT_HARMONIC_CUTOFF = 50
 
+#: bracket of the first zero of J_0 (the first carrier null)
+FIRST_NULL_BRACKET = (2.0, 3.0)
+
 #: number of F=1 ground-state sublevels in the optical-pumping rate model
 N_BRIGHT = 3
 
@@ -133,9 +136,9 @@ def carrier_null_index(bracket: tuple[float, float]) -> float:
     return float(brentq(special.j0, lo, hi, xtol=1e-14, rtol=8.9e-16))
 
 
-def first_null_modulation_index(bracket: tuple[float, float] = (2.0, 3.0)) -> float:
+def first_null_modulation_index() -> float:
     """The smallest modulation index that extinguishes the carrier (~2.4048)."""
-    return carrier_null_index(bracket)
+    return carrier_null_index(FIRST_NULL_BRACKET)
 
 
 def suppression_scan(config: TrapBeamConfig, displacements: np.ndarray):

@@ -14,7 +14,7 @@ The module provides:
 
 * sequence generation with a balanced (or deliberately unbalanced) Pauli mix,
 * exact per-sequence survival probabilities in the Liouville picture,
-* closed-form decay coefficients from the channel's eigensystem,
+* closed-form decay coefficients from the channel's figures of merit,
 * binomial sampling, the two decay fits, scattering-probability estimators,
   and a semi-parametric bootstrap,
 * a classical per-shot simulation of the focus ion (preparation, readout,
@@ -210,30 +210,35 @@ class DecayCoefficients:
 def decay_coefficients(slot_channel, spam: SpamModel = PERFECT_SPAM) -> DecayCoefficients:
     """Exact decay constants and coefficients of the sequence-averaged survival.
 
-    The Clifford average of the slot channel reduces the reachable dynamics
-    to the qubit Pauli block (factor ``base`` per step) plus a 2x2 population
-    exchange between the subspace identities, whose eigensystem supplies the
-    ``t_minus`` branch and the constant.
+    The Clifford average reduces the reachable dynamics to the qubit Pauli
+    block (factor ``base`` per step) plus the exchange ``[[1-L, S], [L, 1-S]]``
+    on the identity components ``(0, 4)``.  For effect ``e`` and preparation
+    ``p`` its powers give the ``t_minus`` branch ``(e0-e4)(L p0 - S p4)/(L+S)``
+    and the constant ``(S e0 + L e4)(p0+p4)/(L+S)``, or ``e0 p0 + e4 p4``
+    alone when ``L + S = 0``.
     """
     tw = channels.twirl(slot_channel)
-    eig = channels.decay_eigensystem(tw.leakage, tw.seepage)
+    leak, seep = tw.leakage, tw.seepage
+    total = leak + seep
+    degenerate = total < 1e-15
     prep = spam.prep_vector()
-    pair = [0, 4]  # (qubit identity, extra identity): the span the 2x2 exchange acts on
+    p0, p4 = prep[0], prep[4]
 
     amplitudes, intercepts, asymptotes = {}, {}, {}
     for k, effect in enumerate((spam.dark_effect(), spam.bright_effect())):
-        if eig.degenerate:
+        e0, e4 = effect[0], effect[4]
+        if degenerate:
             intercepts[k] = 0.0
-            asymptotes[k] = float(effect[pair] @ prep[pair])
+            asymptotes[k] = float(e0 * p0 + e4 * p4)
         else:
-            intercepts[k] = float(effect[pair] @ eig.pi_minus @ prep[pair])
-            asymptotes[k] = float(effect[pair] @ eig.pi_plus @ prep[pair])
+            intercepts[k] = float((e0 - e4) * (leak * p0 - seep * p4) / total)
+            asymptotes[k] = float((seep * e0 + leak * e4) * (p0 + p4) / total)
         for label in PAULI_LABELS:
             pauli_gate = clifford.superop(clifford.pauli_element(label))
             amplitudes[(label, k)] = float(effect @ pauli_gate[:, 1:4] @ prep[1:4])
-    return DecayCoefficients(base=tw.base, t_minus=eig.t_minus,
+    return DecayCoefficients(base=tw.base, t_minus=tw.t_minus,
                              amplitudes=amplitudes, intercepts=intercepts,
-                             asymptotes=asymptotes, degenerate=eig.degenerate)
+                             asymptotes=asymptotes, degenerate=degenerate)
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +796,13 @@ def read_focus_csv(path) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpamReportEntry:
-    """Pooled mid-circuit readout error of one in-slot measurement position."""
+    """Pooled mid-circuit readout error of one in-slot measurement position.
+
+    ``sigma`` is the standard error of ``rate`` over sequences: one focus
+    trajectory is read out in every slot of its sequence, so its readouts
+    share depumping and preparation errors and the sequence, not the
+    readout, is the independent unit.
+    """
 
     meas_index: int
     shots: int
@@ -805,13 +816,27 @@ def spam_report(records) -> tuple[SpamReportEntry, ...]:
     """Aggregate a focus table per measurement position and per depth.
 
     The per-length breakdown is what reveals depth-dependent SPAM (for
-    example a bright ion slowly depumping when it is never reset).
+    example a bright ion slowly depumping when it is never reset).  The
+    sigma of each pooled rate comes from the spread of the per-sequence
+    error totals within each length (sequences of one length are
+    independent draws of the same process), and is never below the
+    binomial value ``sqrt(max(rate (1-rate), 1/shots) / shots)``.
     """
     table = np.asarray(records, dtype=np.int64).reshape(-1, len(FOCUS_HEADER))
-    groups, which = np.unique(table[:, [3, 0]], axis=0, return_inverse=True)
+    # one cluster per (meas_index, length, seq_id), one group per (meas_index, length)
+    clusters, in_cluster = np.unique(table[:, [3, 0, 1]], axis=0, return_inverse=True)
+    groups, cluster_group = np.unique(clusters[:, :2], axis=0, return_inverse=True)
+    in_cluster, cluster_group = in_cluster.ravel(), cluster_group.ravel()
     # (shots, errors) per group as Python ints: int64 sums could wrap
     counts = np.zeros((len(groups), 2), dtype=object)
-    np.add.at(counts, which.ravel(), table[:, 4:].astype(object))
+    np.add.at(counts, cluster_group[in_cluster], table[:, 4:].astype(object))
+    # variance of each group's error total from its m sequences: m * s^2
+    cluster_errors = np.bincount(in_cluster, weights=table[:, 5].astype(float))
+    variance = np.zeros(len(groups))
+    for g in range(len(groups)):
+        errors = cluster_errors[cluster_group == g]
+        if errors.size > 1:
+            variance[g] = errors.size * errors.var(ddof=1)
     entries = []
     for meas_index in np.unique(groups[:, 0]).tolist():
         rows = groups[:, 0] == meas_index
@@ -819,7 +844,8 @@ def spam_report(records) -> tuple[SpamReportEntry, ...]:
                            in zip(groups[rows].tolist(), counts[rows].tolist()))
         shots, errors = counts[rows].sum(axis=0).tolist()
         rate = errors / shots
-        sigma = float(np.sqrt(max(rate * (1 - rate), 1.0 / shots) / shots))
+        binomial = float(np.sqrt(max(rate * (1 - rate), 1.0 / shots) / shots))
+        sigma = max(binomial, float(np.sqrt(variance[rows].sum())) / shots)
         entries.append(SpamReportEntry(meas_index, shots, errors, rate, sigma,
                                        per_length))
     return tuple(entries)
@@ -981,18 +1007,21 @@ def run_experiment(config: ExperimentConfig, seed=None,
 
 
 def _run_campaign_job(args):
-    config, entropy, resamples = args
-    return run_experiment(config, seed=np.random.SeedSequence(entropy),
-                          resamples=resamples)
+    config, seed, resamples = args
+    return run_experiment(config, seed=seed, resamples=resamples)
 
 
 def run_campaign(configs, seed=None, resamples: int = 200,
                  parallel: int = 1) -> list[ExperimentResult]:
-    """Run every experiment with independent, reproducible seed streams."""
+    """Run every experiment with independent, reproducible seed streams.
+
+    Experiment ``i`` runs on child ``i`` of ``SeedSequence(seed).spawn(n)``
+    (the child itself, spawn key included, so no two experiments share a
+    stream), whether the campaign runs serially or in parallel.
+    """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = ss.spawn(len(configs))
-    jobs = [(cfg, child.entropy, resamples)
-            for cfg, child in zip(configs, children)]
+    jobs = [(cfg, child, resamples)
+            for cfg, child in zip(configs, ss.spawn(len(configs)))]
     if parallel > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(parallel, len(jobs))) as pool:
             return list(pool.map(_run_campaign_job, jobs))

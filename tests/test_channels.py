@@ -345,8 +345,8 @@ def test_twirl_extracts_channel_figures_of_merit():
         np.testing.assert_allclose(tw.leakage, leak, atol=1e-12)
         np.testing.assert_allclose(tw.seepage, seep, atol=1e-12)
         np.testing.assert_allclose(tw.base, channels.decay_base(ch), atol=1e-12)
-        np.testing.assert_allclose(tw.qubit_identity, 1.0 - leak, atol=1e-12)
-        np.testing.assert_allclose(tw.extra_identity, 1.0 - seep, atol=1e-12)
+        np.testing.assert_allclose(tw.matrix[0, 0], 1.0 - leak, atol=1e-12)
+        np.testing.assert_allclose(tw.matrix[4, 4], 1.0 - seep, atol=1e-12)
         np.testing.assert_allclose(tw.t_minus, 1.0 - leak - seep, atol=1e-12)
         # traceless extra operators pass through the average untouched
         np.testing.assert_allclose(tw.matrix[5:8, 5:8], ch.matrix[5:8, 5:8],
@@ -392,40 +392,6 @@ def test_twirl_rejects_sigma_imbalance():
     leak, seep = channels.leakage_seepage(
         channels.measurement_crosstalk(0.1, (0.25, 0.5, 0.25)))
     np.testing.assert_allclose(tw.leakage, leak, atol=1e-12)
-
-
-def test_decay_eigensystem_spectral_identities():
-    rng = np.random.default_rng(71)
-    for _ in range(20):
-        leak = float(rng.uniform(1e-6, 0.4))
-        seep = float(rng.uniform(1e-6, 0.4))
-        eig = channels.decay_eigensystem(leak, seep)
-        assert not eig.degenerate
-        assert eig.t_plus == 1.0
-        np.testing.assert_allclose(eig.t_minus, 1.0 - leak - seep, atol=1e-15)
-        identity = eig.pi_plus + eig.pi_minus
-        np.testing.assert_allclose(identity, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(eig.pi_plus @ eig.pi_plus, eig.pi_plus,
-                                   atol=1e-12)
-        np.testing.assert_allclose(eig.pi_minus @ eig.pi_minus, eig.pi_minus,
-                                   atol=1e-12)
-        np.testing.assert_allclose(eig.pi_plus @ eig.pi_minus,
-                                   np.zeros((2, 2)), atol=1e-12)
-        exchange = np.array([[1.0 - leak, seep], [leak, 1.0 - seep]])
-        np.testing.assert_allclose(
-            exchange, eig.pi_plus + eig.t_minus * eig.pi_minus, atol=1e-12)
-        np.testing.assert_allclose(
-            np.linalg.matrix_power(exchange, 5),
-            eig.pi_plus + eig.t_minus ** 5 * eig.pi_minus, atol=1e-12)
-
-
-def test_decay_eigensystem_degenerate_and_invalid():
-    eig = channels.decay_eigensystem(0.0, 0.0)
-    assert eig.degenerate
-    assert eig.t_plus == 1.0 and eig.t_minus == 1.0
-    assert eig.pi_plus is None and eig.pi_minus is None
-    with pytest.raises(ValueError):
-        channels.decay_eigensystem(-0.1, 0.2)
 
 
 def test_identity_channel_twirls_to_trivial_coefficients():

@@ -264,6 +264,8 @@ def test_benchmark_deterministic_and_parallel_equivalent(tmp_path):
                          "exp-a_focus.csv")}
     assert outputs["serial"] == outputs["serial2"]
     assert outputs["serial"] == outputs["parallel"]
+    # the two experiments differ only in name, and each has its own stream
+    assert outputs["serial"]["exp-a_probe.csv"] != outputs["serial"]["exp-b_probe.csv"]
 
 
 def test_benchmark_with_bootstrap_reports_sigmas(tmp_path):
@@ -359,6 +361,21 @@ def test_benchmark_shared_output_file_exits_2(tmp_path, capsys, experiments,
     assert not out.exists()
 
 
+def test_benchmark_file_name_too_long_exits_2_before_running(tmp_path, capsys,
+                                                             monkeypatch):
+    name = "x" * 300
+    config_path = small_campaign(tmp_path, names=(name,))
+    monkeypatch.setattr(rb, "run_campaign", None)  # must not be reached
+    out = tmp_path / "out"
+    rc = cli.main(["benchmark", "--config", config_path, "--out", str(out),
+                   "--resamples", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert os.path.join(str(out), f"{name}_focus.csv") in err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -385,6 +402,24 @@ def test_fit_reanalyzes_dataset(tmp_path, capsys):
     bench_results = json.loads(
         (bench_out / "measure-dark_probe_results.json").read_text())
     assert results["standard"] == bench_results["standard"]
+
+
+def test_fit_out_is_an_existing_file_exits_2(tmp_path, capsys):
+    config_path = small_campaign(tmp_path)
+    bench_out = tmp_path / "bench"
+    assert cli.main(["benchmark", "--config", config_path,
+                     "--out", str(bench_out), "--seed", "11",
+                     "--resamples", "0"]) == 0
+    capsys.readouterr()
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    rc = cli.main(["fit", "--data", str(bench_out / "measure-dark_probe.csv"),
+                   "--out", str(taken), "--resamples", "0"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(taken) in err
+    assert taken.read_text() == "not a directory\n"
 
 
 def test_fit_missing_or_malformed_data_exits_3(tmp_path, capsys):

@@ -9,8 +9,8 @@ import pytest
 
 from mcmr import channels, clifford, liouville, rb
 from mcmr.errors import ConfigError, DataFormatError, FitError
-from synthetic import (exact_average_survival, focus_oracle, record_bootstrap,
-                       record_stats)
+from synthetic import (exact_average_survival, focus_oracle,
+                       random_lambda_channel, record_bootstrap, record_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +184,30 @@ def test_decay_coefficients_spam_amplitude_and_balance():
 
 
 def test_decay_coefficients_match_exact_average():
-    slot = channels.compose(channels.depolarizing(0.03),
-                            channels.reset_crosstalk(0.05))
+    """The closed form against the all-sequences average, on every branch.
+
+    Covers both exchange regimes: L + S well above zero (composed, reset,
+    measurement and random structured channels), nearly zero
+    (``gamma_t`` 1e-9) and exactly zero (the identity channel).
+    """
+    rng = np.random.default_rng(73)
+    slots = [channels.compose(channels.depolarizing(0.03),
+                              channels.reset_crosstalk(0.05)),
+             channels.measurement_crosstalk(0.04),
+             channels.reset_crosstalk(0.03, dark_branching=0.6),
+             channels.measurement_crosstalk(1e-9),
+             channels.identity_channel()]
+    slots.extend(random_lambda_channel(rng) for _ in range(3))
     spam = rb.SpamModel(prep_flip=0.02, prep_leak=0.01,
                         dark_to_bright=0.02, bright_to_dark=0.04)
-    coeff = rb.decay_coefficients(slot, spam)
-    for length in (1, 2, 3, 7):
-        exact = exact_average_survival(slot, spam, length)
-        for label in clifford.PAULI_LABELS:
-            for outcome in (0, 1):
-                assert abs(coeff.survival(label, outcome, length)
-                           - exact[(label, outcome)]) < 1e-11
+    for slot in slots:
+        coeff = rb.decay_coefficients(slot, spam)
+        for length in (1, 2, 3, 7):
+            exact = exact_average_survival(slot, spam, length)
+            for label in clifford.PAULI_LABELS:
+                for outcome in (0, 1):
+                    assert abs(coeff.survival(label, outcome, length)
+                               - exact[(label, outcome)]) < 1e-11, slot.kind
 
 
 def test_decay_coefficients_identity_channel_degenerate():
@@ -665,13 +678,40 @@ def test_spam_report_pooling():
     assert first.shots == 200 and first.errors == 8
     assert first.rate == pytest.approx(0.04)
     assert first.per_length == ((2, 200, 8, 0.04),)
-    assert first.sigma > 0
+    # totals 3 and 5 spread less than binomial noise: the binomial sigma stays
+    assert first.sigma == pytest.approx(math.sqrt(0.04 * 0.96 / 200))
+    # totals 0 and 16 over two slots each: the spread of the per-sequence
+    # totals, sqrt(2 * 128) / 200, beats the binomial 0.019
+    report = rb.spam_report(np.array([(2, 0, 1, 0, 50, 0), (2, 0, 2, 0, 50, 0),
+                                      (2, 1, 1, 0, 50, 9), (2, 1, 2, 0, 50, 7)]))
+    assert report[0].rate == pytest.approx(0.08)
+    assert report[0].sigma == pytest.approx(16.0 / 200.0)
 
     big = 2 ** 62  # each count fits int64, their sums do not
     report = rb.spam_report(np.array([(2, 0, 1, 0, big, big // 2),
                                       (2, 1, 1, 0, big, big // 2)]))
     assert (report[0].shots, report[0].errors) == (2 * big, big)
     assert report[0].rate == 0.5
+
+
+def test_spam_report_sigma_matches_seed_to_seed_spread():
+    """A depumping bright ion shares its errors across the slots of a sequence.
+
+    The reported sigma must describe the rate's actual spread over seeds,
+    which the per-readout binomial formula underestimates several-fold.
+    """
+    model = rb.FocusModel(prep_flip=0.01, dark_to_bright=0.02,
+                          bright_to_dark=0.03, depump_per_measure=0.01)
+    rates, sigmas = [], []
+    for seed in range(500, 540):
+        seq_ss, focus_ss = np.random.SeedSequence(seed).spawn(2)
+        seqs = rb.generate_sequences((2, 11, 81), 40, seed=seq_ss)
+        (entry,) = rb.spam_report(rb.simulate_focus(seqs, ("measure",), 1, model,
+                                                    shots=100, seed=focus_ss))
+        rates.append(entry.rate)
+        sigmas.append(entry.sigma)
+    ratio = np.mean(sigmas) / np.std(rates, ddof=1)
+    assert 0.67 <= ratio <= 1.5, ratio
 
 
 def test_focus_csv_round_trip_and_validation(tmp_path):
@@ -932,6 +972,21 @@ def test_run_campaign_serial_equals_parallel():
         assert s.config.name == p.config.name
         assert s.datasets["probe"].records == p.datasets["probe"].records
         np.testing.assert_array_equal(s.focus_records, p.focus_records)
+
+
+def test_run_campaign_gives_each_experiment_its_own_stream():
+    """Experiment i runs on child i of the campaign seed, spawn key included."""
+    configs = [small_config("exp-a"), small_config("exp-b"),
+               small_config("exp-c")]
+    results = rb.run_campaign(configs, seed=11, resamples=0)
+    # the configs differ only in name, so equal datasets mean a shared stream
+    records = [r.datasets["probe"].records for r in results]
+    assert records[0] != records[1] and records[1] != records[2]
+    children = np.random.SeedSequence(11).spawn(len(configs))
+    for config, child, result in zip(configs, children, results):
+        alone = rb.run_experiment(config, seed=child, resamples=0)
+        assert alone.datasets["probe"].records == result.datasets["probe"].records
+        np.testing.assert_array_equal(alone.focus_records, result.focus_records)
 
 
 def test_run_campaign_caps_workers_at_experiment_count(monkeypatch):
