@@ -57,7 +57,6 @@ def _ensure_out(path) -> str:
 _FLAG_LIMITS = {
     "seed": (lambda v: v >= 0, "non-negative"),
     "resamples": (lambda v: v == 0 or v >= 2, "0 or at least 2"),
-    "ls_ratio": (lambda v: 0 < v < math.inf, "positive and finite"),
     "points": (lambda v: v >= 2, "at least 2"),
     "max_index": (lambda v: 0 < v < math.inf, "positive and finite"),
     "parallel": (lambda v: v >= 1, "at least 1"),
@@ -278,8 +277,7 @@ def _cmd_benchmark(args) -> int:
 
 def _cmd_fit(args) -> int:
     dataset = rb.RBDataset.from_csv(args.data)
-    analysis = rb.analyze_dataset(dataset, ls_ratio=args.ls_ratio,
-                                  resamples=args.resamples, seed=args.seed)
+    analysis = rb.analyze_dataset(dataset, resamples=args.resamples, seed=args.seed)
     out = _ensure_out(args.out)
     stem = os.path.splitext(os.path.basename(args.data))[0]
     _write_decay_csv(os.path.join(out, f"{stem}_decay.csv"), analysis)
@@ -328,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--out", required=True, help="output directory")
     fit.add_argument("--seed", type=int, default=0)
     fit.add_argument("--resamples", type=int, default=DEFAULT_RESAMPLES)
-    fit.add_argument("--ls-ratio", type=float, default=1.0,
-                     help="expected leakage/seepage ratio (fit starting point)")
     fit.set_defaults(func=_cmd_fit)
     return parser
 

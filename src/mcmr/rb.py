@@ -419,45 +419,24 @@ def _length_columns(dataset: RBDataset) -> list[tuple]:
             for length, group in sorted(dataset.by_length().items())]
 
 
-def _summary(length: int, values: np.ndarray) -> PerLengthStats:
+def _mean_sem(values: np.ndarray) -> tuple[float, float]:
     sem = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
-    return PerLengthStats(length, values.size, float(values.mean()), sem)
+    return float(values.mean()), sem
 
 
-def _stats(columns) -> tuple[tuple[PerLengthStats, ...], tuple[PerLengthStats, ...]]:
-    correct, dark = [], []
-    for length, shots, darks, targets in columns:
-        hits = np.where(targets == 0, darks, shots - darks)
-        correct.append(_summary(length, hits / shots))
-        dark.append(_summary(length, darks / shots))
-    return tuple(correct), tuple(dark)
+def _fractions(shots, darks, targets) -> tuple[np.ndarray, np.ndarray]:
+    """Correct-outcome and dark-outcome fraction of every sequence."""
+    return np.where(targets == 0, darks, shots - darks) / shots, darks / shots
 
 
 def per_length_stats(dataset: RBDataset) -> tuple[tuple[PerLengthStats, ...],
                                                   tuple[PerLengthStats, ...]]:
     """Per-length (correct-outcome, dark-outcome) statistics: the fits' input."""
-    return _stats(_length_columns(dataset))
-
-
-def _fit_sigma(stats) -> np.ndarray | None:
-    sems = np.array([s.sem for s in stats])
-    if np.any(sems <= 0):
-        return None
-    return sems
-
-
-def _lengths_means(stats) -> tuple[np.ndarray, np.ndarray]:
-    return (np.array([s.length for s in stats], dtype=float),
-            np.array([s.mean for s in stats]))
-
-
-def _rate_guess(lengths, excess, lo: float, hi: float, default: float) -> float:
-    """Per-step decay rate of ``excess`` (means above the asymptote) from its ends."""
-    first, last = excess[0], excess[-1]
-    if first > 1e-12 and last > 1e-12 and lengths[-1] > lengths[0]:
-        return float(np.clip((last / first) ** (1.0 / (lengths[-1] - lengths[0])),
-                             lo, hi))
-    return default
+    correct, dark = [], []
+    for length, shots, darks, targets in _length_columns(dataset):
+        for out, values in zip((correct, dark), _fractions(shots, darks, targets)):
+            out.append(PerLengthStats(length, values.size, *_mean_sem(values)))
+    return tuple(correct), tuple(dark)
 
 
 def standard_decay(length, amplitude, base):
@@ -470,22 +449,169 @@ def leakage_decay(length, intercept, asymptote, t_minus):
     return intercept * t_minus ** (length + 1.0) + asymptote
 
 
-def _decay_fit(what: str, model, stats, p0, bounds) -> list[float]:
-    """Bounded, SEM-weighted ``curve_fit`` of the per-length means."""
-    lengths, means = _lengths_means(stats)
+#: bounds of every fitted parameter; the floor of the two decay rates keeps
+#: ``rate**length`` positive
+PARAMETER_BOUNDS = {"amplitude": (0.0, 0.75), "base": (1e-9, 1.0),
+                    "intercept": (0.0, 1.0), "asymptote": (0.0, 1.0),
+                    "t_minus": (1e-9, 1.0)}
+_RATE_FLOOR = PARAMETER_BOUNDS["base"][0]
+#: coarse grid of the profile search, in ``-ln(rate)``: rate 1, ten points
+#: per e-fold from 1e-9 on, and a hair past the floor's exponent (the rate
+#: is clipped exactly onto the floor there)
+_GRID = np.concatenate((
+    [0.0], np.exp(np.arange(np.log(1e-9), np.log(-np.log(_RATE_FLOOR)), 0.1)),
+    [-np.log(_RATE_FLOOR) + 1e-9]))
+#: each refinement re-grids the bracket with this many evenly spaced points
+#: and keeps the best point's two neighbours: the bracket shrinks eightfold
+_ZOOM = np.linspace(0.0, 1.0, 17)
+#: refinements: they shrink a bracket of two coarse spacings to about 1e-13
+#: of its exponent
+_ZOOM_STEPS = 14
+#: lanes per block of the coarse grid, which bounds its temporaries
+_GRID_LANES = 16
+
+
+def _lane_weights(sems: np.ndarray) -> np.ndarray:
+    """``1/sem**2`` per length, or 1 for every length of a lane with a zero SEM."""
+    weighted = np.all(sems > 0, axis=-1, keepdims=True)
+    return np.where(weighted, 1.0 / np.where(weighted, sems, 1.0) ** 2, 1.0)
+
+
+def _weighted_cost(w, residuals):
+    return (w * residuals * residuals).sum(-1)
+
+
+def _clipped_ratio(num, den, hi: float):
+    """``clip(num / den, 0, hi)`` for ``den >= 0`` without overflow; 0 where ``den == 0``."""
+    return np.divide(np.minimum(np.maximum(num, 0.0), hi * den), den,
+                     out=np.zeros(np.shape(den)), where=den > 0)
+
+
+def _amplitude_fit(x, y, w):
+    """Bounded amplitude minimising ``sum w (y - 1/2 - A x)**2``: cost and ``(A,)``."""
+    r = y - 0.5
+    amplitude = _clipped_ratio((w * x * r).sum(-1), (w * x * x).sum(-1),
+                               PARAMETER_BOUNDS["amplitude"][1])
+    return _weighted_cost(w, r - amplitude[..., None] * x), (amplitude,)
+
+
+def _intercept_asymptote_fit(x, y, w):
+    """``(B, C)`` in [0, 1]**2 minimising ``sum w (y - B x - C)**2``: cost and ``(B, C)``.
+
+    The cost is a convex quadratic on a box, so its minimum is the free one
+    when that is feasible and otherwise lies on an edge: the cheapest of
+    the feasible free solution and the four edge solutions (each a clipped
+    one-dimensional fit, corners included) is exact.  Clipping B and C one
+    at a time is not.
+    """
+    wx = w * x
+    sw, sx, sy = w.sum(-1), wx.sum(-1), (w * y).sum(-1)
+    sxx, sxy = (wx * x).sum(-1), (wx * y).sum(-1)
+    x_mean, y_mean = sx / sw, sy / sw
+    dx = x - x_mean[..., None]
+    sxx_c, sxy_c = (w * dx * dx).sum(-1), (w * dx * (y - y_mean[..., None])).sum(-1)
+    # candidates: free, B = 0, B = 1, C = 0, C = 1
+    b, c = np.empty((5, *sxx.shape)), np.empty((5, *sxx.shape))
+    b[0] = _clipped_ratio(sxy_c, sxx_c, 1.0)
+    c[0] = y_mean - b[0] * x_mean
+    b[1], c[1] = 0.0, np.minimum(np.maximum(y_mean, 0.0), 1.0)
+    b[2], c[2] = 1.0, np.minimum(np.maximum(y_mean - x_mean, 0.0), 1.0)
+    b[3], c[3] = _clipped_ratio(sxy, sxx, 1.0), 0.0
+    b[4], c[4] = _clipped_ratio(sxy - sx, sxx, 1.0), 1.0
+    cost = _weighted_cost(w, y - b[..., None] * x - c[..., None])
+    free = (sxx_c > 0) & (sxy_c >= 0) & (sxy_c <= sxx_c) & (c[0] >= 0) & (c[0] <= 1)
+    cost[0] = np.where(free, cost[0], np.inf)
+    pick = np.argmin(cost, axis=0)
+    return np.choose(pick, cost), (np.choose(pick, b), np.choose(pick, c))
+
+
+@dataclass(frozen=True)
+class _Law:
+    """A decay law as the fits see it: linear in all parameters but its rate."""
+
+    model: object
+    #: ``linear_fit(rate**(length + exponent_offset), means, weights)``
+    #: returns the minimal cost and the optimal linear parameters
+    linear_fit: object
+    exponent_offset: float
+    #: parameter names in model order, rate last
+    params: tuple[str, ...]
+
+
+_LAWS = {"standard": _Law(standard_decay, _amplitude_fit, 0.0, ("amplitude", "base")),
+         "leakage": _Law(leakage_decay, _intercept_asymptote_fit, 1.0,
+                         ("intercept", "asymptote", "t_minus"))}
+
+
+def _profile_fit(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]:
+    """Bounded weighted least squares of one decay law on every lane at once.
+
+    Variable projection: given the decay rate ``r``, the law is linear in
+    its other parameters, which its ``linear_fit`` solves in closed form.
+    The profiled cost is searched over ``r`` in [1e-9, 1]: a coarse grid in
+    ``-ln r`` brackets its global minimum, finer grids on the bracket
+    refine it, and the cheapest of that result, the best coarse point and
+    both bounds wins (a tie goes to rate 1, then the floor, then the coarse
+    point).  ``means`` and ``sems`` are (lanes, lengths) arrays; returns the
+    law's parameters, rate last, as (lanes,) arrays.  A lane with
+    non-finite statistics gets non-finite parameters.
+    """
+    w = _lane_weights(sems)
+    linear_fit = _LAWS[law].linear_fit
+    exponents = lengths + _LAWS[law].exponent_offset
+
+    def profile(exponent, y, w):
+        rate = np.clip(np.exp(-exponent), _RATE_FLOOR, 1.0)
+        cost, params = linear_fit(rate[..., None] ** exponents, y, w)
+        return cost, (*params, rate)
+
+    def best_of(exponent, block=slice(None)):  # exponent: points or (lanes, points)
+        cost = profile(exponent, means[block, None], w[block, None])[0]
+        return np.argmin(cost, axis=-1)
+
+    n = len(means)
+    coarse = np.concatenate([best_of(_GRID, slice(i, i + _GRID_LANES))
+                             for i in range(0, n, _GRID_LANES)])
+    lo = _GRID[np.maximum(coarse - 1, 0)]
+    hi = _GRID[np.minimum(coarse + 1, _GRID.size - 1)]
+    lanes = np.arange(n)
+    for _ in range(_ZOOM_STEPS):
+        points = lo[:, None] + (hi - lo)[:, None] * _ZOOM
+        best = best_of(points)
+        lo = points[lanes, np.maximum(best - 1, 0)]
+        hi = points[lanes, np.minimum(best + 1, _ZOOM.size - 1)]
+    tried = np.stack([np.full(n, _GRID[0]), np.full(n, _GRID[-1]), _GRID[coarse],
+                      points[lanes, best]])
+    cost, params = profile(tried, means, w)
+    pick = np.argmin(cost, axis=0)
+    return tuple(np.choose(pick, p) for p in params)
+
+
+def _fit(law: str, stats) -> list[float]:
+    """One lane of :func:`_profile_fit`, polished by a bounded ``curve_fit``.
+
+    The polish uses the same model, weights and bounds, and starts at the
+    profile optimum; the cheaper of the two is kept.
+    """
+    lengths, means, sems = (np.array([getattr(s, f) for s in stats], dtype=float)
+                            for f in ("length", "mean", "sem"))
+    start = [float(p[0]) for p in _profile_fit(law, lengths, means[None], sems[None])]
+    if not all(np.isfinite(start)):
+        raise FitError(f"{law} decay fit returned non-finite parameters")
+    model = _LAWS[law].model
     try:
         with warnings.catch_warnings():
             # parameter covariance is unused (uncertainties come from the bootstrap)
             warnings.simplefilter("ignore", OptimizeWarning)
-            popt, _ = curve_fit(model, lengths, means, p0=p0,
-                                sigma=_fit_sigma(stats), bounds=bounds,
-                                maxfev=20000)
+            polished, _ = curve_fit(
+                model, lengths, means, p0=start,
+                sigma=sems if np.all(sems > 0) else None, maxfev=20000,
+                bounds=tuple(zip(*(PARAMETER_BOUNDS[n] for n in _LAWS[law].params))))
     except (RuntimeError, ValueError) as exc:
-        raise FitError(f"{what} decay fit failed: {exc}") from exc
-    params = [float(v) for v in popt]
-    if not all(np.isfinite(params)):
-        raise FitError(f"{what} decay fit returned non-finite parameters")
-    return params
+        raise FitError(f"{law} decay fit failed: {exc}") from exc
+    w = _lane_weights(sems)
+    return min(([float(v) for v in polished], start),
+               key=lambda p: _weighted_cost(w, means - model(lengths, *p)))
 
 
 def fit_standard(stats) -> StandardFit:
@@ -495,24 +621,22 @@ def fit_standard(stats) -> StandardFit:
     """
     if len(stats) < 2:
         raise DataFormatError("standard fit needs at least two distinct lengths")
-    lengths, means = _lengths_means(stats)
-    excess = means - 0.5
-    base0 = _rate_guess(lengths, excess, 1e-6, 1.0, 0.9)
-    amp0 = float(np.clip(excess[0] / base0 ** lengths[0] if excess[0] > 0 else 0.4,
-                         1e-6, 0.75))
-    amplitude, base = _decay_fit("standard", standard_decay, stats,
-                                 [amp0, base0], ([0.0, 1e-9], [0.75, 1.0]))
+    amplitude, base = _fit("standard", stats)
     return StandardFit(amplitude, base, stats)
+
+
+def _leakage_seepage(intercept, asymptote, t_minus):
+    """``leakage = 2B(1-t)``, ``seepage = 2C(1-t)`` from the pooled dark decay."""
+    return 2.0 * intercept * (1.0 - t_minus), 2.0 * asymptote * (1.0 - t_minus)
 
 
 def fit_leakage(stats, ls_ratio: float = 1.0) -> LeakageFit:
     """Fit pooled dark-outcome fractions to ``B * t**(l+1) + C``.
 
     ``stats`` is the dark-outcome half of :func:`per_length_stats`.
-    ``ls_ratio`` is the expected leakage/seepage ratio of the interleaved
-    channel (1 for measurement windows, below 1 when resets repump); it only
-    seeds the optimiser's starting point via
-    ``C0 = 1/(2(1+ratio))``, ``B0 = 1/2 - C0``.
+    ``ls_ratio`` (the expected leakage/seepage ratio) is ignored: the
+    search over ``t`` is global and needs no starting point.  It must still
+    be positive.
 
     Derived quantities: ``leakage = 2B(1-t)``, ``seepage = 2C(1-t)``.
     """
@@ -520,15 +644,9 @@ def fit_leakage(stats, ls_ratio: float = 1.0) -> LeakageFit:
         raise ValueError("ls_ratio must be positive")
     if len(stats) < 3:
         raise DataFormatError("leakage fit needs at least three distinct lengths")
-    lengths, means = _lengths_means(stats)
-    c0 = 1.0 / (2.0 * (1.0 + ls_ratio))
-    t0 = _rate_guess(lengths, means - c0, 1e-3, 1.0 - 1e-9, 0.95)
-    intercept, asymptote, t_minus = _decay_fit(
-        "leakage", leakage_decay, stats,
-        [0.5 - c0, c0, t0], ([0.0, 0.0, 1e-9], [1.0, 1.0, 1.0]))
-    leakage = 2.0 * intercept * (1.0 - t_minus)
-    seepage = 2.0 * asymptote * (1.0 - t_minus)
-    return LeakageFit(intercept, asymptote, t_minus, leakage, seepage, stats)
+    intercept, asymptote, t_minus = _fit("leakage", stats)
+    return LeakageFit(intercept, asymptote, t_minus,
+                      *_leakage_seepage(intercept, asymptote, t_minus), stats)
 
 
 def average_error(base: float, leakage: float) -> float:
@@ -564,55 +682,72 @@ _BOOTSTRAP_FIELDS = ("amplitude", "base", "intercept", "asymptote", "t_minus",
 
 @dataclass(frozen=True)
 class BootstrapResult:
+    """Refit samples of every resample that did not fail, and their spread.
+
+    ``at_bound`` counts, per fitted parameter, the refits that ended on one
+    of its :data:`PARAMETER_BOUNDS`; they count as successful refits.
+    """
+
     n_resamples: int
     failures: int
     sigmas: dict
     samples: dict = field(repr=False)
+    at_bound: dict = field(default_factory=dict)
 
 
-def bootstrap_analysis(dataset: RBDataset, n_resamples: int = 200,
-                       seed=None, ls_ratio: float = 1.0) -> BootstrapResult:
-    """Semi-parametric bootstrap of both decay fits.
+def _resample_stats(dataset: RBDataset, n_resamples: int, rng) -> np.ndarray:
+    """Per-length statistics of every bootstrap resample.
 
     Each resample draws sequences with replacement within every length, then
     redraws each chosen sequence's counts binomially around its empirical
-    dark rate, and refits.  More than 10% failed refits raises
+    dark rate.  Returns the (correct mean, correct SEM, dark mean, dark SEM)
+    stack, shape ``(4, n_resamples, lengths)``; the draws themselves are
+    never stored.
+    """
+    columns = _length_columns(dataset)
+    stats = np.empty((4, n_resamples, len(columns)))
+    for i in range(n_resamples):
+        for k, (_, shots, darks, targets) in enumerate(columns):
+            picks = rng.integers(0, shots.size, shots.size)
+            n = shots[picks]
+            correct, dark = _fractions(n, rng.binomial(n, darks[picks] / n),
+                                       targets[picks])
+            stats[:, i, k] = (*_mean_sem(correct), *_mean_sem(dark))
+    return stats
+
+
+def bootstrap_analysis(dataset: RBDataset, n_resamples: int = 200,
+                       seed=None) -> BootstrapResult:
+    """Semi-parametric bootstrap of both decay fits.
+
+    Resamples as :func:`_resample_stats` describes, then refits both laws
+    for all resamples at once (:func:`_profile_fit`).  A refit with a
+    non-finite parameter fails; more than 10% failed refits raises
     :class:`FitError` (the dataset does not support a stable analysis).
     """
     if n_resamples < 2:
         raise ValueError("need at least two resamples")
-    rng = np.random.default_rng(seed)
-    columns = _length_columns(dataset)
-    samples: dict[str, list[float]] = {k: [] for k in _BOOTSTRAP_FIELDS}
-    failures = 0
-    for _ in range(n_resamples):
-        resampled = []
-        for length, shots, darks, targets in columns:
-            picks = rng.integers(0, shots.size, shots.size)
-            n = shots[picks]
-            resampled.append((length, n, rng.binomial(n, darks[picks] / n),
-                              targets[picks]))
-        correct, dark = _stats(resampled)
-        try:
-            std = fit_standard(correct)
-            leak = fit_leakage(dark, ls_ratio=ls_ratio)
-        except FitError:
-            failures += 1
-            continue
-        est = scattering_estimates(std.base, leak.t_minus)
-        values = {**vars(std), **vars(leak),
-                  "epsilon": average_error(std.base, leak.leakage),
-                  "scattering_standard": est.standard,
-                  "scattering_leakage": est.leakage}
-        for name in _BOOTSTRAP_FIELDS:
-            samples[name].append(values[name])
+    stats = _resample_stats(dataset, n_resamples, np.random.default_rng(seed))
+    lengths = np.array(dataset.lengths, dtype=float)
+    values = {}
+    for law, means, sems in (("standard", *stats[:2]), ("leakage", *stats[2:])):
+        values.update(zip(_LAWS[law].params, _profile_fit(law, lengths, means, sems)))
+    values["leakage"], values["seepage"] = _leakage_seepage(
+        values["intercept"], values["asymptote"], values["t_minus"])
+    values["epsilon"] = average_error(values["base"], values["leakage"])
+    est = scattering_estimates(values["base"], values["t_minus"])
+    values["scattering_standard"], values["scattering_leakage"] = est.standard, est.leakage
+    ok = np.all([np.isfinite(v) for v in values.values()], axis=0)
+    failures = n_resamples - int(ok.sum())
     if failures > BOOTSTRAP_FAILURE_BUDGET * n_resamples:
         raise FitError(
             f"bootstrap unstable: {failures}/{n_resamples} refits failed")
-    arrays = {k: np.array(v) for k, v in samples.items()}
-    sigmas = {k: float(a.std(ddof=1)) for k, a in arrays.items()}
+    samples = {k: values[k][ok] for k in _BOOTSTRAP_FIELDS}
+    sigmas = {k: float(a.std(ddof=1)) for k, a in samples.items()}
+    at_bound = {k: int(np.isin(samples[k], bounds).sum())
+                for k, bounds in PARAMETER_BOUNDS.items()}
     return BootstrapResult(n_resamples=n_resamples, failures=failures,
-                           sigmas=sigmas, samples=arrays)
+                           sigmas=sigmas, samples=samples, at_bound=at_bound)
 
 
 @dataclass(frozen=True)
@@ -655,14 +790,16 @@ class AnalysisResult:
 
 def analyze_dataset(dataset: RBDataset, ls_ratio: float = 1.0,
                     resamples: int = 200, seed=None) -> AnalysisResult:
-    """Run both decay fits plus the bootstrap (``resamples=0`` skips it)."""
+    """Run both decay fits plus the bootstrap (``resamples=0`` skips it).
+
+    ``ls_ratio`` is ignored, as by :func:`fit_leakage`, and must be positive.
+    """
     correct, dark = per_length_stats(dataset)
     std = fit_standard(correct)
     leak = fit_leakage(dark, ls_ratio=ls_ratio)
     boot = None
     if resamples:
-        boot = bootstrap_analysis(dataset, n_resamples=resamples, seed=seed,
-                                  ls_ratio=ls_ratio)
+        boot = bootstrap_analysis(dataset, n_resamples=resamples, seed=seed)
     counts = {s.length: s.n_sequences for s in correct}
     shots = tuple(sorted({r.shots for r in dataset.records}))
     return AnalysisResult(
@@ -968,9 +1105,9 @@ def run_experiment(config: ExperimentConfig, seed=None,
     """Simulate and analyse one experiment end to end.
 
     One set of sequences is shared by all probes (they ride the same
-    circuits); each probe gets its own sampling stream.  The leakage fit's
-    starting ratio is taken from the probe's exact channel, which is
-    available here because the data is synthetic.
+    circuits); each probe gets its own sampling stream.  The probe's exact
+    channel gives the reference figures of merit; the analysis never reads
+    it.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seq_ss, focus_ss, probes_ss = ss.spawn(3)
@@ -987,15 +1124,11 @@ def run_experiment(config: ExperimentConfig, seed=None,
             slot = probe.slot_channel(config.interleaved_ops)
         except ConfigError as exc:
             raise ConfigError(f"{config.name}: probes.{label}: {exc}") from exc
-        ref = channel_reference(slot)
-        ratio = ref.leakage / ref.seepage if ref.seepage > 1e-15 else 1.0
         dataset = simulate_dataset(sequences, slot, config.shots,
                                    spam=probe.spam, seed=sample_ss)
-        analysis = analyze_dataset(dataset, ls_ratio=max(ratio, 1e-3),
-                                   resamples=resamples, seed=boot_ss)
         datasets[label] = dataset
-        analyses[label] = analysis
-        references[label] = ref
+        analyses[label] = analyze_dataset(dataset, resamples=resamples, seed=boot_ss)
+        references[label] = channel_reference(slot)
 
     focus_records = simulate_focus(
         sequences, config.interleaved_ops, config.initial_focus_state,

@@ -2,10 +2,13 @@
 
 The all-sequences survival average here accumulates the running Clifford
 product exactly; the package's closed-form ``rb.decay_coefficients`` must
-match it.  The record-based bootstrap here rebuilds every resample as records, one
-scalar binomial draw each; the package's per-length array bootstrap must
-reproduce it draw for draw.  The per-sequence focus simulation here runs
-one trajectory array per sequence; the package's per-length batched
+match it.  The record-based bootstrap here rebuilds every resample as
+records, one scalar binomial draw each; the package's per-length array
+bootstrap must reproduce its per-resample statistics draw for draw.  The
+``curve_fit`` fits here are a local solver from a guessed start point; the
+package's variable-projection fits must reach an equal or lower weighted
+cost.  The per-sequence focus simulation here runs one trajectory array per
+sequence; the package's per-length batched
 ``rb.simulate_focus`` must return the same table whenever no random draw
 decides it, and the same statistics otherwise.  The Lindblad oracle here
 intentionally uses a different construction from the package (one 16x16
@@ -18,11 +21,13 @@ from __future__ import annotations
 
 import dataclasses
 
+import warnings
+
 import numpy as np
 from scipy.linalg import expm
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from mcmr import channels, clifford, liouville, rb
-from mcmr.errors import FitError
 
 
 def lindblad_vec_oracle(rates: np.ndarray) -> np.ndarray:
@@ -181,19 +186,16 @@ def record_stats(dataset: rb.RBDataset, value) -> tuple:
     return tuple(stats)
 
 
-def record_bootstrap(dataset: rb.RBDataset, n_resamples: int, seed,
-                     ls_ratio: float = 1.0) -> tuple[int, dict]:
-    """Record-based bootstrap: ``(failures, samples)`` as ``rb.bootstrap_analysis``.
+def record_resample_stats(dataset: rb.RBDataset, n_resamples: int, seed) -> np.ndarray:
+    """Record-based bootstrap statistics, stacked as ``rb._resample_stats`` returns them.
 
     Every resample is rebuilt as a new dataset of records (one
     ``dataclasses.replace`` and one scalar binomial draw per chosen record)
-    and the fit inputs come from the record properties.  The fits are the
-    package's, called through the module like the bootstrap calls them.
+    and its statistics come from the record properties.
     """
     rng = np.random.default_rng(seed)
     groups = dataset.by_length()
-    samples = {k: [] for k in rb._BOOTSTRAP_FIELDS}
-    failures = 0
+    lanes = []
     for _ in range(n_resamples):
         records = []
         for _, group in sorted(groups.items()):
@@ -203,26 +205,61 @@ def record_bootstrap(dataset: rb.RBDataset, n_resamples: int, seed,
                 dark = int(rng.binomial(r.shots, r.dark_counts / r.shots))
                 records.append(dataclasses.replace(r, dark_counts=dark))
         resampled = rb.RBDataset(tuple(records))
-        try:
-            std = rb.fit_standard(record_stats(resampled,
-                                               lambda r: r.correct_fraction))
-            leak = rb.fit_leakage(record_stats(resampled, lambda r: r.dark_fraction),
-                                  ls_ratio=ls_ratio)
-        except FitError:
-            failures += 1
-            continue
-        est = rb.scattering_estimates(std.base, leak.t_minus)
-        samples["amplitude"].append(std.amplitude)
-        samples["base"].append(std.base)
-        samples["intercept"].append(leak.intercept)
-        samples["asymptote"].append(leak.asymptote)
-        samples["t_minus"].append(leak.t_minus)
-        samples["leakage"].append(leak.leakage)
-        samples["seepage"].append(leak.seepage)
-        samples["epsilon"].append(rb.average_error(std.base, leak.leakage))
-        samples["scattering_standard"].append(est.standard)
-        samples["scattering_leakage"].append(est.leakage)
-    return failures, {k: np.array(v) for k, v in samples.items()}
+        correct = record_stats(resampled, lambda r: r.correct_fraction)
+        dark = record_stats(resampled, lambda r: r.dark_fraction)
+        lanes.append([[s.mean for s in correct], [s.sem for s in correct],
+                      [s.mean for s in dark], [s.sem for s in dark]])
+    return np.array(lanes).transpose(1, 0, 2)
+
+
+def _rate_guess(lengths, excess, lo: float, hi: float, default: float) -> float:
+    """Per-step decay rate of ``excess`` (means above the asymptote) from its ends."""
+    first, last = excess[0], excess[-1]
+    if first > 1e-12 and last > 1e-12 and lengths[-1] > lengths[0]:
+        return float(np.clip((last / first) ** (1.0 / (lengths[-1] - lengths[0])),
+                             lo, hi))
+    return default
+
+
+def curve_fit_decay(law: str, lengths, means, sems, ls_ratio: float = 1.0,
+                    tol: float = 1e-8) -> list[float]:
+    """One bounded, SEM-weighted ``curve_fit`` of a decay law from a guessed start.
+
+    ``law`` is ``"standard"`` (returns amplitude, base) or ``"leakage"``
+    (intercept, asymptote, t_minus).  The start point comes from the ends
+    of the data and, for the leakage law, from ``ls_ratio`` through
+    ``C0 = 1/(2(1+ratio))``; the solver is local, so it can stop at a local
+    optimum.  Unweighted when any SEM is zero.  ``tol`` is the solver's
+    ``ftol``, ``xtol`` and ``gtol``; at the default 1e-8 its parameters
+    can be 1e-8 off its own optimum.
+    """
+    lengths, means, sems = (np.asarray(v, dtype=float) for v in (lengths, means, sems))
+    if law == "standard":
+        model, bounds = rb.standard_decay, ([0.0, 1e-9], [0.75, 1.0])
+        excess = means - 0.5
+        base0 = _rate_guess(lengths, excess, 1e-6, 1.0, 0.9)
+        p0 = [float(np.clip(excess[0] / base0 ** lengths[0] if excess[0] > 0 else 0.4,
+                            1e-6, 0.75)), base0]
+    else:
+        model, bounds = rb.leakage_decay, ([0.0, 0.0, 1e-9], [1.0, 1.0, 1.0])
+        c0 = 1.0 / (2.0 * (1.0 + ls_ratio))
+        p0 = [0.5 - c0, c0, _rate_guess(lengths, means - c0, 1e-3, 1.0 - 1e-9, 0.95)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        popt, _ = curve_fit(model, lengths, means, p0=p0,
+                            sigma=None if np.any(sems <= 0) else sems,
+                            bounds=bounds, maxfev=20000, ftol=tol, xtol=tol, gtol=tol)
+    return [float(v) for v in popt]
+
+
+def weighted_cost(law: str, lengths, means, sems, params) -> float:
+    """``sum ((mean - model) / sem)**2``, or unweighted when any SEM is zero."""
+    model = rb.standard_decay if law == "standard" else rb.leakage_decay
+    lengths, means, sems = (np.asarray(v, dtype=float) for v in (lengths, means, sems))
+    residuals = means - model(lengths, *params)
+    if np.all(sems > 0):
+        residuals = residuals / sems
+    return float(np.sum(residuals ** 2))
 
 
 def focus_oracle(sequences, interleaved_ops, initial_state: int,

@@ -460,12 +460,20 @@ def test_fit_bad_flags_exit_2(tmp_path, capsys):
     assert cli.main(["benchmark", "--config", config_path,
                      "--out", str(bench_out), "--resamples", "0"]) == 0
     data = str(bench_out / "measure-dark_probe.csv")
-    for flags in (["--ls-ratio", "-1"], ["--ls-ratio", "nan"],
-                  ["--resamples", "1"], ["--resamples", "-3"]):
+    for flags in (["--resamples", "1"], ["--resamples", "-3"]):
         rc = cli.main(["fit", "--data", data, "--out", str(tmp_path / "out"),
                        *flags])
         assert rc == 2, flags
         assert_one_error_line(capsys)
+    # the fits need no start point, so the flag that steered it is gone
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit", "--data", data, "--out", str(tmp_path / "out"),
+                  "--ls-ratio", "0.5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: mcmr ") and len(err) == 2
+    assert err[1].endswith("error: unrecognized arguments: --ls-ratio 0.5")
+    assert not (tmp_path / "out").exists()
 
 
 def test_fit_duplicate_rows_exit_3(tmp_path, capsys):

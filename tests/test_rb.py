@@ -6,11 +6,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 
 from mcmr import channels, clifford, liouville, rb
 from mcmr.errors import ConfigError, DataFormatError, FitError
-from synthetic import (exact_average_survival, focus_oracle,
-                       random_lambda_channel, record_bootstrap, record_stats)
+from synthetic import (curve_fit_decay, exact_average_survival, focus_oracle,
+                       random_lambda_channel, record_resample_stats, record_stats,
+                       weighted_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -380,6 +382,55 @@ def test_fit_leakage_requires_three_lengths_and_valid_ratio():
                        ls_ratio=0.0)
 
 
+def test_fit_leakage_ignores_ls_ratio():
+    ds = _oracle_dataset("balanced")
+    dark = rb.per_length_stats(ds)[1]
+    assert rb.fit_leakage(dark, ls_ratio=0.05) == rb.fit_leakage(dark, ls_ratio=20.0)
+    assert (rb.analyze_dataset(ds, ls_ratio=0.05, resamples=0).to_dict()
+            == rb.analyze_dataset(ds, resamples=0).to_dict())
+    with pytest.raises(ValueError):
+        rb.analyze_dataset(ds, ls_ratio=-1.0, resamples=0)
+
+
+def _law_stats(stats) -> tuple:
+    """(lengths, means, SEMs) of one half of ``per_length_stats``."""
+    return tuple(np.array([getattr(s, f) for s in stats], dtype=float)
+                 for f in ("length", "mean", "sem"))
+
+
+def assert_no_costlier(law: str, lengths, means, sems, params, oracle) -> None:
+    """``params`` reach the oracle's weighted cost or lower.
+
+    Slack: 1e-12 of the oracle's cost, plus 1e-20 of the weighted sum of
+    squared means, the rounding floor of an exactly determined fit.
+    """
+    ours = weighted_cost(law, lengths, means, sems, params)
+    theirs = weighted_cost(law, lengths, means, sems, oracle)
+    floor = weighted_cost("leakage", lengths, means, sems, [0.0, 0.0, 1.0])  # model 0
+    assert ours <= theirs * (1 + 1e-12) + 1e-20 * floor, (law, params, oracle, ours, theirs)
+
+
+@pytest.mark.parametrize("case", ["balanced", "unbalanced", "unequal-shots", "campaign"])
+def test_point_fits_match_or_beat_curve_fit(case):
+    """Polished fits reach the curve_fit oracle's cost or lower; standard parameters agree."""
+    if case == "campaign":
+        seqs = rb.generate_sequences(seed=71)
+        probe = rb.standard_experiments()[-1].probes["probe"]
+        slot = probe.slot_channel(("measure", "reset"))
+        ds = rb.simulate_dataset(seqs, slot, shots=100, seed=72)
+    else:
+        ds = _oracle_dataset(case)
+    correct, dark = rb.per_length_stats(ds)
+    std, leak = rb.fit_standard(correct), rb.fit_leakage(dark)
+    args = ("standard", *_law_stats(correct))
+    params = [std.amplitude, std.base]
+    assert_no_costlier(*args, params, curve_fit_decay(*args))
+    np.testing.assert_allclose(params, curve_fit_decay(*args, tol=1e-15), rtol=0, atol=1e-8)
+    args = ("leakage", *_law_stats(dark))
+    assert_no_costlier(*args, [leak.intercept, leak.asymptote, leak.t_minus],
+                       curve_fit_decay(*args))
+
+
 def test_fits_recover_channel_truth_from_simulation():
     """Round trip at generous sampling so statistical error is small."""
     gamma_t = 5e-3
@@ -444,17 +495,33 @@ def test_bootstrap_deterministic_and_reports_failures():
     assert len(a.samples["base"]) == 40 - a.failures
 
 
+def _nan_lanes(monkeypatch, lanes_of) -> None:
+    """Make the leakage refits of the lanes ``lanes_of(params)`` selects non-finite."""
+    real = rb._profile_fit
+
+    def failing(law, lengths, means, sems):
+        params = real(law, lengths, means, sems)
+        if law == "leakage":
+            bad = lanes_of(params)
+            params = tuple(np.where(bad, np.nan, p) for p in params)
+        return params
+
+    monkeypatch.setattr(rb, "_profile_fit", failing)
+
+
 def test_bootstrap_instability_raises(monkeypatch):
+    """More than 10% non-finite refits raise; up to 10% are counted failures."""
     seqs = rb.generate_sequences(lengths=(2, 9, 30), sequences_per_length=6,
                                  seed=39)
     ds = rb.simulate_dataset(seqs, channels.measurement_crosstalk(5e-3),
                              shots=50, seed=40)
-
-    def unstable(dataset):
-        raise FitError("synthetic failure")
-
-    monkeypatch.setattr(rb, "fit_standard", unstable)
-    with pytest.raises(FitError, match="unstable"):
+    failing = [2]
+    _nan_lanes(monkeypatch, lambda params: np.arange(params[0].size) < failing[0])
+    boot = rb.bootstrap_analysis(ds, n_resamples=20, seed=41)
+    assert boot.failures == 2
+    assert all(np.all(np.isfinite(v)) and v.size == 18 for v in boot.samples.values())
+    failing[0] = 3
+    with pytest.raises(FitError, match="unstable: 3/20"):
         rb.bootstrap_analysis(ds, n_resamples=20, seed=41)
     with pytest.raises(ValueError):
         rb.bootstrap_analysis(ds, n_resamples=1)
@@ -490,35 +557,104 @@ def _oracle_dataset(case: str) -> rb.RBDataset:
 @pytest.mark.parametrize("case", ["balanced", "unbalanced", "unequal-shots",
                                   "failing-refits"])
 def test_bootstrap_matches_record_oracle(case, monkeypatch):
-    """The array bootstrap reproduces the record-based one draw for draw."""
+    """The array bootstrap draws the record-based one's resamples, and fits them
+    at least as well as ``curve_fit``."""
     ds = _oracle_dataset(case)
     correct, dark = rb.per_length_stats(ds)
     assert correct == record_stats(ds, lambda r: r.correct_fraction)
     assert dark == record_stats(ds, lambda r: r.dark_fraction)
+    stats = record_resample_stats(ds, 60, seed=66)
+    np.testing.assert_array_equal(
+        rb._resample_stats(ds, 60, np.random.default_rng(66)), stats)
+    kept = np.ones(60, dtype=bool)
     if case == "failing-refits":
-        # the refits with the top 5% of asymptotes fail, so equal failure
-        # counts need equal resamples
-        real_fit_leakage = rb.fit_leakage
-        cutoff = np.quantile(rb.bootstrap_analysis(
-            ds, n_resamples=60, seed=66, ls_ratio=0.8).samples["asymptote"], 0.95)
+        # the refits with the top 5% of asymptotes fail
+        asymptote = rb._profile_fit("leakage", np.array(ds.lengths, dtype=float),
+                                    stats[2], stats[3])[1]
+        cutoff = np.quantile(asymptote, 0.95)
+        kept = asymptote <= cutoff
+        assert not kept.all()
+        _nan_lanes(monkeypatch, lambda params: params[1] > cutoff)
+    boot = rb.bootstrap_analysis(ds, n_resamples=60, seed=66)
+    assert boot.failures == 60 - kept.sum()
+    assert list(boot.samples) == list(rb._BOOTSTRAP_FIELDS)
+    lengths = np.array(ds.lengths, dtype=float)
+    s = boot.samples
+    for lane, i in enumerate(np.flatnonzero(kept)):
+        args = ("standard", lengths, stats[0, i], stats[1, i])
+        oracle = curve_fit_decay(*args)
+        assert_no_costlier(*args, [s["amplitude"][lane], s["base"][lane]], oracle)
+        np.testing.assert_allclose([s["amplitude"][lane], s["base"][lane]],
+                                   curve_fit_decay(*args, tol=1e-15), rtol=0, atol=1e-8)
+        args = ("leakage", lengths, stats[2, i], stats[3, i])
+        assert_no_costlier(*args, [s[n][lane] for n in ("intercept", "asymptote", "t_minus")],
+                           curve_fit_decay(*args, ls_ratio=0.8))
 
-        def flaky(stats, ls_ratio=1.0):
-            fit = real_fit_leakage(stats, ls_ratio=ls_ratio)
-            if fit.asymptote > cutoff:
-                raise FitError("synthetic failure")
-            return fit
 
-        monkeypatch.setattr(rb, "fit_leakage", flaky)
-    boot = rb.bootstrap_analysis(ds, n_resamples=60, seed=66, ls_ratio=0.8)
-    failures, samples = record_bootstrap(ds, n_resamples=60, seed=66,
-                                         ls_ratio=0.8)
-    assert boot.failures == failures
-    if case == "failing-refits":
-        assert failures > 0
-    assert set(boot.samples) == set(samples)
-    for name, values in samples.items():
-        assert len(values) == 60 - failures
-        np.testing.assert_array_equal(boot.samples[name], values, err_msg=name)
+def test_bootstrap_counts_refits_at_a_bound():
+    """On a dataset where many leakage refits end on a bound, ``at_bound`` counts them."""
+    result = rb.analyze_dataset(_oracle_dataset("balanced"), resamples=60, seed=66)
+    boot = result.bootstrap
+    direct = {name: int(np.sum(np.min(np.abs(boot.samples[name][:, None] - np.array(b)),
+                                      axis=1) < 1e-6))
+              for name, b in rb.PARAMETER_BOUNDS.items()}
+    assert boot.at_bound == direct
+    assert boot.at_bound["t_minus"] > 0 and boot.at_bound["intercept"] > 0
+    # not part of the written results
+    assert set(result.to_dict()["bootstrap"]) == {"n_resamples", "failures", "sigmas"}
+
+
+def test_profile_fit_lane_equals_one_lane_fit():
+    stats = rb._resample_stats(_oracle_dataset("unequal-shots"), 40,
+                               np.random.default_rng(5))
+    lengths = np.array([2.0, 9.0, 30.0])
+    for law, half in (("standard", 0), ("leakage", 2)):
+        means, sems = stats[half], stats[half + 1]
+        batch = rb._profile_fit(law, lengths, means, sems)
+        for i in range(0, 40, 3):
+            one = rb._profile_fit(law, lengths, means[i:i + 1], sems[i:i + 1])
+            assert [p[i] for p in batch] == [p[0] for p in one], i
+        # a lane with non-finite statistics fails alone
+        means = means.copy()
+        means[7, 1] = np.nan
+        broken = rb._profile_fit(law, lengths, means, sems)
+        assert not all(np.isfinite(p[7]) for p in broken)
+        for p, q in zip(broken, batch):
+            np.testing.assert_array_equal(np.delete(p, 7), np.delete(q, 7))
+
+
+def _box_cost(x, y, w, b, c):
+    return float(np.sum(w * (y - b * x - c) ** 2))
+
+
+def test_box_constrained_linear_fit_is_exact():
+    """(B, C) in [0, 1]**2 is the exact bounded least-squares solution.
+
+    Checked against scipy's ``lsq_linear`` on random lanes, and on a lane
+    where clipping the free solution's B and C one at a time costs more.
+    """
+    x = np.array([1.0, 0.6, 0.2])
+    y = np.array([1.25, 0.75, 0.3])
+    w = np.array([1.0, 4.0, 2.0])
+    b_free, c_free = np.polyfit(x, y, 1, w=np.sqrt(w))
+    assert b_free > 1.0 and 0.0 <= c_free <= 1.0
+    cost, (b, c) = rb._intercept_asymptote_fit(x[None], y[None], w[None])
+    naive = _box_cost(x, y, w, 1.0, c_free)
+    assert b[0] == 1.0 and cost[0] < naive - 1e-3
+    assert cost[0] == pytest.approx(_box_cost(x, y, w, 1.0, float(np.average(y - x, weights=w))))
+
+    rng = np.random.default_rng(8)
+    x = np.sort(rng.uniform(0.0, 1.0, (300, 3)), axis=1)[:, ::-1]
+    y = rng.uniform(-0.5, 1.5, (300, 3))
+    w = rng.uniform(0.1, 10.0, (300, 3))
+    cost, (b, c) = rb._intercept_asymptote_fit(x, y, w)
+    for i in range(300):
+        root = np.sqrt(w[i])
+        ref = lsq_linear(np.column_stack([x[i], np.ones(3)]) * root[:, None], y[i] * root,
+                         bounds=([0.0, 0.0], [1.0, 1.0]), tol=1e-14)
+        assert cost[i] <= _box_cost(x[i], y[i], w[i], *ref.x) * (1 + 1e-12) + 1e-15
+        assert cost[i] == pytest.approx(_box_cost(x[i], y[i], w[i], b[i], c[i]), rel=1e-12)
+        assert 0.0 <= b[i] <= 1.0 and 0.0 <= c[i] <= 1.0
 
 
 def test_analyze_dataset_structure():
