@@ -8,8 +8,9 @@ Four subcommands, all file-driven and deterministic for a fixed ``--seed``:
 * ``fit``        re-analyse an existing dataset CSV.
 
 Exit codes: 0 success, 2 configuration or output-path error, 3 data-format
-error, 4 fit failure.  Floating-point values in CSV output carry 17 significant
-digits so files round-trip exactly.
+error, 4 fit failure, 5 internal error (a defect of the program; its
+traceback is logged at debug level on the ``mcmr`` logger).  Floating-point
+values in CSV output carry 17 significant digits so files round-trip exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import logging
 import math
 import os
 import sys
@@ -356,6 +358,11 @@ def main(argv=None) -> int:
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except Exception as exc:  # last resort: one line, never a traceback
+        logging.getLogger("mcmr").debug("internal error", exc_info=True)
+        message = " ".join(str(exc).split())
+        print(f"error: internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -419,9 +419,11 @@ def _length_columns(dataset: RBDataset) -> list[tuple]:
             for length, group in sorted(dataset.by_length().items())]
 
 
-def _mean_sem(values: np.ndarray) -> tuple[float, float]:
-    sem = float(values.std(ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
-    return float(values.mean()), sem
+def _mean_sem(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of the mean over the last axis (0 for one value)."""
+    n = values.shape[-1]
+    sem = values.std(-1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(values.shape[:-1])
+    return values.mean(-1), sem
 
 
 def _fractions(shots, darks, targets) -> tuple[np.ndarray, np.ndarray]:
@@ -435,7 +437,7 @@ def per_length_stats(dataset: RBDataset) -> tuple[tuple[PerLengthStats, ...],
     correct, dark = [], []
     for length, shots, darks, targets in _length_columns(dataset):
         for out, values in zip((correct, dark), _fractions(shots, darks, targets)):
-            out.append(PerLengthStats(length, values.size, *_mean_sem(values)))
+            out.append(PerLengthStats(length, values.size, *map(float, _mean_sem(values))))
     return tuple(correct), tuple(dark)
 
 
@@ -469,6 +471,8 @@ _ZOOM = np.linspace(0.0, 1.0, 17)
 _ZOOM_STEPS = 14
 #: lanes per block of the coarse grid, which bounds its temporaries
 _GRID_LANES = 16
+#: bootstrap resamples whose per-sequence fractions are held at once
+_RESAMPLE_BLOCK = 64
 
 
 def _lane_weights(sems: np.ndarray) -> np.ndarray:
@@ -495,6 +499,19 @@ def _amplitude_fit(x, y, w):
     return _weighted_cost(w, r - amplitude[..., None] * x), (amplitude,)
 
 
+def _amplitude_grid_cost(x, y, w):
+    """:func:`_amplitude_fit`'s cost of every lane (rows of ``y``, ``w``) at every
+    rate (rows of ``x``), as (lanes, rates), from each lane's weighted sums.
+
+    The cost of ``A`` is ``sum w r**2 - A (2 sum w x r - A sum w x**2)``.
+    """
+    r = y - 0.5
+    wr = w * r
+    sxr, sxx = wr @ x.T, w @ (x * x).T
+    amplitude = _clipped_ratio(sxr, sxx, PARAMETER_BOUNDS["amplitude"][1])
+    return (wr * r).sum(-1, keepdims=True) - amplitude * (2.0 * sxr - amplitude * sxx)
+
+
 def _intercept_asymptote_fit(x, y, w):
     """``(B, C)`` in [0, 1]**2 minimising ``sum w (y - B x - C)**2``: cost and ``(B, C)``.
 
@@ -510,7 +527,21 @@ def _intercept_asymptote_fit(x, y, w):
     x_mean, y_mean = sx / sw, sy / sw
     dx = x - x_mean[..., None]
     sxx_c, sxy_c = (w * dx * dx).sum(-1), (w * dx * (y - y_mean[..., None])).sum(-1)
-    # candidates: free, B = 0, B = 1, C = 0, C = 1
+    b, c, free = _box_candidates(sx, sxx, sxy, x_mean, y_mean, sxx_c, sxy_c)
+    cost = _weighted_cost(w, y - b[..., None] * x - c[..., None])
+    cost[0] = np.where(free, cost[0], np.inf)
+    pick = np.argmin(cost, axis=0)
+    return np.choose(pick, cost), (np.choose(pick, b), np.choose(pick, c))
+
+
+def _box_candidates(sx, sxx, sxy, x_mean, y_mean, sxx_c, sxy_c):
+    """The five (B, C) candidates of the box fit, from a lane's weighted sums.
+
+    ``sx``, ``sxx``, ``sxy`` are ``sum w x``, ``sum w x**2``, ``sum w x y``;
+    ``sxx_c``, ``sxy_c`` the same sums about the weighted means.  Returns
+    ``b``, ``c`` stacked as (free, B = 0, B = 1, C = 0, C = 1) and whether
+    the free solution lies in the box.
+    """
     b, c = np.empty((5, *sxx.shape)), np.empty((5, *sxx.shape))
     b[0] = _clipped_ratio(sxy_c, sxx_c, 1.0)
     c[0] = y_mean - b[0] * x_mean
@@ -518,11 +549,35 @@ def _intercept_asymptote_fit(x, y, w):
     b[2], c[2] = 1.0, np.minimum(np.maximum(y_mean - x_mean, 0.0), 1.0)
     b[3], c[3] = _clipped_ratio(sxy, sxx, 1.0), 0.0
     b[4], c[4] = _clipped_ratio(sxy - sx, sxx, 1.0), 1.0
-    cost = _weighted_cost(w, y - b[..., None] * x - c[..., None])
     free = (sxx_c > 0) & (sxy_c >= 0) & (sxy_c <= sxx_c) & (c[0] >= 0) & (c[0] <= 1)
+    return b, c, free
+
+
+def _intercept_asymptote_grid_cost(x, y, w):
+    """:func:`_intercept_asymptote_fit`'s cost of every lane (rows of ``y``,
+    ``w``) at every rate (rows of ``x``), as (lanes, rates), from weighted sums.
+
+    ``u = x - x_ref`` shifts each rate's ``x`` by its mean over lengths and
+    ``y~ = y - y_mean`` centres each lane on its weighted mean, so the sums
+    hold spreads, not offsets.  With ``d = y_mean - C - B x_ref`` the cost of
+    (B, C) is ``sum w (y~ - B u + d)**2 = sum w y~**2 + B (B sum w u**2
+    - 2 sum w u y~ - 2 d sum w u) + d**2 sum w``.
+    """
+    x_ref = x.mean(-1)
+    u = x - x_ref[:, None]
+    sw = w.sum(-1, keepdims=True)
+    y_mean = (w * y).sum(-1, keepdims=True) / sw
+    y_c = y - y_mean
+    su, suu, suy = w @ u.T, w @ (u * u).T, (w * y_c) @ u.T
+    x_mean = x_ref + su / sw
+    sxx_c = suu - su * su / sw
+    b, c, free = _box_candidates(sw * x_mean, sxx_c + sw * x_mean * x_mean,
+                                 suy + sw * x_mean * y_mean, x_mean, y_mean, sxx_c, suy)
+    d = y_mean - c - b * x_ref
+    cost = ((w * y_c * y_c).sum(-1, keepdims=True)
+            + b * (b * suu - 2.0 * (suy + d * su)) + d * d * sw)
     cost[0] = np.where(free, cost[0], np.inf)
-    pick = np.argmin(cost, axis=0)
-    return np.choose(pick, cost), (np.choose(pick, b), np.choose(pick, c))
+    return cost.min(0)
 
 
 @dataclass(frozen=True)
@@ -533,13 +588,18 @@ class _Law:
     #: ``linear_fit(rate**(length + exponent_offset), means, weights)``
     #: returns the minimal cost and the optimal linear parameters
     linear_fit: object
+    #: ``grid_cost(x, means, weights)``: ``linear_fit``'s cost of every lane
+    #: at every row of the (rates, lengths) array ``x``
+    grid_cost: object
     exponent_offset: float
     #: parameter names in model order, rate last
     params: tuple[str, ...]
 
 
-_LAWS = {"standard": _Law(standard_decay, _amplitude_fit, 0.0, ("amplitude", "base")),
-         "leakage": _Law(leakage_decay, _intercept_asymptote_fit, 1.0,
+_LAWS = {"standard": _Law(standard_decay, _amplitude_fit, _amplitude_grid_cost, 0.0,
+                          ("amplitude", "base")),
+         "leakage": _Law(leakage_decay, _intercept_asymptote_fit,
+                         _intercept_asymptote_grid_cost, 1.0,
                          ("intercept", "asymptote", "t_minus"))}
 
 
@@ -552,12 +612,15 @@ def _profile_fit(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]:
     ``-ln r`` brackets its global minimum, finer grids on the bracket
     refine it, and the cheapest of that result, the best coarse point and
     both bounds wins (a tie goes to rate 1, then the floor, then the coarse
-    point).  ``means`` and ``sems`` are (lanes, lengths) arrays; returns the
-    law's parameters, rate last, as (lanes,) arrays.  A lane with
-    non-finite statistics gets non-finite parameters.
+    point).  The coarse rates are the same for every lane, so the law's
+    ``grid_cost`` scores them from each lane's weighted sums; the finer
+    grids and the final pick use ``linear_fit``, which every reported
+    parameter comes from.  ``means`` and ``sems`` are (lanes, lengths)
+    arrays; returns the law's parameters, rate last, as (lanes,) arrays.  A
+    lane with non-finite statistics gets non-finite parameters.
     """
     w = _lane_weights(sems)
-    linear_fit = _LAWS[law].linear_fit
+    linear_fit, grid_cost = _LAWS[law].linear_fit, _LAWS[law].grid_cost
     exponents = lengths + _LAWS[law].exponent_offset
 
     def profile(exponent, y, w):
@@ -565,19 +628,17 @@ def _profile_fit(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]:
         cost, params = linear_fit(rate[..., None] ** exponents, y, w)
         return cost, (*params, rate)
 
-    def best_of(exponent, block=slice(None)):  # exponent: points or (lanes, points)
-        cost = profile(exponent, means[block, None], w[block, None])[0]
-        return np.argmin(cost, axis=-1)
-
     n = len(means)
-    coarse = np.concatenate([best_of(_GRID, slice(i, i + _GRID_LANES))
-                             for i in range(0, n, _GRID_LANES)])
+    x = np.clip(np.exp(-_GRID), _RATE_FLOOR, 1.0)[:, None] ** exponents
+    coarse = np.concatenate([
+        np.argmin(grid_cost(x, means[i:i + _GRID_LANES], w[i:i + _GRID_LANES]), axis=-1)
+        for i in range(0, n, _GRID_LANES)])
     lo = _GRID[np.maximum(coarse - 1, 0)]
     hi = _GRID[np.minimum(coarse + 1, _GRID.size - 1)]
     lanes = np.arange(n)
     for _ in range(_ZOOM_STEPS):
         points = lo[:, None] + (hi - lo)[:, None] * _ZOOM
-        best = best_of(points)
+        best = np.argmin(profile(points, means[:, None], w[:, None])[0], axis=-1)
         lo = points[lanes, np.maximum(best - 1, 0)]
         hi = points[lanes, np.minimum(best + 1, _ZOOM.size - 1)]
     tried = np.stack([np.full(n, _GRID[0]), np.full(n, _GRID[-1]), _GRID[coarse],
@@ -701,18 +762,24 @@ def _resample_stats(dataset: RBDataset, n_resamples: int, rng) -> np.ndarray:
     Each resample draws sequences with replacement within every length, then
     redraws each chosen sequence's counts binomially around its empirical
     dark rate.  Returns the (correct mean, correct SEM, dark mean, dark SEM)
-    stack, shape ``(4, n_resamples, lengths)``; the draws themselves are
-    never stored.
+    stack, shape ``(4, n_resamples, lengths)``.  The per-sequence fractions
+    of at most ``_RESAMPLE_BLOCK`` resamples are held at once, as one
+    (2, resamples, sequences) array per length, and reduced along their
+    last axis after the block is drawn.
     """
     columns = _length_columns(dataset)
     stats = np.empty((4, n_resamples, len(columns)))
-    for i in range(n_resamples):
-        for k, (_, shots, darks, targets) in enumerate(columns):
-            picks = rng.integers(0, shots.size, shots.size)
-            n = shots[picks]
-            correct, dark = _fractions(n, rng.binomial(n, darks[picks] / n),
-                                       targets[picks])
-            stats[:, i, k] = (*_mean_sem(correct), *_mean_sem(dark))
+    for start in range(0, n_resamples, _RESAMPLE_BLOCK):
+        block = slice(start, min(start + _RESAMPLE_BLOCK, n_resamples))
+        fractions = [np.empty((2, block.stop - start, shots.size))
+                     for _, shots, _, _ in columns]
+        for i in range(block.stop - start):
+            for f, (_, shots, darks, targets) in zip(fractions, columns):
+                picks = rng.integers(0, shots.size, shots.size)
+                n = shots[picks]
+                f[:, i] = _fractions(n, rng.binomial(n, darks[picks] / n), targets[picks])
+        for k, f in enumerate(fractions):
+            stats[0::2, block, k], stats[1::2, block, k] = _mean_sem(f)
     return stats
 
 

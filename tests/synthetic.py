@@ -7,7 +7,9 @@ records, one scalar binomial draw each; the package's per-length array
 bootstrap must reproduce its per-resample statistics draw for draw.  The
 ``curve_fit`` fits here are a local solver from a guessed start point; the
 package's variable-projection fits must reach an equal or lower weighted
-cost.  The per-sequence focus simulation here runs one trajectory array per
+cost.  The profile fit here scores its coarse rate grid in residual form;
+the package scores it from weighted sums and must reach an equal or lower
+cost, with the same parameters wherever the two costs do not tie.  The per-sequence focus simulation here runs one trajectory array per
 sequence; the package's per-length batched
 ``rb.simulate_focus`` must return the same table whenever no random draw
 decides it, and the same statistics otherwise.  The Lindblad oracle here
@@ -210,6 +212,56 @@ def record_resample_stats(dataset: rb.RBDataset, n_resamples: int, seed) -> np.n
         lanes.append([[s.mean for s in correct], [s.sem for s in correct],
                       [s.mean for s in dark], [s.sem for s in dark]])
     return np.array(lanes).transpose(1, 0, 2)
+
+
+def profile_fit_oracle(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]:
+    """Bounded weighted least squares of one decay law on every lane at once.
+
+    The earlier ``rb._profile_fit``, kept as the oracle of the current one:
+    it scores the coarse grid in residual form, one (lanes, points, lengths)
+    array per block of ``rb._GRID_LANES`` lanes, where the package scores it
+    from each lane's weighted sums.  The zoom rounds and the final pick are
+    the package's.
+
+    Variable projection: given the decay rate ``r``, the law is linear in
+    its other parameters, which its ``linear_fit`` solves in closed form.
+    The profiled cost is searched over ``r`` in [1e-9, 1]: a coarse grid in
+    ``-ln r`` brackets its global minimum, finer grids on the bracket
+    refine it, and the cheapest of that result, the best coarse point and
+    both bounds wins (a tie goes to rate 1, then the floor, then the coarse
+    point).  ``means`` and ``sems`` are (lanes, lengths) arrays; returns the
+    law's parameters, rate last, as (lanes,) arrays.  A lane with
+    non-finite statistics gets non-finite parameters.
+    """
+    w = rb._lane_weights(sems)
+    linear_fit = rb._LAWS[law].linear_fit
+    exponents = lengths + rb._LAWS[law].exponent_offset
+
+    def profile(exponent, y, w):
+        rate = np.clip(np.exp(-exponent), rb._RATE_FLOOR, 1.0)
+        cost, params = linear_fit(rate[..., None] ** exponents, y, w)
+        return cost, (*params, rate)
+
+    def best_of(exponent, block=slice(None)):  # exponent: points or (lanes, points)
+        cost = profile(exponent, means[block, None], w[block, None])[0]
+        return np.argmin(cost, axis=-1)
+
+    n = len(means)
+    coarse = np.concatenate([best_of(rb._GRID, slice(i, i + rb._GRID_LANES))
+                             for i in range(0, n, rb._GRID_LANES)])
+    lo = rb._GRID[np.maximum(coarse - 1, 0)]
+    hi = rb._GRID[np.minimum(coarse + 1, rb._GRID.size - 1)]
+    lanes = np.arange(n)
+    for _ in range(rb._ZOOM_STEPS):
+        points = lo[:, None] + (hi - lo)[:, None] * rb._ZOOM
+        best = best_of(points)
+        lo = points[lanes, np.maximum(best - 1, 0)]
+        hi = points[lanes, np.minimum(best + 1, rb._ZOOM.size - 1)]
+    tried = np.stack([np.full(n, rb._GRID[0]), np.full(n, rb._GRID[-1]), rb._GRID[coarse],
+                      points[lanes, best]])
+    cost, params = profile(tried, means, w)
+    pick = np.argmin(cost, axis=0)
+    return tuple(np.choose(pick, p) for p in params)
 
 
 def _rate_guess(lengths, excess, lo: float, hi: float, default: float) -> float:

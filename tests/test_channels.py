@@ -9,6 +9,8 @@ column-stacked representation.  Both are used below.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcmr import channels, clifford, liouville, rb
 from mcmr.errors import AssumptionError, ConfigError
@@ -162,6 +164,28 @@ def test_structured_channels_are_cptp():
         assert liouville.is_trace_preserving(ch.matrix, tol=1e-10)
         eigvals = np.linalg.eigvalsh(choi_matrix(ch.matrix))
         assert eigvals.min() > -1e-10
+
+
+@st.composite
+def structured_channels(draw):
+    """A measurement or reset window with drawn ``gamma_t``, polarization and
+    ``dark_branching``, optionally followed by qubit depolarizing."""
+    gamma_t = draw(st.floats(0.0, 5.0))
+    polarization = draw(st.tuples(*[st.floats(0.0, 1.0)] * 3).filter(lambda w: sum(w) > 0))
+    if draw(st.booleans()):
+        window = channels.measurement_crosstalk(gamma_t, polarization)
+    else:
+        window = channels.reset_crosstalk(gamma_t, polarization,
+                                          dark_branching=draw(st.floats(0.0, 1.0)))
+    p = draw(st.none() | st.floats(0.0, 4.0 / 3.0))
+    return window if p is None else channels.compose(window, channels.depolarizing(p))
+
+
+@settings(max_examples=30, deadline=None)
+@given(structured_channels())
+def test_random_structured_channels_are_cptp(channel):
+    assert np.linalg.eigvalsh(choi_matrix(channel.matrix)).min() >= -1e-12
+    assert liouville.tp_defect(channel.matrix) < 1e-12
 
 
 def test_depolarizing_transfer_factors():

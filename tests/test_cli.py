@@ -537,6 +537,21 @@ def test_fit_optimizer_failure_exits_4(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+def test_unexpected_exception_exits_5_with_one_line(tmp_path, capsys, monkeypatch, caplog):
+    def explode(args):
+        raise RuntimeError("synthetic\ndefect")
+
+    monkeypatch.setattr(cli, "_cmd_scan", explode)
+    with caplog.at_level("DEBUG", logger="mcmr"):
+        rc = cli.main(["scan", "--config", str(tmp_path / "trap.json"),
+                       "--out", str(tmp_path / "out")])
+    assert rc == 5
+    err = capsys.readouterr().err
+    assert err == "error: internal error: RuntimeError: synthetic defect\n"
+    assert "Traceback" not in err
+    assert caplog.records[-1].exc_info[0] is RuntimeError
+
+
 def test_cli_requires_subcommand():
     with pytest.raises(SystemExit):
         cli.main([])

@@ -11,8 +11,8 @@ from scipy.optimize import lsq_linear
 from mcmr import channels, clifford, liouville, rb
 from mcmr.errors import ConfigError, DataFormatError, FitError
 from synthetic import (curve_fit_decay, exact_average_survival, focus_oracle,
-                       random_lambda_channel, record_resample_stats, record_stats,
-                       weighted_cost)
+                       profile_fit_oracle, random_lambda_channel, record_resample_stats,
+                       record_stats, weighted_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -410,16 +410,21 @@ def assert_no_costlier(law: str, lengths, means, sems, params, oracle) -> None:
     assert ours <= theirs * (1 + 1e-12) + 1e-20 * floor, (law, params, oracle, ours, theirs)
 
 
+def _fit_case_dataset(case: str) -> rb.RBDataset:
+    """An ``_oracle_dataset`` case, or ``"campaign"``: the canonical sampling
+    of the bleed-through probe, one measurement and one reset per slot."""
+    if case != "campaign":
+        return _oracle_dataset(case)
+    seqs = rb.generate_sequences(seed=71)
+    probe = rb.standard_experiments()[-1].probes["probe"]
+    slot = probe.slot_channel(("measure", "reset"))
+    return rb.simulate_dataset(seqs, slot, shots=100, seed=72)
+
+
 @pytest.mark.parametrize("case", ["balanced", "unbalanced", "unequal-shots", "campaign"])
 def test_point_fits_match_or_beat_curve_fit(case):
     """Polished fits reach the curve_fit oracle's cost or lower; standard parameters agree."""
-    if case == "campaign":
-        seqs = rb.generate_sequences(seed=71)
-        probe = rb.standard_experiments()[-1].probes["probe"]
-        slot = probe.slot_channel(("measure", "reset"))
-        ds = rb.simulate_dataset(seqs, slot, shots=100, seed=72)
-    else:
-        ds = _oracle_dataset(case)
+    ds = _fit_case_dataset(case)
     correct, dark = rb.per_length_stats(ds)
     std, leak = rb.fit_standard(correct), rb.fit_leakage(dark)
     args = ("standard", *_law_stats(correct))
@@ -591,6 +596,21 @@ def test_bootstrap_matches_record_oracle(case, monkeypatch):
                            curve_fit_decay(*args, ls_ratio=0.8))
 
 
+@pytest.mark.parametrize("case", ["single-sequence", "blocks"])
+def test_resample_stats_match_record_oracle_at_the_edges(case):
+    """A length with one sequence has SEM 0 in every resample; a resample count
+    that spans blocks of held fractions, and is no multiple of one, matches too."""
+    ds = _oracle_dataset("unequal-shots")
+    n_resamples = 2 * rb._RESAMPLE_BLOCK + 13
+    if case == "single-sequence":
+        ds = rb.RBDataset(tuple(r for r in ds.records if r.length != 9 or r.seq_id == 3))
+        n_resamples = 20
+    stats = rb._resample_stats(ds, n_resamples, np.random.default_rng(67))
+    np.testing.assert_array_equal(stats, record_resample_stats(ds, n_resamples, seed=67))
+    if case == "single-sequence":
+        assert np.all(stats[1::2, :, 1] == 0.0)
+
+
 def test_bootstrap_counts_refits_at_a_bound():
     """On a dataset where many leakage refits end on a bound, ``at_bound`` counts them."""
     result = rb.analyze_dataset(_oracle_dataset("balanced"), resamples=60, seed=66)
@@ -621,6 +641,25 @@ def test_profile_fit_lane_equals_one_lane_fit():
         assert not all(np.isfinite(p[7]) for p in broken)
         for p, q in zip(broken, batch):
             np.testing.assert_array_equal(np.delete(p, 7), np.delete(q, 7))
+
+
+@pytest.mark.parametrize("case", ["balanced", "unbalanced", "unequal-shots", "campaign"])
+def test_profile_fit_matches_oracle(case):
+    """Scoring the coarse grid from weighted sums keeps the residual-form fit:
+    no lane costs more than the oracle's, and parameters differ only where
+    the two costs tie to rounding."""
+    ds = _fit_case_dataset(case)
+    stats = rb._resample_stats(ds, 200, np.random.default_rng(68))
+    lengths = np.array(ds.lengths, dtype=float)
+    for law, means, sems in (("standard", *stats[:2]), ("leakage", *stats[2:])):
+        ours = rb._profile_fit(law, lengths, means, sems)
+        oracle = profile_fit_oracle(law, lengths, means, sems)
+        for i in range(len(means)):
+            mine, theirs = [p[i] for p in ours], [p[i] for p in oracle]
+            args = (law, lengths, means[i], sems[i])
+            assert_no_costlier(*args, mine, theirs)
+            if mine != theirs:  # the oracle reaches no lower cost either
+                assert_no_costlier(*args, theirs, mine)
 
 
 def _box_cost(x, y, w, b, c):
