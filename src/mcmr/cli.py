@@ -33,6 +33,8 @@ from .errors import AssumptionError, ConfigError, DataFormatError, FitError
 DEFAULT_SCAN_POINTS = 400
 DEFAULT_SCAN_MAX_INDEX = 6.0
 DEFAULT_RESAMPLES = 200
+#: most bootstrap resamples a run may ask for
+MAX_RESAMPLES = 100_000
 #: longest file name, in bytes, that common file systems accept
 NAME_MAX = 255
 
@@ -58,7 +60,8 @@ def _ensure_out(path) -> str:
 #: flag name -> (test, requirement) for values argparse's types let through
 _FLAG_LIMITS = {
     "seed": (lambda v: v >= 0, "non-negative"),
-    "resamples": (lambda v: v == 0 or v >= 2, "0 or at least 2"),
+    "resamples": (lambda v: v == 0 or 2 <= v <= MAX_RESAMPLES,
+                  f"0 or from 2 to {MAX_RESAMPLES}"),
     "points": (lambda v: v >= 2, "at least 2"),
     "max_index": (lambda v: 0 < v < math.inf, "positive and finite"),
     "parallel": (lambda v: v >= 1, "at least 1"),

@@ -46,6 +46,11 @@ from .errors import ConfigError, DataFormatError, FitError
 DEFAULT_LENGTHS = (2, 11, 81)
 DEFAULT_SEQUENCES_PER_LENGTH = 40
 DEFAULT_SHOTS = 100
+#: size limits of an experiment: the longest sequence, the number of
+#: lengths and the sequences per length (each runs as long as it is asked to)
+MAX_LENGTH = 100_000
+MAX_LENGTHS = 64
+MAX_SEQUENCES_PER_LENGTH = 100_000
 
 PAULI_LABELS = clifford.PAULI_LABELS
 _DARK_PAULIS = ("I", "Z")
@@ -463,15 +468,12 @@ _RATE_FLOOR = PARAMETER_BOUNDS["base"][0]
 _GRID = np.concatenate((
     [0.0], np.exp(np.arange(np.log(1e-9), np.log(-np.log(_RATE_FLOOR)), 0.1)),
     [-np.log(_RATE_FLOOR) + 1e-9]))
-#: each refinement re-grids the bracket with this many evenly spaced points
-#: and keeps the best point's two neighbours: the bracket shrinks eightfold
-_ZOOM = np.linspace(0.0, 1.0, 17)
-#: refinements: they shrink a bracket of two coarse spacings to about 1e-13
-#: of its exponent
-_ZOOM_STEPS = 14
+#: halvings of the refinement bracket: a bracket of two coarse spacings
+#: (a fifth of its exponent) shrinks to about 2e-10 of its exponent
+_BISECTIONS = 30
 #: lanes per block of the coarse grid, which bounds its temporaries
 _GRID_LANES = 16
-#: bootstrap resamples whose per-sequence fractions are held at once
+#: bootstrap resamples drawn together, one length at a time
 _RESAMPLE_BLOCK = 64
 
 
@@ -603,29 +605,51 @@ _LAWS = {"standard": _Law(standard_decay, _amplitude_fit, _amplitude_grid_cost, 
                          ("intercept", "asymptote", "t_minus"))}
 
 
+def _profile_slope(law: str, lengths, means, w, params) -> np.ndarray:
+    """Slope of the profiled cost in ``s = -ln(rate)`` at ``params`` (the fitted
+    linear parameters, then the rate, as (lanes,) arrays).
+
+    By the envelope theorem it is the partial derivative there,
+    ``2 scale sum w r e x``: the law's first parameter as ``scale``,
+    residuals ``r``, ``e = lengths + exponent_offset`` and ``x = rate**e``.
+    It is exactly 0 where ``scale`` is 0.
+    """
+    spec = _LAWS[law]
+    columns = [p[..., None] for p in params]
+    e = lengths + spec.exponent_offset
+    residuals = means - spec.model(lengths, *columns)
+    return 2.0 * params[0] * (w * residuals * e * columns[-1] ** e).sum(-1)
+
+
 def _profile_fit(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]:
     """Bounded weighted least squares of one decay law on every lane at once.
 
     Variable projection: given the decay rate ``r``, the law is linear in
     its other parameters, which its ``linear_fit`` solves in closed form.
-    The profiled cost is searched over ``r`` in [1e-9, 1]: a coarse grid in
-    ``-ln r`` brackets its global minimum, finer grids on the bracket
-    refine it, and the cheapest of that result, the best coarse point and
-    both bounds wins (a tie goes to rate 1, then the floor, then the coarse
-    point).  The coarse rates are the same for every lane, so the law's
-    ``grid_cost`` scores them from each lane's weighted sums; the finer
-    grids and the final pick use ``linear_fit``, which every reported
-    parameter comes from.  ``means`` and ``sems`` are (lanes, lengths)
-    arrays; returns the law's parameters, rate last, as (lanes,) arrays.  A
-    lane with non-finite statistics gets non-finite parameters.
+    The profiled cost is searched over ``s = -ln r`` for ``r`` in [1e-9,
+    1].  A coarse grid in ``s`` brackets its global minimum between the best
+    point's two neighbours, then bisection on the sign of the cost's slope
+    (:func:`_profile_slope`) halves the bracket :data:`_BISECTIONS` times,
+    one point per lane and step.  The boxes of the linear parameters do not
+    depend on ``s``, so the profiled cost is smooth wherever the box optimum
+    is unique, also where a bound becomes active.  The cheapest of the
+    final bracket's midpoint, the best coarse point and both bounds wins, a
+    tie going to rate 1, then the floor, then the coarse point (a leakage
+    lane with B = 0 costs the same at every rate and reports 1).  The
+    coarse rates are the same for every lane, so the law's ``grid_cost``
+    scores them from each lane's weighted sums; the bisection and the final
+    pick use ``linear_fit``, which every reported parameter comes from.
+    ``means`` and ``sems`` are (lanes, lengths) arrays; returns the law's
+    parameters, rate last, as (lanes,) arrays.  A lane with non-finite
+    statistics gets non-finite parameters.
     """
     w = _lane_weights(sems)
     linear_fit, grid_cost = _LAWS[law].linear_fit, _LAWS[law].grid_cost
     exponents = lengths + _LAWS[law].exponent_offset
 
-    def profile(exponent, y, w):
+    def profile(exponent):
         rate = np.clip(np.exp(-exponent), _RATE_FLOOR, 1.0)
-        cost, params = linear_fit(rate[..., None] ** exponents, y, w)
+        cost, params = linear_fit(rate[..., None] ** exponents, means, w)
         return cost, (*params, rate)
 
     n = len(means)
@@ -635,15 +659,13 @@ def _profile_fit(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]:
         for i in range(0, n, _GRID_LANES)])
     lo = _GRID[np.maximum(coarse - 1, 0)]
     hi = _GRID[np.minimum(coarse + 1, _GRID.size - 1)]
-    lanes = np.arange(n)
-    for _ in range(_ZOOM_STEPS):
-        points = lo[:, None] + (hi - lo)[:, None] * _ZOOM
-        best = np.argmin(profile(points, means[:, None], w[:, None])[0], axis=-1)
-        lo = points[lanes, np.maximum(best - 1, 0)]
-        hi = points[lanes, np.minimum(best + 1, _ZOOM.size - 1)]
+    for _ in range(_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        rising = _profile_slope(law, lengths, means, w, profile(mid)[1]) > 0
+        lo, hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
     tried = np.stack([np.full(n, _GRID[0]), np.full(n, _GRID[-1]), _GRID[coarse],
-                      points[lanes, best]])
-    cost, params = profile(tried, means, w)
+                      0.5 * (lo + hi)])
+    cost, params = profile(tried)
     pick = np.argmin(cost, axis=0)
     return tuple(np.choose(pick, p) for p in params)
 
@@ -747,6 +769,10 @@ class BootstrapResult:
 
     ``at_bound`` counts, per fitted parameter, the refits that ended on one
     of its :data:`PARAMETER_BOUNDS`; they count as successful refits.
+    ``unidentified`` counts the successful leakage refits whose intercept B
+    is exactly 0: their cost does not depend on ``t_minus``, which the tie
+    rule of :func:`_profile_fit` then reports as 1.  Neither count is
+    written to the results files.
     """
 
     n_resamples: int
@@ -754,6 +780,7 @@ class BootstrapResult:
     sigmas: dict
     samples: dict = field(repr=False)
     at_bound: dict = field(default_factory=dict)
+    unidentified: int = 0
 
 
 def _resample_stats(dataset: RBDataset, n_resamples: int, rng) -> np.ndarray:
@@ -762,24 +789,21 @@ def _resample_stats(dataset: RBDataset, n_resamples: int, rng) -> np.ndarray:
     Each resample draws sequences with replacement within every length, then
     redraws each chosen sequence's counts binomially around its empirical
     dark rate.  Returns the (correct mean, correct SEM, dark mean, dark SEM)
-    stack, shape ``(4, n_resamples, lengths)``.  The per-sequence fractions
-    of at most ``_RESAMPLE_BLOCK`` resamples are held at once, as one
-    (2, resamples, sequences) array per length, and reduced along their
-    last axis after the block is drawn.
+    stack, shape ``(4, n_resamples, lengths)``.  Draw order: resamples come
+    in blocks of at most ``_RESAMPLE_BLOCK``; per block and per length, one
+    ``rng.integers`` call picks the sequences of all the block's resamples
+    as a (resamples, sequences) array and one ``rng.binomial`` call redraws
+    their counts, so memory is bounded by one block of one length.
     """
     columns = _length_columns(dataset)
     stats = np.empty((4, n_resamples, len(columns)))
     for start in range(0, n_resamples, _RESAMPLE_BLOCK):
         block = slice(start, min(start + _RESAMPLE_BLOCK, n_resamples))
-        fractions = [np.empty((2, block.stop - start, shots.size))
-                     for _, shots, _, _ in columns]
-        for i in range(block.stop - start):
-            for f, (_, shots, darks, targets) in zip(fractions, columns):
-                picks = rng.integers(0, shots.size, shots.size)
-                n = shots[picks]
-                f[:, i] = _fractions(n, rng.binomial(n, darks[picks] / n), targets[picks])
-        for k, f in enumerate(fractions):
-            stats[0::2, block, k], stats[1::2, block, k] = _mean_sem(f)
+        for k, (_, shots, darks, targets) in enumerate(columns):
+            picks = rng.integers(0, shots.size, (block.stop - start, shots.size))
+            n = shots[picks]
+            fractions = _fractions(n, rng.binomial(n, darks[picks] / n), targets[picks])
+            stats[0::2, block, k], stats[1::2, block, k] = _mean_sem(np.stack(fractions))
     return stats
 
 
@@ -814,7 +838,8 @@ def bootstrap_analysis(dataset: RBDataset, n_resamples: int = 200,
     at_bound = {k: int(np.isin(samples[k], bounds).sum())
                 for k, bounds in PARAMETER_BOUNDS.items()}
     return BootstrapResult(n_resamples=n_resamples, failures=failures,
-                           sigmas=sigmas, samples=samples, at_bound=at_bound)
+                           sigmas=sigmas, samples=samples, at_bound=at_bound,
+                           unidentified=int(np.sum(samples["intercept"] == 0.0)))
 
 
 @dataclass(frozen=True)
@@ -1099,8 +1124,9 @@ class ExperimentConfig(Config):
     initial_focus_state: int = checked(0, one_of=(0, 1))
     probes: dict[str, ProbeSpec] = field(default_factory=dict)
     focus: FocusModel = FocusModel()
-    lengths: tuple[int, ...] = checked(DEFAULT_LENGTHS, ge=1)
-    sequences_per_length: int = checked(DEFAULT_SEQUENCES_PER_LENGTH, ge=1)
+    lengths: tuple[int, ...] = checked(DEFAULT_LENGTHS, ge=1, le=MAX_LENGTH)
+    sequences_per_length: int = checked(DEFAULT_SEQUENCES_PER_LENGTH, ge=1,
+                                        le=MAX_SEQUENCES_PER_LENGTH)
     shots: int = checked(DEFAULT_SHOTS, ge=1)
     balanced: bool = True
 
@@ -1114,6 +1140,9 @@ class ExperimentConfig(Config):
             raise ConfigError("probes must name at least one probe")
         if len(set(self.lengths)) != len(self.lengths):
             raise ConfigError(f"lengths must not repeat a length, got {list(self.lengths)}")
+        if len(self.lengths) > MAX_LENGTHS:
+            raise ConfigError(f"lengths must hold at most {MAX_LENGTHS} lengths, "
+                              f"got {len(self.lengths)}")
 
 
 @dataclass(frozen=True)

@@ -191,37 +191,51 @@ def record_stats(dataset: rb.RBDataset, value) -> tuple:
 def record_resample_stats(dataset: rb.RBDataset, n_resamples: int, seed) -> np.ndarray:
     """Record-based bootstrap statistics, stacked as ``rb._resample_stats`` returns them.
 
-    Every resample is rebuilt as a new dataset of records (one
-    ``dataclasses.replace`` and one scalar binomial draw per chosen record)
-    and its statistics come from the record properties.
+    The draws come in the package's order: per block of ``rb._RESAMPLE_BLOCK``
+    resamples and per length, one (resamples, sequences) array of picks,
+    then one scalar binomial draw per pick in row order.  Every resample is
+    rebuilt as a new dataset of records (one ``dataclasses.replace`` per
+    chosen record) and its statistics come from the record properties.
     """
     rng = np.random.default_rng(seed)
-    groups = dataset.by_length()
+    groups = [group for _, group in sorted(dataset.by_length().items())]
     lanes = []
-    for _ in range(n_resamples):
-        records = []
-        for _, group in sorted(groups.items()):
-            picks = rng.integers(0, len(group), len(group))
-            for j in picks:
-                r = group[j]
-                dark = int(rng.binomial(r.shots, r.dark_counts / r.shots))
-                records.append(dataclasses.replace(r, dark_counts=dark))
-        resampled = rb.RBDataset(tuple(records))
-        correct = record_stats(resampled, lambda r: r.correct_fraction)
-        dark = record_stats(resampled, lambda r: r.dark_fraction)
-        lanes.append([[s.mean for s in correct], [s.sem for s in correct],
-                      [s.mean for s in dark], [s.sem for s in dark]])
+    for start in range(0, n_resamples, rb._RESAMPLE_BLOCK):
+        resamples = [[] for _ in range(min(rb._RESAMPLE_BLOCK, n_resamples - start))]
+        for group in groups:
+            picks = rng.integers(0, len(group), (len(resamples), len(group)))
+            for records, row in zip(resamples, picks):
+                for j in row:
+                    r = group[j]
+                    dark = int(rng.binomial(r.shots, r.dark_counts / r.shots))
+                    records.append(dataclasses.replace(r, dark_counts=dark))
+        for records in resamples:
+            resampled = rb.RBDataset(tuple(records))
+            correct = record_stats(resampled, lambda r: r.correct_fraction)
+            dark = record_stats(resampled, lambda r: r.dark_fraction)
+            lanes.append([[s.mean for s in correct], [s.sem for s in correct],
+                          [s.mean for s in dark], [s.sem for s in dark]])
     return np.array(lanes).transpose(1, 0, 2)
+
+
+#: each refinement of the oracle re-grids the bracket with this many evenly
+#: spaced points and keeps the best point's two neighbours: the bracket
+#: shrinks eightfold
+_ZOOM = np.linspace(0.0, 1.0, 17)
+#: refinements: they shrink a bracket of two coarse spacings to about 1e-13
+#: of its exponent
+_ZOOM_STEPS = 14
 
 
 def profile_fit_oracle(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]:
     """Bounded weighted least squares of one decay law on every lane at once.
 
-    The earlier ``rb._profile_fit``, kept as the oracle of the current one:
+    An earlier ``rb._profile_fit``, kept as the oracle of the current one:
     it scores the coarse grid in residual form, one (lanes, points, lengths)
     array per block of ``rb._GRID_LANES`` lanes, where the package scores it
-    from each lane's weighted sums.  The zoom rounds and the final pick are
-    the package's.
+    from each lane's weighted sums, and it refines the bracket with
+    ``_ZOOM_STEPS`` rounds of a ``_ZOOM`` grid, where the package bisects on
+    the slope of the profiled cost.  The final pick is the package's.
 
     Variable projection: given the decay rate ``r``, the law is linear in
     its other parameters, which its ``linear_fit`` solves in closed form.
@@ -252,11 +266,11 @@ def profile_fit_oracle(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]
     lo = rb._GRID[np.maximum(coarse - 1, 0)]
     hi = rb._GRID[np.minimum(coarse + 1, rb._GRID.size - 1)]
     lanes = np.arange(n)
-    for _ in range(rb._ZOOM_STEPS):
-        points = lo[:, None] + (hi - lo)[:, None] * rb._ZOOM
+    for _ in range(_ZOOM_STEPS):
+        points = lo[:, None] + (hi - lo)[:, None] * _ZOOM
         best = best_of(points)
         lo = points[lanes, np.maximum(best - 1, 0)]
-        hi = points[lanes, np.minimum(best + 1, rb._ZOOM.size - 1)]
+        hi = points[lanes, np.minimum(best + 1, _ZOOM.size - 1)]
     tried = np.stack([np.full(n, rb._GRID[0]), np.full(n, rb._GRID[-1]), rb._GRID[coarse],
                       points[lanes, best]])
     cost, params = profile(tried, means, w)

@@ -324,6 +324,28 @@ def test_benchmark_bad_config_values_exit_2(tmp_path, capsys, overrides):
     assert key in err
 
 
+@pytest.mark.parametrize("overrides, flags, message", [
+    ({}, ["--resamples", "100001"], "--resamples must be 0 or from 2 to 100000, got 100001"),
+    ({"lengths": [2, 5, 100001]}, [],
+     "experiments[0].lengths[2] must be <= 100000, got 100001"),
+    ({"lengths": list(range(1, 66))}, [],
+     "experiments[0].lengths must hold at most 64 lengths, got 65"),
+    ({"sequences_per_length": 100002}, [],
+     "experiments[0].sequences_per_length must be <= 100000, got 100002"),
+])
+def test_benchmark_size_limits_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                      overrides, flags, message):
+    """Each size limit fails validation: exit 2, one line, no sequence drawn, nothing written."""
+    monkeypatch.setattr(rb, "generate_sequences",
+                        lambda *a, **k: pytest.fail("work started before validation"))
+    config_path = small_campaign(tmp_path, **overrides)
+    out = tmp_path / "out"
+    rc = cli.main(["benchmark", "--config", config_path, "--out", str(out), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_benchmark_unknown_campaign_key_exits_2(tmp_path, capsys):
     with open(small_campaign(tmp_path), encoding="utf-8") as fh:
         campaign = json.load(fh)

@@ -624,6 +624,63 @@ def test_bootstrap_counts_refits_at_a_bound():
     assert set(result.to_dict()["bootstrap"]) == {"n_resamples", "failures", "sigmas"}
 
 
+def test_bootstrap_counts_unidentified_leakage_refits():
+    """Refits with intercept B = 0 are counted; their cost does not depend on
+    ``t_minus`` and they report 1."""
+    ds = _oracle_dataset("balanced")
+    boot = rb.bootstrap_analysis(ds, n_resamples=60, seed=66)
+    s = boot.samples
+    flat = s["intercept"] == 0.0
+    assert boot.unidentified == int(flat.sum()) > 0
+    assert np.all(s["t_minus"][flat] == 1.0)
+    # the same resamples, refitted at fixed rates: every rate costs the same
+    stats = rb._resample_stats(ds, 60, np.random.default_rng(66))
+    lengths = np.array(ds.lengths, dtype=float) + 1.0
+    means, w = stats[2][flat], rb._lane_weights(stats[3][flat])
+    costs = [rb._intercept_asymptote_fit(np.full_like(means, rate) ** lengths, means, w)[0]
+             for rate in (1.0, 0.999, 0.9, 0.5)]
+    for cost in costs[1:]:
+        np.testing.assert_allclose(cost, costs[0], rtol=1e-12, atol=0)
+    assert "unidentified" not in rb.analyze_dataset(ds, resamples=60, seed=66).to_dict()["bootstrap"]
+
+
+def _profiled_cost(law: str, s, exponents, means, w):
+    rate = np.exp(-s)
+    return rb._LAWS[law].linear_fit(rate[:, None] ** exponents, means, w)[0]
+
+
+@pytest.mark.parametrize("law", ["standard", "leakage"])
+def test_profile_slope_matches_finite_difference(law):
+    """The slope is the derivative of the profiled cost in ``-ln(rate)``, also
+    where a linear parameter sits on a bound; it is exactly 0 where B = 0."""
+    rng = np.random.default_rng(12)
+    n = 300
+    lengths = np.array([2.0, 9.0, 30.0])
+    exponents = lengths + rb._LAWS[law].exponent_offset
+    s = rng.uniform(1e-3, 0.3, n)
+    means = rng.uniform(0.3, 1.0, (n, 3)) if law == "standard" else rng.uniform(-0.2, 1.2, (n, 3))
+    if law == "standard":  # a third of the lanes decay from far above 1/2 + 0.75
+        means[::3] = 0.5 + 1.2 * np.exp(-s[::3, None] * exponents) + rng.normal(0, 0.01, (100, 3))
+    sems = rng.uniform(0.005, 0.05, (n, 3))
+    sems[::7, 1] = 0.0  # unweighted lanes
+    w = rb._lane_weights(sems)
+    rate = np.exp(-s)
+    _, params = rb._LAWS[law].linear_fit(rate[:, None] ** exponents, means, w)
+    slope = rb._profile_slope(law, lengths, means, w, (*params, rate))
+    h = 1e-6 * s
+    fd = (_profiled_cost(law, s + h, exponents, means, w)
+          - _profiled_cost(law, s - h, exponents, means, w)) / (2 * h)
+    np.testing.assert_allclose(slope, fd, rtol=1e-5, atol=1e-3)  # median |slope| ~ 500
+    if law == "standard":
+        assert np.sum(params[0] == rb.PARAMETER_BOUNDS["amplitude"][1]) >= 20
+    else:
+        b, c = params
+        for edge in (b == 0.0, b == 1.0, c == 0.0, c == 1.0):
+            assert edge.sum() >= 5
+        assert np.all(slope[b == 0.0] == 0.0)
+    assert np.sum(np.any(sems == 0.0, axis=-1)) >= 40
+
+
 def test_profile_fit_lane_equals_one_lane_fit():
     stats = rb._resample_stats(_oracle_dataset("unequal-shots"), 40,
                                np.random.default_rng(5))
@@ -645,9 +702,9 @@ def test_profile_fit_lane_equals_one_lane_fit():
 
 @pytest.mark.parametrize("case", ["balanced", "unbalanced", "unequal-shots", "campaign"])
 def test_profile_fit_matches_oracle(case):
-    """Scoring the coarse grid from weighted sums keeps the residual-form fit:
-    no lane costs more than the oracle's, and parameters differ only where
-    the two costs tie to rounding."""
+    """The sum-scored coarse grid and the slope bisection keep the zoom
+    oracle's fit: no lane costs more than the oracle's, and parameters differ
+    only where the two costs tie to rounding."""
     ds = _fit_case_dataset(case)
     stats = rb._resample_stats(ds, 200, np.random.default_rng(68))
     lengths = np.array(ds.lengths, dtype=float)
