@@ -275,17 +275,27 @@ def fit_depump(times, dark_fractions, shots=None,
         Shots behind each fraction; enables binomial weighting.
     free_amplitude : bool
         Fit the asymptote too instead of pinning it at 2/3.
+
+    Each fitted parameter needs its own distinct positive time (a time-0
+    point constrains neither), else :class:`DataFormatError`; a fit whose
+    sigma comes out 0 or non-finite is unconstrained and raises
+    :class:`FitError`.
     """
     t = np.asarray(times, dtype=float)
     f = np.asarray(dark_fractions, dtype=float)
     if t.shape != f.shape or t.ndim != 1:
         raise DataFormatError("times and dark_fractions must be 1-D and equal length")
-    if t.size < (2 if free_amplitude else 1) + 1:
+    n_params = 2 if free_amplitude else 1
+    if t.size < n_params + 1:
         raise DataFormatError("not enough points to constrain the depump fit")
     if np.any(f < 0) or np.any(f > 1):
         raise DataFormatError("dark fractions must lie in [0, 1]")
     if np.any(t < 0):
         raise DataFormatError("times must be non-negative")
+    n_times = np.unique(t[t > 0]).size
+    if n_times < n_params:
+        raise DataFormatError(f"the depump fit needs {n_params} distinct positive "
+                              f"time(s), got {n_times}")
 
     sigma = None
     if shots is not None:
@@ -315,5 +325,7 @@ def fit_depump(times, dark_fractions, shots=None,
     amp, amp_sig = (popt[1], sigmas[1]) if free_amplitude else (BRIGHT_ASYMPTOTE, 0.0)
     if not np.isfinite(gamma) or gamma <= 0:
         raise FitError(f"depump fit returned unusable rate {gamma!r}")
+    if not np.all(np.isfinite(sigmas) & (sigmas > 0)):
+        raise FitError(f"depump fit is unconstrained: sigmas {sigmas.tolist()}")
     return DepumpFit(float(gamma), float(gamma_sig), float(amp), float(amp_sig),
                      free_amplitude)

@@ -31,12 +31,13 @@ byte for byte, serial or parallel.
 from __future__ import annotations
 
 import csv
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
+# No code in this package calls ``curve_fit``: the traced benchmark wraps
+# ``rb.curve_fit`` (``perfbench/layers.py``) until ROADMAP item 1 retires that wrap.
+from scipy.optimize import curve_fit  # noqa: F401
 
 from . import channels, clifford, liouville
 from .channels import ChannelSpec  # rb.ChannelSpec; resolves the ProbeSpec hints
@@ -488,98 +489,77 @@ def _weighted_cost(w, residuals):
 
 
 def _clipped_ratio(num, den, hi: float):
-    """``clip(num / den, 0, hi)`` for ``den >= 0`` without overflow; 0 where ``den == 0``."""
-    return np.divide(np.minimum(np.maximum(num, 0.0), hi * den), den,
-                     out=np.zeros(np.shape(den)), where=den > 0)
+    """``clip(num / den, 0, hi)`` for ``den >= 0``, 0 where ``den == 0``: ``num`` is
+    clipped first, so no quotient overflows, and a clipped quotient is ``hi`` exactly."""
+    top, positive = hi * den, den > 0
+    ratio = np.divide(np.minimum(np.maximum(num, 0.0), top), den,
+                      out=np.zeros(np.shape(den)), where=positive)
+    return np.where(positive & (num >= top), hi, ratio)
+
+
+def _lane_sums(x, v):
+    """``sum x v`` over lengths as (lanes, points): ``v`` is (lanes, lengths), ``x``
+    (points, lengths) shared by every lane or (lanes, points, lengths)."""
+    return (x @ v[..., None])[..., 0]
 
 
 def _amplitude_fit(x, y, w):
-    """Bounded amplitude minimising ``sum w (y - 1/2 - A x)**2``: cost and ``(A,)``."""
-    r = y - 0.5
-    amplitude = _clipped_ratio((w * x * r).sum(-1), (w * x * x).sum(-1),
-                               PARAMETER_BOUNDS["amplitude"][1])
-    return _weighted_cost(w, r - amplitude[..., None] * x), (amplitude,)
+    """Bounded amplitude minimising ``sum w (y - 1/2 - A x)**2`` for every lane
+    and point of ``x`` (:func:`_lane_sums`): the (lanes, points) cost and ``(A,)``.
 
-
-def _amplitude_grid_cost(x, y, w):
-    """:func:`_amplitude_fit`'s cost of every lane (rows of ``y``, ``w``) at every
-    rate (rows of ``x``), as (lanes, rates), from each lane's weighted sums.
-
-    The cost of ``A`` is ``sum w r**2 - A (2 sum w x r - A sum w x**2)``.
+    The cost of ``A`` is ``sum w r**2 - A (2 sum w x r - A sum w x**2)``
+    with ``r = y - 1/2``.
     """
     r = y - 0.5
     wr = w * r
-    sxr, sxx = wr @ x.T, w @ (x * x).T
+    sxr, sxx = _lane_sums(x, wr), _lane_sums(x * x, w)
     amplitude = _clipped_ratio(sxr, sxx, PARAMETER_BOUNDS["amplitude"][1])
-    return (wr * r).sum(-1, keepdims=True) - amplitude * (2.0 * sxr - amplitude * sxx)
+    return (wr * r).sum(-1)[:, None] - amplitude * (2.0 * sxr - amplitude * sxx), (amplitude,)
 
 
 def _intercept_asymptote_fit(x, y, w):
-    """``(B, C)`` in [0, 1]**2 minimising ``sum w (y - B x - C)**2``: cost and ``(B, C)``.
+    """``(B, C)`` in [0, 1]**2 minimising ``sum w (y - B x - C)**2`` for every
+    lane and point of ``x`` (:func:`_lane_sums`): the (lanes, points) cost and ``(B, C)``.
 
     The cost is a convex quadratic on a box, so its minimum is the free one
     when that is feasible and otherwise lies on an edge: the cheapest of
-    the feasible free solution and the four edge solutions (each a clipped
-    one-dimensional fit, corners included) is exact.  Clipping B and C one
-    at a time is not.
+    the feasible free solution and the four edge solutions (B = 0, B = 1,
+    C = 0, C = 1, each a clipped one-dimensional fit, corners included) is
+    exact.  Clipping B and C one at a time is not.
+
+    The sums hold spreads, not offsets: ``u = x - x_ref`` shifts each rate's
+    ``x`` by its mean over lengths and ``y~ = y - y_mean`` centres each lane
+    on its weighted mean.  With ``d = y_mean - C - B x_ref`` the cost of
+    (B, C) is ``sum w (y~ - B u + d)**2 = sum w y~**2 + B (B sum w u**2
+    - 2 sum w u y~ - 2 d sum w u) + d**2 sum w``.
     """
-    wx = w * x
-    sw, sx, sy = w.sum(-1), wx.sum(-1), (w * y).sum(-1)
-    sxx, sxy = (wx * x).sum(-1), (wx * y).sum(-1)
-    x_mean, y_mean = sx / sw, sy / sw
-    dx = x - x_mean[..., None]
-    sxx_c, sxy_c = (w * dx * dx).sum(-1), (w * dx * (y - y_mean[..., None])).sum(-1)
-    b, c, free = _box_candidates(sx, sxx, sxy, x_mean, y_mean, sxx_c, sxy_c)
-    cost = _weighted_cost(w, y - b[..., None] * x - c[..., None])
-    cost[0] = np.where(free, cost[0], np.inf)
-    pick = np.argmin(cost, axis=0)
-    return np.choose(pick, cost), (np.choose(pick, b), np.choose(pick, c))
-
-
-def _box_candidates(sx, sxx, sxy, x_mean, y_mean, sxx_c, sxy_c):
-    """The five (B, C) candidates of the box fit, from a lane's weighted sums.
-
-    ``sx``, ``sxx``, ``sxy`` are ``sum w x``, ``sum w x**2``, ``sum w x y``;
-    ``sxx_c``, ``sxy_c`` the same sums about the weighted means.  Returns
-    ``b``, ``c`` stacked as (free, B = 0, B = 1, C = 0, C = 1) and whether
-    the free solution lies in the box.
-    """
+    x_ref = x.mean(-1)
+    u = x - x_ref[..., None]
+    sw = w.sum(-1)[:, None]
+    y_mean = (w * y).sum(-1)[:, None] / sw
+    y_c = y - y_mean
+    su, suu, suy = _lane_sums(u, w), _lane_sums(u * u, w), _lane_sums(u, w * y_c)
+    # the weighted sums of x, x**2, x y about the origin and about the means
+    x_mean = x_ref + su / sw
+    sxx_c = suu - su * su / sw
+    sx, sxx, sxy = sw * x_mean, sxx_c + sw * x_mean * x_mean, suy + sw * x_mean * y_mean
     b, c = np.empty((5, *sxx.shape)), np.empty((5, *sxx.shape))
-    b[0] = _clipped_ratio(sxy_c, sxx_c, 1.0)
+    b[0] = _clipped_ratio(suy, sxx_c, 1.0)
     c[0] = y_mean - b[0] * x_mean
     b[1], c[1] = 0.0, np.minimum(np.maximum(y_mean, 0.0), 1.0)
     b[2], c[2] = 1.0, np.minimum(np.maximum(y_mean - x_mean, 0.0), 1.0)
     b[3], c[3] = _clipped_ratio(sxy, sxx, 1.0), 0.0
     b[4], c[4] = _clipped_ratio(sxy - sx, sxx, 1.0), 1.0
-    free = (sxx_c > 0) & (sxy_c >= 0) & (sxy_c <= sxx_c) & (c[0] >= 0) & (c[0] <= 1)
-    return b, c, free
-
-
-def _intercept_asymptote_grid_cost(x, y, w):
-    """:func:`_intercept_asymptote_fit`'s cost of every lane (rows of ``y``,
-    ``w``) at every rate (rows of ``x``), as (lanes, rates), from weighted sums.
-
-    ``u = x - x_ref`` shifts each rate's ``x`` by its mean over lengths and
-    ``y~ = y - y_mean`` centres each lane on its weighted mean, so the sums
-    hold spreads, not offsets.  With ``d = y_mean - C - B x_ref`` the cost of
-    (B, C) is ``sum w (y~ - B u + d)**2 = sum w y~**2 + B (B sum w u**2
-    - 2 sum w u y~ - 2 d sum w u) + d**2 sum w``.
-    """
-    x_ref = x.mean(-1)
-    u = x - x_ref[:, None]
-    sw = w.sum(-1, keepdims=True)
-    y_mean = (w * y).sum(-1, keepdims=True) / sw
-    y_c = y - y_mean
-    su, suu, suy = w @ u.T, w @ (u * u).T, (w * y_c) @ u.T
-    x_mean = x_ref + su / sw
-    sxx_c = suu - su * su / sw
-    b, c, free = _box_candidates(sw * x_mean, sxx_c + sw * x_mean * x_mean,
-                                 suy + sw * x_mean * y_mean, x_mean, y_mean, sxx_c, suy)
+    free = (sxx_c > 0) & (suy >= 0) & (suy <= sxx_c) & (c[0] >= 0) & (c[0] <= 1)
     d = y_mean - c - b * x_ref
-    cost = ((w * y_c * y_c).sum(-1, keepdims=True)
-            + b * (b * suu - 2.0 * (suy + d * su)) + d * d * sw)
+    cost = (w * y_c * y_c).sum(-1)[:, None] + b * (b * suu - 2.0 * (suy + d * su)) + d * d * sw
     cost[0] = np.where(free, cost[0], np.inf)
-    return cost.min(0)
+    best = cost.min(0)
+    b_best, c_best = b[4], c[4]
+    for k in (3, 2, 1, 0):  # the first cheapest candidate wins (an argmin is slower)
+        hit = cost[k] == best
+        b_best, c_best = np.where(hit, b[k], b_best), np.where(hit, c[k], c_best)
+    return best, (b_best, c_best)
 
 
 @dataclass(frozen=True)
@@ -588,20 +568,15 @@ class _Law:
 
     model: object
     #: ``linear_fit(rate**(length + exponent_offset), means, weights)``
-    #: returns the minimal cost and the optimal linear parameters
+    #: returns the (lanes, points) minimal cost and optimal linear parameters
     linear_fit: object
-    #: ``grid_cost(x, means, weights)``: ``linear_fit``'s cost of every lane
-    #: at every row of the (rates, lengths) array ``x``
-    grid_cost: object
     exponent_offset: float
     #: parameter names in model order, rate last
     params: tuple[str, ...]
 
 
-_LAWS = {"standard": _Law(standard_decay, _amplitude_fit, _amplitude_grid_cost, 0.0,
-                          ("amplitude", "base")),
-         "leakage": _Law(leakage_decay, _intercept_asymptote_fit,
-                         _intercept_asymptote_grid_cost, 1.0,
+_LAWS = {"standard": _Law(standard_decay, _amplitude_fit, 0.0, ("amplitude", "base")),
+         "leakage": _Law(leakage_decay, _intercept_asymptote_fit, 1.0,
                          ("intercept", "asymptote", "t_minus"))}
 
 
@@ -636,65 +611,50 @@ def _profile_fit(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]:
     final bracket's midpoint, the best coarse point and both bounds wins, a
     tie going to rate 1, then the floor, then the coarse point (a leakage
     lane with B = 0 costs the same at every rate and reports 1).  The
-    coarse rates are the same for every lane, so the law's ``grid_cost``
-    scores them from each lane's weighted sums; the bisection and the final
-    pick use ``linear_fit``, which every reported parameter comes from.
-    ``means`` and ``sems`` are (lanes, lengths) arrays; returns the law's
-    parameters, rate last, as (lanes,) arrays.  A lane with non-finite
-    statistics gets non-finite parameters.
+    coarse grid is scored by ``linear_fit``'s cost, which it forms from
+    weighted sums; the final pick scores its four candidates from their
+    residuals, which round less where the fit is close.  ``means`` and
+    ``sems`` are (lanes, lengths) arrays; returns the law's parameters,
+    rate last, as (lanes,) arrays.  A lane with non-finite statistics gets
+    non-finite parameters.
     """
     w = _lane_weights(sems)
-    linear_fit, grid_cost = _LAWS[law].linear_fit, _LAWS[law].grid_cost
-    exponents = lengths + _LAWS[law].exponent_offset
+    spec = _LAWS[law]
+    exponents = lengths + spec.exponent_offset
 
-    def profile(exponent):
+    def solve(exponent):  # (lanes, points) -> parameters, rate last, each (lanes, points)
         rate = np.clip(np.exp(-exponent), _RATE_FLOOR, 1.0)
-        cost, params = linear_fit(rate[..., None] ** exponents, means, w)
-        return cost, (*params, rate)
+        return (*spec.linear_fit(rate[..., None] ** exponents, means, w)[1], rate)
 
     n = len(means)
     x = np.clip(np.exp(-_GRID), _RATE_FLOOR, 1.0)[:, None] ** exponents
     coarse = np.concatenate([
-        np.argmin(grid_cost(x, means[i:i + _GRID_LANES], w[i:i + _GRID_LANES]), axis=-1)
+        np.argmin(spec.linear_fit(x, means[i:i + _GRID_LANES], w[i:i + _GRID_LANES])[0],
+                  axis=-1)
         for i in range(0, n, _GRID_LANES)])
     lo = _GRID[np.maximum(coarse - 1, 0)]
     hi = _GRID[np.minimum(coarse + 1, _GRID.size - 1)]
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
-        rising = _profile_slope(law, lengths, means, w, profile(mid)[1]) > 0
+        params = [p[:, 0] for p in solve(mid[:, None])]
+        rising = _profile_slope(law, lengths, means, w, params) > 0
         lo, hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
     tried = np.stack([np.full(n, _GRID[0]), np.full(n, _GRID[-1]), _GRID[coarse],
-                      0.5 * (lo + hi)])
-    cost, params = profile(tried)
-    pick = np.argmin(cost, axis=0)
-    return tuple(np.choose(pick, p) for p in params)
+                      0.5 * (lo + hi)], axis=-1)
+    params = solve(tried)
+    model = spec.model(lengths, *(p[..., None] for p in params))
+    pick = np.argmin(_weighted_cost(w[:, None], means[:, None] - model), axis=-1)[:, None]
+    return tuple(np.take_along_axis(p, pick, -1)[:, 0] for p in params)
 
 
 def _fit(law: str, stats) -> list[float]:
-    """One lane of :func:`_profile_fit`, polished by a bounded ``curve_fit``.
-
-    The polish uses the same model, weights and bounds, and starts at the
-    profile optimum; the cheaper of the two is kept.
-    """
+    """One lane of :func:`_profile_fit`."""
     lengths, means, sems = (np.array([getattr(s, f) for s in stats], dtype=float)
                             for f in ("length", "mean", "sem"))
-    start = [float(p[0]) for p in _profile_fit(law, lengths, means[None], sems[None])]
-    if not all(np.isfinite(start)):
+    params = [float(p[0]) for p in _profile_fit(law, lengths, means[None], sems[None])]
+    if not all(np.isfinite(params)):
         raise FitError(f"{law} decay fit returned non-finite parameters")
-    model = _LAWS[law].model
-    try:
-        with warnings.catch_warnings():
-            # parameter covariance is unused (uncertainties come from the bootstrap)
-            warnings.simplefilter("ignore", OptimizeWarning)
-            polished, _ = curve_fit(
-                model, lengths, means, p0=start,
-                sigma=sems if np.all(sems > 0) else None, maxfev=20000,
-                bounds=tuple(zip(*(PARAMETER_BOUNDS[n] for n in _LAWS[law].params))))
-    except (RuntimeError, ValueError) as exc:
-        raise FitError(f"{law} decay fit failed: {exc}") from exc
-    w = _lane_weights(sems)
-    return min(([float(v) for v in polished], start),
-               key=lambda p: _weighted_cost(w, means - model(lengths, *p)))
+    return params
 
 
 def fit_standard(stats) -> StandardFit:

@@ -7,22 +7,25 @@ records, one scalar binomial draw each; the package's per-length array
 bootstrap must reproduce its per-resample statistics draw for draw.  The
 ``curve_fit`` fits here are a local solver from a guessed start point; the
 package's variable-projection fits must reach an equal or lower weighted
-cost.  The profile fit here scores its coarse rate grid in residual form;
-the package scores it from weighted sums and must reach an equal or lower
-cost, with the same parameters wherever the two costs do not tie.  The per-sequence focus simulation here runs one trajectory array per
-sequence; the package's per-length batched
-``rb.simulate_focus`` must return the same table whenever no random draw
-decides it, and the same statistics otherwise.  The Lindblad oracle here
-intentionally uses a different construction from the package (one 16x16
-generator exponential in the column-stacked basis instead of a 4x4
-population exponential plus analytic coherence factors), so agreement is a
-genuine cross-check.
+cost.  The profile fit here solves each law's linear part in residual form
+(one residual array per candidate) and refines its rate bracket on zoom
+grids; the package solves the linear part from weighted sums and bisects on
+the slope of the profiled cost, and must reach an equal or lower cost, with
+the same parameters wherever the two costs do not tie.  Costs are compared
+in 40-digit decimal arithmetic (``weighted_cost``), so float64 rounding of
+small residuals does not decide a comparison.  The per-sequence focus
+simulation here runs one trajectory array per sequence; the package's
+per-length batched ``rb.simulate_focus`` must return the same table
+whenever no random draw decides it, and the same statistics otherwise.
+The Lindblad oracle here intentionally uses a different construction from
+the package (one 16x16 generator exponential in the column-stacked basis
+instead of a 4x4 population exponential plus analytic coherence factors),
+so agreement is a genuine cross-check.
 """
-
 from __future__ import annotations
 
 import dataclasses
-
+import decimal
 import warnings
 
 import numpy as np
@@ -218,6 +221,59 @@ def record_resample_stats(dataset: rb.RBDataset, n_resamples: int, seed) -> np.n
     return np.array(lanes).transpose(1, 0, 2)
 
 
+def _clipped_ratio(num, den, hi: float):
+    """``clip(num / den, 0, hi)`` for ``den >= 0`` without overflow; 0 where ``den == 0``."""
+    top, positive = hi * den, den > 0
+    ratio = np.divide(np.minimum(np.maximum(num, 0.0), top), den,
+                      out=np.zeros(np.shape(den)), where=positive)
+    return np.where(positive & (num >= top), hi, ratio)
+
+
+def amplitude_fit_oracle(x, y, w):
+    """Bounded amplitude minimising ``sum w (y - 1/2 - A x)**2``, in residual form.
+
+    ``x``, ``y`` and ``w`` share their shape, lengths last; returns the
+    cost and ``(A,)`` over the other axes.
+    """
+    r = y - 0.5
+    amplitude = _clipped_ratio((w * x * r).sum(-1), (w * x * x).sum(-1),
+                               rb.PARAMETER_BOUNDS["amplitude"][1])
+    residuals = r - amplitude[..., None] * x
+    return (w * residuals * residuals).sum(-1), (amplitude,)
+
+
+def intercept_asymptote_fit_oracle(x, y, w):
+    """``(B, C)`` in [0, 1]**2 minimising ``sum w (y - B x - C)**2``, in residual form.
+
+    The cheapest of the feasible free solution and the four edge solutions
+    (B = 0, B = 1, C = 0, C = 1), each candidate scored from its own
+    residuals.  Shapes as :func:`amplitude_fit_oracle`; returns the cost and
+    ``(B, C)``.
+    """
+    wx = w * x
+    sw, sx, sy = w.sum(-1), wx.sum(-1), (w * y).sum(-1)
+    sxx, sxy = (wx * x).sum(-1), (wx * y).sum(-1)
+    x_mean, y_mean = sx / sw, sy / sw
+    dx = x - x_mean[..., None]
+    sxx_c, sxy_c = (w * dx * dx).sum(-1), (w * dx * (y - y_mean[..., None])).sum(-1)
+    b, c = np.empty((5, *sxx.shape)), np.empty((5, *sxx.shape))
+    b[0] = _clipped_ratio(sxy_c, sxx_c, 1.0)
+    c[0] = y_mean - b[0] * x_mean
+    b[1], c[1] = 0.0, np.minimum(np.maximum(y_mean, 0.0), 1.0)
+    b[2], c[2] = 1.0, np.minimum(np.maximum(y_mean - x_mean, 0.0), 1.0)
+    b[3], c[3] = _clipped_ratio(sxy, sxx, 1.0), 0.0
+    b[4], c[4] = _clipped_ratio(sxy - sx, sxx, 1.0), 1.0
+    free = (sxx_c > 0) & (sxy_c >= 0) & (sxy_c <= sxx_c) & (c[0] >= 0) & (c[0] <= 1)
+    residuals = y - b[..., None] * x - c[..., None]
+    cost = (w * residuals * residuals).sum(-1)
+    cost[0] = np.where(free, cost[0], np.inf)
+    pick = np.argmin(cost, axis=0)
+    return np.choose(pick, cost), (np.choose(pick, b), np.choose(pick, c))
+
+
+LINEAR_FIT_ORACLES = {"standard": amplitude_fit_oracle,
+                      "leakage": intercept_asymptote_fit_oracle}
+
 #: each refinement of the oracle re-grids the bracket with this many evenly
 #: spaced points and keeps the best point's two neighbours: the bracket
 #: shrinks eightfold
@@ -231,14 +287,15 @@ def profile_fit_oracle(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]
     """Bounded weighted least squares of one decay law on every lane at once.
 
     An earlier ``rb._profile_fit``, kept as the oracle of the current one:
-    it scores the coarse grid in residual form, one (lanes, points, lengths)
-    array per block of ``rb._GRID_LANES`` lanes, where the package scores it
-    from each lane's weighted sums, and it refines the bracket with
-    ``_ZOOM_STEPS`` rounds of a ``_ZOOM`` grid, where the package bisects on
-    the slope of the profiled cost.  The final pick is the package's.
+    it solves the linear parameters in residual form (``LINEAR_FIT_ORACLES``)
+    and scores the coarse grid that way, one (lanes, points, lengths) array
+    per block of ``rb._GRID_LANES`` lanes, where the package works from each
+    lane's weighted sums, and it refines the bracket with ``_ZOOM_STEPS``
+    rounds of a ``_ZOOM`` grid, where the package bisects on the slope of
+    the profiled cost.  The final pick is the package's.
 
     Variable projection: given the decay rate ``r``, the law is linear in
-    its other parameters, which its ``linear_fit`` solves in closed form.
+    its other parameters, which have a closed form.
     The profiled cost is searched over ``r`` in [1e-9, 1]: a coarse grid in
     ``-ln r`` brackets its global minimum, finer grids on the bracket
     refine it, and the cheapest of that result, the best coarse point and
@@ -248,7 +305,7 @@ def profile_fit_oracle(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]
     non-finite statistics gets non-finite parameters.
     """
     w = rb._lane_weights(sems)
-    linear_fit = rb._LAWS[law].linear_fit
+    linear_fit = LINEAR_FIT_ORACLES[law]
     exponents = lengths + rb._LAWS[law].exponent_offset
 
     def profile(exponent, y, w):
@@ -319,13 +376,26 @@ def curve_fit_decay(law: str, lengths, means, sems, ls_ratio: float = 1.0,
 
 
 def weighted_cost(law: str, lengths, means, sems, params) -> float:
-    """``sum ((mean - model) / sem)**2``, or unweighted when any SEM is zero."""
-    model = rb.standard_decay if law == "standard" else rb.leakage_decay
-    lengths, means, sems = (np.asarray(v, dtype=float) for v in (lengths, means, sems))
-    residuals = means - model(lengths, *params)
-    if np.all(sems > 0):
-        residuals = residuals / sems
-    return float(np.sum(residuals ** 2))
+    """``sum ((mean - model) / sem)**2``, or unweighted when any SEM is zero.
+
+    Evaluated in 40-digit decimal arithmetic from the exact float inputs:
+    in float64 the rounding of small residuals (about 1e-12 of a cost near
+    1e-8 with means near 1) would decide comparisons at a 1e-12 slack.
+    """
+    with decimal.localcontext(decimal.Context(prec=40)):
+        p = [decimal.Decimal(float(v)) for v in params]
+        weighted = all(float(s) > 0 for s in sems)
+        total = decimal.Decimal(0)
+        for length, mean, sem in zip(lengths, means, sems):
+            n = int(length)
+            assert n == length
+            if law == "standard":
+                model = p[0] * p[1] ** n + decimal.Decimal("0.5")
+            else:
+                model = p[0] * p[2] ** (n + 1) + p[1]
+            r = decimal.Decimal(float(mean)) - model
+            total += r * r / (decimal.Decimal(float(sem)) ** 2 if weighted else 1)
+        return float(total)
 
 
 def focus_oracle(sequences, interleaved_ops, initial_state: int,

@@ -1,13 +1,18 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import mcmr
 from mcmr import cli, micromotion, rb
@@ -205,6 +210,24 @@ def test_depump_fit_failure_exits_4(tmp_path, capsys, monkeypatch):
                    "--out", str(tmp_path / "out")])
     assert rc == 4
     assert "synthetic" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, code, message", [
+    ({"gamma_per_s": 156.25, "times_s": [0, 0, 0]}, 3,
+     "needs 1 distinct positive time(s), got 0"),
+    # every fraction is 0 and the one positive time is past the start
+    # guess's rise, so the rate is not constrained at all
+    ({"gamma_per_s": 1e-300, "times_s": [0, 0, 0.01]}, 4, "unconstrained"),
+    ({"gamma_per_s": 156.25, "times_s": [0, 0, 0.01], "free_amplitude": True}, 3,
+     "needs 2 distinct positive time(s), got 1"),
+])
+def test_depump_unconstrained_fit_exits_3_or_4(tmp_path, capsys, payload, code, message):
+    config_path = write_json(tmp_path / "depump.json", payload)
+    rc = cli.main(["depump", "--config", config_path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == code and message in err, err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out" / "depump_fit.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -557,6 +580,59 @@ def test_fit_optimizer_failure_exits_4(tmp_path, capsys, monkeypatch):
                    "--out", str(tmp_path / "out")])
     assert rc == 4
     capsys.readouterr()
+
+
+@st.composite
+def dataset_csvs(draw):
+    """Dataset CSV text: 3-5 distinct lengths of 1-6 sequences each, any shots,
+    correct-outcome fractions that fall with length as a decay does (so the
+    fitted amplitude often sits on its bound), and now and then a row whose
+    target disagrees with its Pauli."""
+    lengths = sorted(draw(st.lists(st.integers(1, 200), min_size=3, max_size=5, unique=True)))
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=len(lengths), max_size=len(lengths)))
+    rows = [",".join(rb.DATASET_HEADER)]
+    for length, level in zip(lengths, sorted(levels, reverse=True)):
+        for seq_id in range(draw(st.integers(1, 6))):
+            pauli = draw(st.sampled_from(rb.PAULI_LABELS))
+            target = rb.clifford.target_outcome(pauli)
+            shots = draw(st.integers(1, 500))
+            correct = min(max(round(level * shots) + draw(st.integers(-3, 3)), 0), shots)
+            dark = correct if target == 0 else shots - correct
+            target = draw(st.sampled_from([target] * 49 + [1 - target]))
+            rows.append(f"{length},{seq_id},{pauli},{target},{shots},{dark},{shots - dark}")
+    return "\n".join(rows) + "\n"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=100, deadline=None)
+# a fully correct, then falling dataset whose amplitude clips at 0.75, where
+# ``0.75 * den / den`` rounds one ulp high
+@example("length,seq_id,pauli,target_outcome,shots,dark_counts,bright_counts\n"
+         "26,0,I,0,1,1,0\n27,0,I,0,1,0,1\n78,0,I,0,1,0,1\n81,0,I,0,59,1,58\n", 0, 0)
+@given(dataset_csvs(), st.sampled_from([0, 2, 20]), st.integers(0, 2 ** 32 - 1))
+def test_fit_on_any_dataset_exits_0_3_or_4_with_bounded_parameters(text, resamples, seed):
+    """``mcmr fit`` never ends in an internal error (exit 5); on success every
+    number in the results is finite and every fitted parameter in its bounds."""
+    with tempfile.TemporaryDirectory() as folder:
+        data = os.path.join(folder, "probe.csv")
+        with open(data, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out = os.path.join(folder, "out")
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = cli.main(["fit", "--data", data, "--out", out, "--seed", str(seed),
+                           "--resamples", str(resamples)])
+        assert rc in (0, 3, 4), err.getvalue()
+        if rc:
+            return
+        with open(os.path.join(out, "probe_results.json"), encoding="utf-8") as fh:
+            results = json.load(fh, parse_constant=_reject_constant)
+    fitted = {**results["standard"], **results["leakage"]}
+    for name, (lo, hi) in rb.PARAMETER_BOUNDS.items():
+        assert lo <= fitted[name] <= hi, (name, fitted[name])
 
 
 def test_unexpected_exception_exits_5_with_one_line(tmp_path, capsys, monkeypatch, caplog):

@@ -10,9 +10,9 @@ from scipy.optimize import lsq_linear
 
 from mcmr import channels, clifford, liouville, rb
 from mcmr.errors import ConfigError, DataFormatError, FitError
-from synthetic import (curve_fit_decay, exact_average_survival, focus_oracle,
-                       profile_fit_oracle, random_lambda_channel, record_resample_stats,
-                       record_stats, weighted_cost)
+from synthetic import (LINEAR_FIT_ORACLES, curve_fit_decay, exact_average_survival,
+                       focus_oracle, profile_fit_oracle, random_lambda_channel,
+                       record_resample_stats, record_stats, weighted_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -410,20 +410,28 @@ def assert_no_costlier(law: str, lengths, means, sems, params, oracle) -> None:
     assert ours <= theirs * (1 + 1e-12) + 1e-20 * floor, (law, params, oracle, ours, theirs)
 
 
+#: interleaved ops of the canonical-sampling fit cases
+_CAMPAIGN_CASES = {"campaign": ("measure", "reset"), "control": (), "reset": ("reset",)}
+FIT_CASES = ["balanced", "unbalanced", "unequal-shots", *_CAMPAIGN_CASES]
+
+
 def _fit_case_dataset(case: str) -> rb.RBDataset:
-    """An ``_oracle_dataset`` case, or ``"campaign"``: the canonical sampling
-    of the bleed-through probe, one measurement and one reset per slot."""
-    if case != "campaign":
+    """An ``_oracle_dataset`` case, or the canonical sampling of the campaign's
+    probe: ``"campaign"`` with one measurement and one reset per slot,
+    ``"control"`` and ``"reset"`` as those experiments.  In the last two
+    many resamples have a fully correct length, so their standard-law lanes
+    are unweighted (in ``"control"`` the point fit too)."""
+    if case not in _CAMPAIGN_CASES:
         return _oracle_dataset(case)
     seqs = rb.generate_sequences(seed=71)
     probe = rb.standard_experiments()[-1].probes["probe"]
-    slot = probe.slot_channel(("measure", "reset"))
+    slot = probe.slot_channel(_CAMPAIGN_CASES[case])
     return rb.simulate_dataset(seqs, slot, shots=100, seed=72)
 
 
-@pytest.mark.parametrize("case", ["balanced", "unbalanced", "unequal-shots", "campaign"])
+@pytest.mark.parametrize("case", FIT_CASES)
 def test_point_fits_match_or_beat_curve_fit(case):
-    """Polished fits reach the curve_fit oracle's cost or lower; standard parameters agree."""
+    """Point fits reach the curve_fit oracle's cost or lower; standard parameters agree."""
     ds = _fit_case_dataset(case)
     correct, dark = rb.per_length_stats(ds)
     std, leak = rb.fit_standard(correct), rb.fit_leakage(dark)
@@ -637,7 +645,8 @@ def test_bootstrap_counts_unidentified_leakage_refits():
     stats = rb._resample_stats(ds, 60, np.random.default_rng(66))
     lengths = np.array(ds.lengths, dtype=float) + 1.0
     means, w = stats[2][flat], rb._lane_weights(stats[3][flat])
-    costs = [rb._intercept_asymptote_fit(np.full_like(means, rate) ** lengths, means, w)[0]
+    costs = [rb._intercept_asymptote_fit(np.full((len(means), 1, 1), rate) ** lengths,
+                                         means, w)[0]
              for rate in (1.0, 0.999, 0.9, 0.5)]
     for cost in costs[1:]:
         np.testing.assert_allclose(cost, costs[0], rtol=1e-12, atol=0)
@@ -646,13 +655,14 @@ def test_bootstrap_counts_unidentified_leakage_refits():
 
 def _profiled_cost(law: str, s, exponents, means, w):
     rate = np.exp(-s)
-    return rb._LAWS[law].linear_fit(rate[:, None] ** exponents, means, w)[0]
+    return LINEAR_FIT_ORACLES[law](rate[:, None] ** exponents, means, w)[0]
 
 
 @pytest.mark.parametrize("law", ["standard", "leakage"])
 def test_profile_slope_matches_finite_difference(law):
     """The slope is the derivative of the profiled cost in ``-ln(rate)``, also
-    where a linear parameter sits on a bound; it is exactly 0 where B = 0."""
+    where a linear parameter sits on a bound; it is exactly 0 where B = 0.
+    The finite differences come from the residual-form oracle fits."""
     rng = np.random.default_rng(12)
     n = 300
     lengths = np.array([2.0, 9.0, 30.0])
@@ -665,7 +675,8 @@ def test_profile_slope_matches_finite_difference(law):
     sems[::7, 1] = 0.0  # unweighted lanes
     w = rb._lane_weights(sems)
     rate = np.exp(-s)
-    _, params = rb._LAWS[law].linear_fit(rate[:, None] ** exponents, means, w)
+    _, params = rb._LAWS[law].linear_fit(rate[:, None, None] ** exponents, means, w)
+    params = [p[:, 0] for p in params]
     slope = rb._profile_slope(law, lengths, means, w, (*params, rate))
     h = 1e-6 * s
     fd = (_profiled_cost(law, s + h, exponents, means, w)
@@ -700,13 +711,15 @@ def test_profile_fit_lane_equals_one_lane_fit():
             np.testing.assert_array_equal(np.delete(p, 7), np.delete(q, 7))
 
 
-@pytest.mark.parametrize("case", ["balanced", "unbalanced", "unequal-shots", "campaign"])
+@pytest.mark.parametrize("case", FIT_CASES)
 def test_profile_fit_matches_oracle(case):
-    """The sum-scored coarse grid and the slope bisection keep the zoom
-    oracle's fit: no lane costs more than the oracle's, and parameters differ
-    only where the two costs tie to rounding."""
+    """The linear fits from weighted sums and the slope bisection keep the
+    residual-form zoom oracle's fit: no lane costs more than the oracle's,
+    and parameters differ only where the two costs tie to rounding."""
     ds = _fit_case_dataset(case)
     stats = rb._resample_stats(ds, 200, np.random.default_rng(68))
+    if case in ("control", "reset"):
+        assert np.sum(np.any(stats[1] == 0.0, axis=-1)) >= 20
     lengths = np.array(ds.lengths, dtype=float)
     for law, means, sems in (("standard", *stats[:2]), ("leakage", *stats[2:])):
         ours = rb._profile_fit(law, lengths, means, sems)
@@ -717,6 +730,30 @@ def test_profile_fit_matches_oracle(case):
             assert_no_costlier(*args, mine, theirs)
             if mine != theirs:  # the oracle reaches no lower cost either
                 assert_no_costlier(*args, theirs, mine)
+
+
+def test_clipped_amplitude_never_exceeds_its_bound():
+    """``hi * den / den`` rounds one ulp above or below ``hi`` for about 8% of
+    denominators each; a clipped quotient is ``hi`` exactly, and no fitted
+    amplitude exceeds it."""
+    rng = np.random.default_rng(14)
+    den = rng.uniform(0.0, 10.0, 10_000)
+    assert np.all(rb._clipped_ratio(2.0 * den, den, 0.75) == 0.75)
+    lengths = np.array([2.0, 11.0, 81.0])
+    rate = rng.uniform(0.95, 0.999, (300, 1))
+    means = 0.5 + rng.uniform(0.8, 1.5, (300, 1)) * rate ** lengths
+    amplitude, _ = rb._profile_fit("standard", lengths, means, np.full((300, 3), 0.01))
+    assert np.sum(amplitude == 0.75) >= 100 and np.all(amplitude <= 0.75)
+
+
+def test_point_fits_do_not_call_curve_fit(monkeypatch):
+    """``rb.curve_fit`` stays only as a name the benchmark wraps."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("curve_fit called")
+
+    monkeypatch.setattr(rb, "curve_fit", refuse)
+    result = rb.analyze_dataset(_fit_case_dataset("balanced"), resamples=20, seed=3)
+    assert result.bootstrap.failures == 0
 
 
 def _box_cost(x, y, w, b, c):
@@ -734,16 +771,18 @@ def test_box_constrained_linear_fit_is_exact():
     w = np.array([1.0, 4.0, 2.0])
     b_free, c_free = np.polyfit(x, y, 1, w=np.sqrt(w))
     assert b_free > 1.0 and 0.0 <= c_free <= 1.0
-    cost, (b, c) = rb._intercept_asymptote_fit(x[None], y[None], w[None])
+    cost, (b, c) = rb._intercept_asymptote_fit(x[None, None], y[None], w[None])
+    cost, b, c = cost[0, 0], b[0, 0], c[0, 0]
     naive = _box_cost(x, y, w, 1.0, c_free)
-    assert b[0] == 1.0 and cost[0] < naive - 1e-3
-    assert cost[0] == pytest.approx(_box_cost(x, y, w, 1.0, float(np.average(y - x, weights=w))))
+    assert b == 1.0 and cost < naive - 1e-3
+    assert cost == pytest.approx(_box_cost(x, y, w, 1.0, float(np.average(y - x, weights=w))))
 
     rng = np.random.default_rng(8)
     x = np.sort(rng.uniform(0.0, 1.0, (300, 3)), axis=1)[:, ::-1]
     y = rng.uniform(-0.5, 1.5, (300, 3))
     w = rng.uniform(0.1, 10.0, (300, 3))
-    cost, (b, c) = rb._intercept_asymptote_fit(x, y, w)
+    cost, (b, c) = rb._intercept_asymptote_fit(x[:, None], y, w)
+    cost, b, c = cost[:, 0], b[:, 0], c[:, 0]
     for i in range(300):
         root = np.sqrt(w[i])
         ref = lsq_linear(np.column_stack([x[i], np.ones(3)]) * root[:, None], y[i] * root,
