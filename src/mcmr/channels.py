@@ -60,18 +60,23 @@ _REACHABLE = slice(0, 5)
 _EXTRA_TRACELESS = slice(5, 8)
 _CROSS = slice(8, 16)
 
+#: (rows, cols, description) of every coupling the twirl's closed form forbids
+_FORBIDDEN_COUPLINGS = (
+    (_EXTRA_TRACELESS, _REACHABLE, "coupling into traceless extra operators: {col} -> {row}"),
+    (_CROSS, _REACHABLE, "coupling into cross coherences: {col} -> {row}"),
+    (_REACHABLE, _EXTRA_TRACELESS, "coupling from traceless extra operators: {col} -> {row}"),
+    (_REACHABLE, _CROSS, "coupling from cross coherences: {col} -> {row}"),
+    (slice(4, 5), slice(1, 3), "leakage sourced from {col}"),
+    (slice(1, 3), slice(4, 5), "seepage landing on {row}"),
+)
+
 
 @dataclass(frozen=True, eq=False)
 class LeakageChannel:
-    """A qubit channel with explicit extra-level dynamics.
-
-    ``matrix`` is the real 16x16 superoperator; ``kind`` and ``params``
-    record how the channel was built, for reporting and file round trips.
-    """
+    """A qubit channel with explicit extra-level dynamics: ``matrix`` is its
+    real, read-only 16x16 superoperator."""
 
     matrix: np.ndarray = field(repr=False)
-    kind: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -83,20 +88,19 @@ class LeakageChannel:
 
 
 def identity_channel() -> LeakageChannel:
-    return LeakageChannel(np.eye(liouville.N_BASIS), kind="identity")
+    return LeakageChannel(np.eye(liouville.N_BASIS))
 
 
 def compose(*steps: LeakageChannel) -> LeakageChannel:
     """Channel applying the given steps in time order (first argument first)."""
     if not steps:
         raise ValueError("need at least one channel")
+    if len(steps) == 1:
+        return steps[0]
     mat = steps[0].matrix
     for step in steps[1:]:
         mat = step.matrix @ mat
-    if len(steps) == 1:
-        return steps[0]
-    return LeakageChannel(mat, kind="composite",
-                          params={"steps": [s.kind for s in steps]})
+    return LeakageChannel(mat)
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +155,7 @@ def scattering_rate_matrix(gamma_t: float, polarization=POLARIZATION_BALANCED,
     return rates
 
 
-def rate_scattering_channel(rates: np.ndarray, kind: str = "custom",
-                            params: dict | None = None) -> LeakageChannel:
+def rate_scattering_channel(rates: np.ndarray) -> LeakageChannel:
     """Solve the Lindblad equation for jump operators ``sqrt(R[a,b]) |b><a|``.
 
     Populations evolve under the 4x4 rate generator (one matrix exponential);
@@ -164,28 +167,16 @@ def rate_scattering_channel(rates: np.ndarray, kind: str = "custom",
         raise ValueError(f"rates must be {N_LEVELS}x{N_LEVELS}, got {r.shape}")
     if np.any(r < 0):
         raise ValueError("rates must be non-negative")
-    transfer = expm(rate_generator(r))
-
     totals = r.sum(axis=1)
-    mvec = np.zeros((liouville.N_BASIS, liouville.N_BASIS))
-
-    def vec_index(row: int, col: int) -> int:
-        return row + N_LEVELS * col
-
-    for a in range(N_LEVELS):
-        for b in range(N_LEVELS):
-            if a == b:
-                continue
-            mvec[vec_index(a, b), vec_index(a, b)] = np.exp(-(totals[a] + totals[b]) / 2.0)
-    for a in range(N_LEVELS):
-        for b in range(N_LEVELS):
-            mvec[vec_index(b, b), vec_index(a, a)] = transfer[b, a]
+    # |a><b| sits at column-stacked index a + 4 b, its population |a><a| at 5 a
+    mvec = np.diag(np.exp(-(totals[:, None] + totals[None, :]) / 2.0).ravel(order="F"))
+    populations = np.arange(N_LEVELS) * (N_LEVELS + 1)
+    mvec[np.ix_(populations, populations)] = expm(rate_generator(r))
     matrix = liouville.vec_to_basis_superop(mvec)
-    params = dict(params or {})
     if not np.all(np.isfinite(matrix)):
-        raise ConfigError(f"{kind} channel is not finite: scattering rates too "
-                          f"large (gamma_t {params.get('gamma_t', 'not given')})")
-    return LeakageChannel(matrix, kind=kind, params=params)
+        raise ConfigError(f"channel is not finite: scattering rates too large "
+                          f"(largest jump rate {np.nanmax(r):.3g})")
+    return LeakageChannel(matrix)
 
 
 def measurement_crosstalk(gamma_t: float,
@@ -194,30 +185,22 @@ def measurement_crosstalk(gamma_t: float,
 
     ``gamma_t`` is the scattering probability per final state over the window
     (balanced case); the dark state is untouched and no population returns
-    to it, so leakage equals seepage for balanced polarization.
+    to it, so leakage equals seepage for balanced polarization.  This is
+    :func:`reset_crosstalk` at ``dark_branching = 0``.
     """
-    w = tuple(_normalized_weights(polarization))
-    rates = scattering_rate_matrix(gamma_t, polarization, dark_branching=0.0)
-    return rate_scattering_channel(
-        rates, kind="measurement",
-        params={"gamma_t": float(gamma_t), "polarization": w})
+    return reset_crosstalk(gamma_t, polarization, dark_branching=0.0)
 
 
 def reset_crosstalk(gamma_t: float, polarization=POLARIZATION_BALANCED,
                     dark_branching: float = DEFAULT_DARK_BRANCHING) -> LeakageChannel:
     """Crosstalk of one reset window: pumping with a branch into the dark state.
 
-    Identical to :func:`measurement_crosstalk` at ``dark_branching = 0``; any
-    positive branching makes the window *remove* population from the bright
-    manifold, so seepage exceeds leakage (``S - L = 1 - exp(-3 b gamma_t)``
-    for balanced polarization).
+    Any positive branching makes the window *remove* population from the
+    bright manifold, so seepage exceeds leakage (``S - L = 1 - exp(-3 b
+    gamma_t)`` for balanced polarization).
     """
-    w = tuple(_normalized_weights(polarization))
-    rates = scattering_rate_matrix(gamma_t, polarization, dark_branching)
     return rate_scattering_channel(
-        rates, kind="reset",
-        params={"gamma_t": float(gamma_t), "polarization": w,
-                "dark_branching": float(dark_branching)})
+        scattering_rate_matrix(gamma_t, polarization, dark_branching))
 
 
 def depolarizing(p: float) -> LeakageChannel:
@@ -242,8 +225,7 @@ def depolarizing(p: float) -> LeakageChannel:
         op[:2, :2] = pa
         op[2:, 2:] = np.eye(2)
         kraus.append(np.sqrt(wgt) * op)
-    return LeakageChannel(liouville.kraus_to_superop(kraus),
-                          kind="depolarizing", params={"p": float(p)})
+    return LeakageChannel(liouville.kraus_to_superop(kraus))
 
 
 @dataclass(frozen=True)
@@ -260,10 +242,10 @@ class ChannelSpec(Config):
         _normalized_weights(self.polarization)
 
     def build(self) -> LeakageChannel:
-        if self.kind == "reset":
-            return reset_crosstalk(self.gamma_t, self.polarization,
-                                   self.dark_branching)
-        return measurement_crosstalk(self.gamma_t, self.polarization)
+        branching = self.dark_branching if self.kind == "reset" else 0.0
+        # rates of a huge gamma_t overflow; the finite check names them instead
+        with np.errstate(over="ignore", invalid="ignore"):
+            return reset_crosstalk(self.gamma_t, self.polarization, branching)
 
     def to_dict(self) -> dict:
         out = super().to_dict()
@@ -315,32 +297,14 @@ def validate_leakage_form(channel: LeakageChannel) -> None:
     qubit identity/Z components, and that seepage lands only on them.  Raises
     :class:`AssumptionError` listing every offending coupling.
     """
-    m = channel.matrix
     labels = liouville.BASIS_LABELS
     violations: list[tuple[str, float]] = []
-
-    def scan(rows: slice, cols: slice, what: str) -> None:
-        block = m[rows, cols]
-        idx_rows = range(rows.start, rows.stop)
-        idx_cols = range(cols.start, cols.stop)
-        for i, ri in enumerate(idx_rows):
-            for j, cj in enumerate(idx_cols):
-                if abs(block[i, j]) > STRUCTURE_TOL:
-                    violations.append(
-                        (f"{what}: {labels[cj]} -> {labels[ri]}", float(abs(block[i, j]))))
-
-    scan(_EXTRA_TRACELESS, _REACHABLE, "coupling into traceless extra operators")
-    scan(_CROSS, _REACHABLE, "coupling into cross coherences")
-    scan(_REACHABLE, _EXTRA_TRACELESS, "coupling from traceless extra operators")
-    scan(_REACHABLE, _CROSS, "coupling from cross coherences")
-    for col in (1, 2):
-        if abs(m[4, col]) > STRUCTURE_TOL:
-            violations.append(
-                (f"leakage sourced from {labels[col]}", float(abs(m[4, col]))))
-    for row in (1, 2):
-        if abs(m[row, 4]) > STRUCTURE_TOL:
-            violations.append(
-                (f"seepage landing on {labels[row]}", float(abs(m[row, 4]))))
+    for rows, cols, description in _FORBIDDEN_COUPLINGS:
+        block = np.abs(channel.matrix[rows, cols])
+        for i, j in np.argwhere(block > STRUCTURE_TOL):
+            where = description.format(row=labels[rows.start + i],
+                                       col=labels[cols.start + j])
+            violations.append((where, float(block[i, j])))
     if violations:
         worst = max(v for _, v in violations)
         raise AssumptionError(

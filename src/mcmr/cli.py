@@ -35,6 +35,10 @@ DEFAULT_SCAN_MAX_INDEX = 6.0
 DEFAULT_RESAMPLES = 200
 #: most bootstrap resamples a run may ask for
 MAX_RESAMPLES = 100_000
+#: most displacements one scan may ask for
+MAX_SCAN_POINTS = 1_000_000
+#: most sample times a depump run may ask for
+MAX_DEPUMP_POINTS = 100_000
 #: longest file name, in bytes, that common file systems accept
 NAME_MAX = 255
 
@@ -62,8 +66,9 @@ _FLAG_LIMITS = {
     "seed": (lambda v: v >= 0, "non-negative"),
     "resamples": (lambda v: v == 0 or 2 <= v <= MAX_RESAMPLES,
                   f"0 or from 2 to {MAX_RESAMPLES}"),
-    "points": (lambda v: v >= 2, "at least 2"),
-    "max_index": (lambda v: 0 < v < math.inf, "positive and finite"),
+    "points": (lambda v: 2 <= v <= MAX_SCAN_POINTS, f"from 2 to {MAX_SCAN_POINTS}"),
+    "max_index": (lambda v: 0 < v <= micromotion.MAX_MODULATION_INDEX,
+                  f"positive and at most {micromotion.MAX_MODULATION_INDEX:g}"),
     "parallel": (lambda v: v >= 1, "at least 1"),
 }
 
@@ -74,6 +79,11 @@ _FLAG_LIMITS = {
 
 def _cmd_scan(args) -> int:
     config = micromotion.TrapBeamConfig.from_json(args.config)
+    configured_index = micromotion.modulation_index(config)
+    if not abs(configured_index) <= micromotion.MAX_MODULATION_INDEX:
+        raise ConfigError(f"displacement_m {config.displacement_m!r} gives modulation "
+                          f"index {configured_index:.6g}, beyond the "
+                          f"{micromotion.MAX_MODULATION_INDEX:g} the sideband sum covers")
     out = _ensure_out(args.out)
 
     first = micromotion.first_null_modulation_index()
@@ -97,7 +107,6 @@ def _cmd_scan(args) -> int:
         for d, n, s in zip(displacements, indices, suppression):
             writer.writerow((_fmt(d), _fmt(n), _fmt(s)))
 
-    configured_index = micromotion.modulation_index(config)
     summary = {
         "config": config.to_dict(),
         "first_null": {
@@ -132,7 +141,7 @@ class DepumpConfig(Config):
     gamma_per_s: float = checked(gt=0.0)
     times_s: tuple[float, ...] | None = checked(None, ge=0.0)
     t_max_s: float | None = checked(None, gt=0.0)
-    points: int = checked(12, ge=3)
+    points: int = checked(12, ge=3, le=MAX_DEPUMP_POINTS)
     shots: int = checked(1000, ge=1)
     free_amplitude: bool = False
 
@@ -142,6 +151,10 @@ class DepumpConfig(Config):
             raise ConfigError("t_max_s is required when times_s is not given")
         if self.times_s is not None and len(self.times_s) < 3:
             raise ConfigError("times_s must list at least three times")
+        t_end = self.t_max_s if self.times_s is None else max(self.times_s)
+        if not math.isfinite(3.0 * self.gamma_per_s * t_end):  # the curve's exponent
+            raise ConfigError(f"gamma_per_s {self.gamma_per_s!r} overflows the depump "
+                              f"curve's exponent at time {t_end!r}")
 
 
 def _cmd_depump(args) -> int:
@@ -344,7 +357,8 @@ def main(argv=None) -> int:
             if value is not None and not test(value):
                 flag = "--" + name.replace("_", "-")
                 raise ConfigError(f"{flag} must be {requirement}, got {value}")
-        return args.func(args)
+        with np.errstate(over="raise"):  # no valid input overflows a float64
+            return args.func(args)
     except (ConfigError, AssumptionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -352,7 +366,8 @@ def main(argv=None) -> int:
         print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}",
               file=sys.stderr)
         return 2
-    except MemoryError as exc:  # a size flag or config value too large to allocate
+    # a size too large to allocate, or a value too large to compute with
+    except (MemoryError, OverflowError, FloatingPointError) as exc:
         print(f"error: input too large: {exc}", file=sys.stderr)
         return 2
     except DataFormatError as exc:

@@ -89,29 +89,21 @@ def standard_basis() -> np.ndarray:
     return _BASIS
 
 
+def _real(values: np.ndarray, what: str) -> np.ndarray:
+    """Real part of a basis-changed quantity; a large imaginary residue raises."""
+    residue = float(np.max(np.abs(values.imag)))
+    if residue > IMAG_TOL:
+        raise ValueError(f"{what}: imaginary residue {residue:.3e}")
+    return values.real
+
+
 def to_supervector(op: np.ndarray) -> np.ndarray:
-    """Expand a Hermitian operator in the standard basis.
-
-    Parameters
-    ----------
-    op : (4, 4) array_like
-        Hermitian operator (density matrix, POVM effect, observable).
-
-    Returns
-    -------
-    (16,) float ndarray
-    """
+    """Expand a Hermitian (4, 4) operator in the standard basis, as a (16,) float array."""
     op = np.asarray(op, dtype=complex)
     if op.shape != (DIM, DIM):
         raise ValueError(f"operator must be {DIM}x{DIM}, got {op.shape}")
-    basis = standard_basis()
-    vec = np.einsum("kij,ij->k", basis.conj(), op)
-    residue = float(np.max(np.abs(vec.imag)))
-    if residue > IMAG_TOL:
-        raise ValueError(
-            f"operator is not Hermitian: imaginary supervector residue {residue:.3e}"
-        )
-    return vec.real
+    return _real(_BASIS_MATRIX.conj().T @ op.flatten(order="F"),
+                 "operator is not Hermitian")
 
 
 def from_supervector(vec: np.ndarray) -> np.ndarray:
@@ -119,7 +111,7 @@ def from_supervector(vec: np.ndarray) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
     if vec.shape != (N_BASIS,):
         raise ValueError(f"supervector must have shape ({N_BASIS},), got {vec.shape}")
-    return np.einsum("k,kij->ij", vec, standard_basis())
+    return (_BASIS_MATRIX @ vec).reshape(DIM, DIM, order="F")
 
 
 def kraus_to_superop(kraus_ops) -> np.ndarray:
@@ -142,18 +134,12 @@ def vec_to_basis_superop(mvec: np.ndarray) -> np.ndarray:
     mvec = np.asarray(mvec, dtype=complex)
     if mvec.shape != (N_BASIS, N_BASIS):
         raise ValueError(f"superoperator must be {N_BASIS}x{N_BASIS}, got {mvec.shape}")
-    m = _BASIS_MATRIX.conj().T @ mvec @ _BASIS_MATRIX
-    residue = float(np.max(np.abs(m.imag)))
-    if residue > IMAG_TOL:
-        raise ValueError(f"map is not Hermiticity-preserving: residue {residue:.3e}")
-    return m.real
+    return _real(_BASIS_MATRIX.conj().T @ mvec @ _BASIS_MATRIX,
+                 "map is not Hermiticity-preserving")
 
 
 def embed_gate(qubit_unitary: np.ndarray, extra_unitary: np.ndarray | None = None) -> np.ndarray:
     """Superoperator of a unitary acting block-diagonally on qubit/extra levels.
-
-    Computed by direct conjugation of every basis element (an independent
-    arithmetic route from :func:`kraus_to_superop`, useful for cross-checks).
 
     Parameters
     ----------
@@ -171,13 +157,7 @@ def embed_gate(qubit_unitary: np.ndarray, extra_unitary: np.ndarray | None = Non
     U4 = np.zeros((DIM, DIM), dtype=complex)
     U4[:2, :2] = V
     U4[2:, 2:] = W
-    basis = standard_basis()
-    conjugated = np.einsum("ab,kbc,dc->kad", U4, basis, U4.conj())
-    m = np.einsum("iab,kab->ik", basis.conj(), conjugated)
-    residue = float(np.max(np.abs(m.imag)))
-    if residue > IMAG_TOL:  # pragma: no cover - unitary conjugation is always real here
-        raise ValueError(f"unexpected imaginary residue {residue:.3e}")
-    return m.real
+    return kraus_to_superop([U4])
 
 
 def identity_supervector() -> np.ndarray:

@@ -36,6 +36,9 @@ from .errors import ConfigError, DataFormatError, FitError
 
 #: default number of sideband harmonics kept in the suppression sum
 DEFAULT_HARMONIC_CUTOFF = 50
+#: largest modulation index the default sum is exact for: against 400
+#: harmonics its relative error is 0 up to 30, 1.4e-12 at 35 and 2e-8 at 40
+MAX_MODULATION_INDEX = 30.0
 
 #: bracket of the first zero of J_0 (the first carrier null)
 FIRST_NULL_BRACKET = (2.0, 3.0)

@@ -52,6 +52,9 @@ DEFAULT_SHOTS = 100
 MAX_LENGTH = 100_000
 MAX_LENGTHS = 64
 MAX_SEQUENCES_PER_LENGTH = 100_000
+#: most shots of one length, ``sequences_per_length * shots``: the focus
+#: simulation holds several (sequences, shots) arrays of them at once
+MAX_SHOTS_PER_LENGTH = 10_000_000
 
 PAULI_LABELS = clifford.PAULI_LABELS
 _DARK_PAULIS = ("I", "Z")
@@ -1103,6 +1106,10 @@ class ExperimentConfig(Config):
         if len(self.lengths) > MAX_LENGTHS:
             raise ConfigError(f"lengths must hold at most {MAX_LENGTHS} lengths, "
                               f"got {len(self.lengths)}")
+        if self.sequences_per_length * self.shots > MAX_SHOTS_PER_LENGTH:
+            raise ConfigError(f"sequences_per_length * shots must be <= "
+                              f"{MAX_SHOTS_PER_LENGTH}, got "
+                              f"{self.sequences_per_length * self.shots}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,9 @@ whenever no random draw decides it, and the same statistics otherwise.
 The Lindblad oracle here intentionally uses a different construction from
 the package (one 16x16 generator exponential in the column-stacked basis
 instead of a 4x4 population exponential plus analytic coherence factors),
-so agreement is a genuine cross-check.
+so agreement is a genuine cross-check.  The gate oracle here conjugates
+every basis operator by the unitary; the package's ``liouville.embed_gate``
+changes basis once from the column-stacked ``kron`` form.
 """
 from __future__ import annotations
 
@@ -56,6 +58,25 @@ def lindblad_vec_oracle(rates: np.ndarray) -> np.ndarray:
                         - 0.5 * np.kron(eye, jdj)
                         - 0.5 * np.kron(jdj.T, eye))
     return liouville.vec_to_basis_superop(expm(gen))
+
+
+def conjugation_oracle(qubit_unitary, extra_unitary=None) -> np.ndarray:
+    """Superoperator of a block-diagonal unitary, one conjugated basis operator
+    per column: ``M[i, k] = Tr(B_i^dag U B_k U^dag)``."""
+    u4 = np.zeros((liouville.DIM, liouville.DIM), dtype=complex)
+    u4[:2, :2] = qubit_unitary
+    u4[2:, 2:] = np.eye(2) if extra_unitary is None else extra_unitary
+    basis = liouville.standard_basis()
+    conjugated = np.einsum("ab,kbc,dc->kad", u4, basis, u4.conj())
+    m = np.einsum("iab,kab->ik", basis.conj(), conjugated)
+    assert np.max(np.abs(m.imag)) <= liouville.IMAG_TOL
+    return m.real
+
+
+def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
+    """A random unitary: the Q factor of a complex Gaussian matrix."""
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q
 
 
 def random_symmetric_rates(rng: np.random.Generator, scale: float = 0.25) -> np.ndarray:
@@ -94,13 +115,13 @@ def random_lambda_channel(rng: np.random.Generator) -> channels.LeakageChannel:
     chi = rng.uniform(0, 2 * np.pi)
     phase_e = liouville.embed_gate(np.eye(2),
                                    np.diag([1.0, np.exp(1j * chi)]))
-    parts.append(channels.LeakageChannel(phase_q, kind="qubit-phase"))
-    parts.append(channels.LeakageChannel(phase_e, kind="extra-phase"))
+    parts.append(channels.LeakageChannel(phase_q))
+    parts.append(channels.LeakageChannel(phase_e))
     q = float(rng.uniform(0.0, 0.3))
     z4 = np.diag([1.0, -1.0, 1.0, 1.0])
     dephase = liouville.kraus_to_superop(
         [np.sqrt(1 - q) * np.eye(4), np.sqrt(q) * z4])
-    parts.append(channels.LeakageChannel(dephase, kind="dephase"))
+    parts.append(channels.LeakageChannel(dephase))
     parts.append(channels.depolarizing(float(rng.uniform(0.0, 0.2))))
     order = rng.permutation(len(parts))
     return channels.compose(*[parts[i] for i in order])

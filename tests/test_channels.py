@@ -205,12 +205,10 @@ def test_depolarizing_transfer_factors():
 
 def test_compose_applies_first_argument_first():
     meas = channels.measurement_crosstalk(0.1)
-    gate = channels.LeakageChannel(
-        liouville.embed_gate(np.diag([1.0, 1.0j])), kind="phase")
+    gate = channels.LeakageChannel(liouville.embed_gate(np.diag([1.0, 1.0j])))
     combined = channels.compose(meas, gate)
     np.testing.assert_allclose(combined.matrix, gate.matrix @ meas.matrix,
                                atol=1e-14)
-    assert combined.kind == "composite"
     assert channels.compose(meas) is meas
     with pytest.raises(ValueError):
         channels.compose()
@@ -269,8 +267,6 @@ def test_channel_from_config_round_trip():
     meas = channels.channel_from_config({"kind": "measurement", "gamma_t": 0.02})
     np.testing.assert_allclose(meas.matrix,
                                channels.measurement_crosstalk(0.02).matrix)
-    assert meas.kind == "measurement"
-    assert meas.params["gamma_t"] == 0.02
 
     reset = channels.channel_from_config(
         {"kind": "reset", "gamma_t": 0.01,
@@ -278,7 +274,6 @@ def test_channel_from_config_round_trip():
     np.testing.assert_allclose(
         reset.matrix,
         channels.reset_crosstalk(0.01, (0.25, 0.5, 0.25), 0.4).matrix)
-    assert reset.params["dark_branching"] == 0.4
 
 
 def test_channel_from_config_validation():
@@ -308,8 +303,10 @@ def test_channel_from_config_validation():
     # finite but so large that the window's channel overflows to NaN
     assert np.all(np.isfinite(channels.measurement_crosstalk(1e6).matrix))
     for kind in ("measurement", "reset"):
-        with pytest.raises(ConfigError, match="gamma_t 1e\\+300"):
+        with pytest.raises(ConfigError, match="largest jump rate 1e\\+300"):
             channels.channel_from_config({"kind": kind, "gamma_t": 1e300})
+        with pytest.raises(ConfigError, match="largest jump rate inf"):
+            channels.channel_from_config({"kind": kind, "gamma_t": 1.7e308})
 
 
 def test_leakage_channel_validation():
@@ -325,7 +322,7 @@ def test_leakage_channel_validation():
 def test_swap_channel_has_half_leakage_and_seepage():
     """Coherently swapping |1> and |2> moves half of either identity across."""
     swap = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-    ch = channels.LeakageChannel(liouville.kraus_to_superop([swap]), kind="swap")
+    ch = channels.LeakageChannel(liouville.kraus_to_superop([swap]))
     leak, seep = channels.leakage_seepage(ch)
     np.testing.assert_allclose(leak, 0.5, atol=1e-13)
     np.testing.assert_allclose(seep, 0.5, atol=1e-13)

@@ -109,7 +109,10 @@ def test_scan_missing_config_exits_2(tmp_path, capsys):
 
     for key, value in (("displacement_m", float("nan")),
                        ("beam_angle_deg", float("nan")),
-                       ("rf_frequency_hz", float("inf"))):
+                       ("rf_frequency_hz", float("inf")),
+                       # finite, but the sideband weights or the index overflow
+                       ("rf_frequency_hz", 1e300),
+                       ("secular_frequency_hz", 1.7e308)):
         config_path = write_json(tmp_path / "bad.json",
                                  {**TRAP_CONFIG, key: value})
         rc = cli.main(["scan", "--config", config_path,
@@ -124,6 +127,31 @@ def test_scan_missing_config_exits_2(tmp_path, capsys):
                        "--out", str(tmp_path / "out"), *flags])
         assert rc == 2, flags
         assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("command, config, flags, message", [
+    ("scan", TRAP_CONFIG, ["--points", "1000001"],
+     "--points must be from 2 to 1000000, got 1000001"),
+    ("scan", TRAP_CONFIG, ["--max-index", "30.000000000000004"],
+     "--max-index must be positive and at most 30, got 30.000000000000004"),
+    ("scan", {**TRAP_CONFIG, "displacement_m": 8.74e-6}, [],
+     "displacement_m 8.74e-06 gives modulation index 30.0257, "
+     "beyond the 30 the sideband sum covers"),
+    ("depump", {"gamma_per_s": 156.25, "t_max_s": 0.04, "points": 100001}, [],
+     "points must be <= 100000, got 100001"),
+])
+def test_scan_and_depump_limits_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       command, config, flags, message):
+    """Each limit fails validation: exit 2, one line, nothing computed or written."""
+    for name in ("suppression_scan", "depump_probability"):
+        monkeypatch.setattr(micromotion, name,
+                            lambda *a, **k: pytest.fail("work started before validation"))
+    config_path = write_json(tmp_path / "config.json", config)
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", config_path, "--out", str(out), *flags])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +218,8 @@ def test_depump_config_validation(tmp_path, capsys):
         [1, 2],                                              # non-object root
         {"gamma_per_s": 156.25, "t_max_s": 0.04, "shots": 2.5},
         {"gamma_per_s": 156.25, "t_max_s": 0.04, "free_amplitude": "no"},
+        {"gamma_per_s": 1.7e308, "times_s": [0, 0, 0]},     # 3 * gamma overflows
+        {"gamma_per_s": 1e300, "t_max_s": 1e10},
     ]
     for i, payload in enumerate(cases):
         config_path = write_json(tmp_path / f"bad{i}.json", payload)
@@ -335,6 +365,9 @@ def test_benchmark_bad_campaign_exits_2(tmp_path, capsys):
                                           "gamma_t": 1e300}}}},
     {"lengths": [2, 2, 5, 9]},
     {"shots": 1e20},
+    # its jump rates overflow float64 before the channel is built
+    {"probes": {"probe": {"measurement": {"kind": "measurement",
+                                          "gamma_t": 1.7e308}}}},
 ])
 def test_benchmark_bad_config_values_exit_2(tmp_path, capsys, overrides):
     config_path = small_campaign(tmp_path, **overrides)
@@ -355,6 +388,8 @@ def test_benchmark_bad_config_values_exit_2(tmp_path, capsys, overrides):
      "experiments[0].lengths must hold at most 64 lengths, got 65"),
     ({"sequences_per_length": 100002}, [],
      "experiments[0].sequences_per_length must be <= 100000, got 100002"),
+    ({"sequences_per_length": 1, "shots": 10_000_001}, [],
+     "experiments[0].sequences_per_length * shots must be <= 10000000, got 10000001"),
 ])
 def test_benchmark_size_limits_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
                                                       overrides, flags, message):
@@ -633,6 +668,137 @@ def test_fit_on_any_dataset_exits_0_3_or_4_with_bounded_parameters(text, resampl
     fitted = {**results["standard"], **results["leakage"]}
     for name, (lo, hi) in rb.PARAMETER_BOUNDS.items():
         assert lo <= fitted[name] <= hi, (name, fitted[name])
+
+
+#: values that no config field accepts, or that only a size limit refuses
+BAD_VALUES = (-1, 0, float("nan"), float("inf"), 1e300, 1.7e308, 2 ** 63, "x", None, True,
+              [], {}, 100_001, rb.MAX_SHOTS_PER_LENGTH + 1)
+
+
+def _key_paths(node, path=()):
+    """Key paths of every value in a JSON tree, containers included."""
+    yield path
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _key_paths(child, (*path, key))
+
+
+@st.composite
+def corrupted(draw, config):
+    """``config`` as drawn, or with one value (or an unknown key) made bad."""
+    choice = draw(st.sampled_from(["keep"] * 3 + ["replace"] * 2 + ["unknown"]))
+    if choice == "keep":
+        return config
+    paths = [p for p in _key_paths(config) if p]
+    path = draw(st.sampled_from(paths))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if choice == "unknown" and isinstance(parent, dict):
+        parent["typo"] = 1
+    else:
+        parent[path[-1]] = draw(st.sampled_from(BAD_VALUES))
+    return config
+
+
+probability = st.floats(0.0, 0.1)
+
+
+@st.composite
+def campaigns(draw):
+    """Campaign JSON: 1-2 experiments of lengths <= 5, <= 6 sequences, <= 10 shots."""
+    experiments = []
+    for k in range(draw(st.integers(1, 2))):
+        probe = {"gate_depolarizing": draw(probability)}
+        if draw(st.booleans()):
+            probe["measurement"] = {"kind": "measurement", "gamma_t": draw(probability)}
+        if draw(st.booleans()):
+            probe["reset"] = {"kind": "reset", "gamma_t": draw(probability),
+                              "dark_branching": draw(st.floats(0.0, 1.0)),
+                              "polarization": draw(st.lists(st.floats(0.01, 1.0),
+                                                            min_size=3, max_size=3))}
+        if draw(st.booleans()):
+            probe["spam"] = {key: draw(probability) for key in
+                             ("prep_flip", "prep_leak", "dark_to_bright", "bright_to_dark")}
+        balanced = draw(st.booleans())
+        experiments.append({
+            "name": f"e{k}",
+            "interleaved_ops": draw(st.lists(st.sampled_from(rb.INTERLEAVED_OPS), max_size=3)),
+            "initial_focus_state": draw(st.sampled_from([0, 1])),
+            "probes": {"p": probe},
+            "focus": {key: draw(probability) for key in
+                      ("prep_flip", "dark_to_bright", "bright_to_dark",
+                       "depump_per_measure", "reset_error")},
+            "lengths": draw(st.lists(st.integers(1, 5), min_size=3, max_size=5, unique=True)),
+            "sequences_per_length": draw(st.sampled_from([2, 4, 6]) if balanced
+                                         else st.integers(1, 6)),
+            "shots": draw(st.integers(1, 10)),
+            "balanced": balanced,
+        })
+    return draw(corrupted({"experiments": experiments}))
+
+
+@st.composite
+def trap_configs(draw):
+    """Trap JSON around the documented geometry; the index reaches about 44."""
+    return draw(corrupted({
+        "rf_frequency_hz": draw(st.floats(1e7, 1e8)),
+        "secular_frequency_hz": draw(st.floats(1e5, 5e6)),
+        "linewidth_hz": draw(st.floats(1e6, 1e8)),
+        "wavelength_m": draw(st.floats(2e-7, 1e-6)),
+        "beam_angle_deg": draw(st.floats(-180.0, 180.0)),
+        "displacement_m": draw(st.floats(0.0, 2e-6)),
+    }))
+
+
+@st.composite
+def depump_configs(draw):
+    config = {"gamma_per_s": draw(st.floats(1e-3, 1e4)), "shots": draw(st.integers(1, 1000)),
+              "points": draw(st.integers(3, 20)), "free_amplitude": draw(st.booleans())}
+    if draw(st.booleans()):
+        config["times_s"] = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=8))
+    else:
+        config["t_max_s"] = draw(st.floats(1e-4, 10.0))
+    return draw(corrupted(config))
+
+
+def _run_config(command, config, flags):
+    """Run ``mcmr command`` on a config file; exit 0 prints nothing on stderr,
+    any other exit is 2, 3 or 4 with one ``error:`` line."""
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(config, fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            rc = cli.main([command, "--config", path,
+                           "--out", os.path.join(folder, "out"), *flags])
+    err = err.getvalue()
+    assert rc in (0, 2, 3, 4), err
+    if rc:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""
+
+
+@settings(max_examples=100, deadline=None)
+@given(campaigns(), st.sampled_from(["0", "2"]), st.integers(0, 2 ** 32 - 1))
+def test_benchmark_on_any_campaign_exits_0_2_3_or_4(config, resamples, seed):
+    _run_config("benchmark", config, ["--resamples", resamples, "--seed", str(seed)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(trap_configs(), st.sampled_from(["2", "50", "1000001"]),
+       st.sampled_from(["0.5", "6", "30", "30.5", "inf"]))
+def test_scan_on_any_trap_config_exits_0_2_3_or_4(config, points, max_index):
+    _run_config("scan", config, ["--points", points, "--max-index", max_index])
+
+
+@settings(max_examples=100, deadline=None)
+@given(depump_configs(), st.integers(0, 2 ** 32 - 1))
+def test_depump_on_any_config_exits_0_2_3_or_4(config, seed):
+    _run_config("depump", config, ["--seed", str(seed)])
 
 
 def test_unexpected_exception_exits_5_with_one_line(tmp_path, capsys, monkeypatch, caplog):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from mcmr import liouville
+from mcmr import clifford, liouville
 
-from synthetic import choi_matrix, lindblad_vec_oracle, random_symmetric_rates
+from synthetic import (choi_matrix, conjugation_oracle, lindblad_vec_oracle,
+                       random_symmetric_rates, random_unitary)
 
 
 def test_basis_is_orthonormal_and_hermitian():
@@ -70,18 +71,16 @@ def test_identity_supervector_components():
 
 
 def test_kraus_and_direct_embedding_agree():
+    """``embed_gate`` (one basis change of the kron form) matches conjugating
+    every basis operator, for each Clifford and for random block unitaries."""
+    for elem in clifford.clifford_table():
+        np.testing.assert_allclose(liouville.embed_gate(elem.unitary),
+                                   conjugation_oracle(elem.unitary), rtol=0, atol=1e-15)
     rng = np.random.default_rng(11)
     for _ in range(20):
-        raw = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        q, _ = np.linalg.qr(raw)
-        raw_e = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        w, _ = np.linalg.qr(raw_e)
-        full = np.zeros((4, 4), dtype=complex)
-        full[:2, :2] = q
-        full[2:, 2:] = w
+        q, w = random_unitary(rng), random_unitary(rng)
         np.testing.assert_allclose(liouville.embed_gate(q, w),
-                                   liouville.kraus_to_superop([full]),
-                                   atol=1e-12)
+                                   conjugation_oracle(q, w), rtol=0, atol=1e-15)
 
 
 def test_embed_gate_rejects_non_unitary():

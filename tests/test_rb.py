@@ -202,14 +202,14 @@ def test_decay_coefficients_match_exact_average():
     slots.extend(random_lambda_channel(rng) for _ in range(3))
     spam = rb.SpamModel(prep_flip=0.02, prep_leak=0.01,
                         dark_to_bright=0.02, bright_to_dark=0.04)
-    for slot in slots:
+    for k, slot in enumerate(slots):
         coeff = rb.decay_coefficients(slot, spam)
         for length in (1, 2, 3, 7):
             exact = exact_average_survival(slot, spam, length)
             for label in clifford.PAULI_LABELS:
                 for outcome in (0, 1):
                     assert abs(coeff.survival(label, outcome, length)
-                               - exact[(label, outcome)]) < 1e-11, slot.kind
+                               - exact[(label, outcome)]) < 1e-11, (k, label, outcome, length)
 
 
 def test_decay_coefficients_identity_channel_degenerate():
@@ -1151,8 +1151,13 @@ def test_experiment_config_round_trip_and_validation():
                             lengths=(2, 2, 5, 9))
     with pytest.raises(ConfigError, match="shots must be an integer in the int64 range"):
         rb.ExperimentConfig.from_dict({**config.to_dict(), "shots": 1e20})
-    limit = rb.ExperimentConfig.from_dict({**config.to_dict(), "shots": 2 ** 63 - 1})
-    assert limit.shots == 2 ** 63 - 1
+    # the int64 maximum parses, and then the shots-per-length limit refuses it
+    with pytest.raises(ConfigError, match=r"sequences_per_length \* shots must be "
+                                          r"<= 10000000, got 36893488147419103228$"):
+        rb.ExperimentConfig.from_dict({**config.to_dict(), "shots": 2 ** 63 - 1})
+    at_limit = rb.ExperimentConfig.from_dict(
+        {**config.to_dict(), "shots": rb.MAX_SHOTS_PER_LENGTH // 4})
+    assert at_limit.sequences_per_length * at_limit.shots == rb.MAX_SHOTS_PER_LENGTH
 
 
 def test_load_campaign_validation(tmp_path):
