@@ -36,15 +36,15 @@ couplings otherwise.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import clifford, liouville
 from .config import Config, checked
 from .errors import AssumptionError, ConfigError
-from .micromotion import rate_generator
 
 N_LEVELS = 4
 POLARIZATION_BALANCED = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
@@ -54,6 +54,13 @@ DEFAULT_DARK_BRANCHING = 1.0 / 3.0
 STRUCTURE_TOL = 1e-8
 #: internal consistency tolerance for the twirl closed form
 TWIRL_MATCH_TOL = 1e-10
+#: largest jump rate per window a channel is built for (about where the
+#: ``scipy.linalg.expm`` of earlier versions stopped being finite)
+MAX_JUMP_RATE = 1e38
+#: Taylor coefficients ``1/k!`` of :func:`_expm` in two blocks of eight, and
+#: the norms up to which one or both sum exp to rounding (remainder <= 2**-53)
+_TAYLOR_BLOCKS = np.array([1.0 / math.factorial(k) for k in range(16)]).reshape(2, 8)
+_TAYLOR_REACH = (0.038, 0.682)
 
 # supervector indices: qubit block, extra block, cross coherences
 _REACHABLE = slice(0, 5)
@@ -105,6 +112,44 @@ def compose(*steps: LeakageChannel) -> LeakageChannel:
 
 # ---------------------------------------------------------------------------
 # rate-equation channel builders
+
+
+def rate_generator(rates: np.ndarray) -> np.ndarray:
+    """Population generator G (``dp/dt = G p``) of jump rates ``rates[a, b]``
+    (an elastic jump ``rates[a, a]`` enters G twice and cancels)."""
+    return rates.T - np.diag(rates.sum(axis=1))
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    eye = np.identity(n)
+    eye.setflags(write=False)  # one array serves every call
+    return eye
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """``exp`` of a matrix or of each matrix of a stack ``(..., n, n)``.
+
+    Scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3, 2003): halve
+    ``a`` until the stack's Frobenius norm, which bounds each matrix's, is
+    within reach of one or two Taylor blocks, sum those over the powers
+    ``x**0..x**7`` in one product, then square back.
+    """
+    norm = math.sqrt(np.vdot(a, a))
+    s = math.ceil(math.log2(norm / _TAYLOR_REACH[1])) if norm > _TAYLOR_REACH[1] else 0
+    blocks = 1 if norm <= _TAYLOR_REACH[0] else 2
+    x = a * 2.0 ** -s if s else a  # exact: a power of two
+    powers = np.empty((8, *a.shape))
+    powers[0], powers[1] = _identity(a.shape[-1]), x
+    x2 = x @ x
+    np.matmul(powers[:2], x2, out=powers[2:4])
+    x4 = x2 @ x2
+    np.matmul(powers[:4], x4, out=powers[4:])
+    poly = (_TAYLOR_BLOCKS[:blocks] @ powers.reshape(8, -1)).reshape(blocks, *a.shape)
+    out = poly[0] if blocks == 1 else poly[0] + (x4 @ x4) @ poly[1]
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 def _normalized_weights(polarization) -> np.ndarray:
@@ -161,22 +206,24 @@ def rate_scattering_channel(rates: np.ndarray) -> LeakageChannel:
     Populations evolve under the 4x4 rate generator (one matrix exponential);
     every coherence damps by ``exp(-(T_a + T_b)/2)`` with ``T`` the total
     outflow including elastic jumps.  The result is CPTP by construction.
+    A jump rate above :data:`MAX_JUMP_RATE` (1e38), or NaN, raises
+    :class:`ConfigError` naming the largest jump rate.
     """
     r = np.asarray(rates, dtype=float)
     if r.shape != (N_LEVELS, N_LEVELS):
         raise ValueError(f"rates must be {N_LEVELS}x{N_LEVELS}, got {r.shape}")
     if np.any(r < 0):
         raise ValueError("rates must be non-negative")
+    if not np.all(r <= MAX_JUMP_RATE):
+        largest = np.nanmax(r) if np.any(r > MAX_JUMP_RATE) else np.nan
+        raise ConfigError(f"scattering rates too large: largest jump rate "
+                          f"{largest:.3g}, at most {MAX_JUMP_RATE:.0e} allowed")
     totals = r.sum(axis=1)
     # |a><b| sits at column-stacked index a + 4 b, its population |a><a| at 5 a
     mvec = np.diag(np.exp(-(totals[:, None] + totals[None, :]) / 2.0).ravel(order="F"))
     populations = np.arange(N_LEVELS) * (N_LEVELS + 1)
-    mvec[np.ix_(populations, populations)] = expm(rate_generator(r))
-    matrix = liouville.vec_to_basis_superop(mvec)
-    if not np.all(np.isfinite(matrix)):
-        raise ConfigError(f"channel is not finite: scattering rates too large "
-                          f"(largest jump rate {np.nanmax(r):.3g})")
-    return LeakageChannel(matrix)
+    mvec[np.ix_(populations, populations)] = _expm(rate_generator(r))
+    return LeakageChannel(liouville.vec_to_basis_superop(mvec))
 
 
 def measurement_crosstalk(gamma_t: float,
@@ -243,7 +290,7 @@ class ChannelSpec(Config):
 
     def build(self) -> LeakageChannel:
         branching = self.dark_branching if self.kind == "reset" else 0.0
-        # rates of a huge gamma_t overflow; the finite check names them instead
+        # rates of a huge gamma_t overflow; the rate check names them instead
         with np.errstate(over="ignore", invalid="ignore"):
             return reset_crosstalk(self.gamma_t, self.polarization, branching)
 

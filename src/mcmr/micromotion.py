@@ -23,14 +23,14 @@ scattering.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
-from scipy.linalg import expm
-from scipy.optimize import brentq, curve_fit
 
+from . import rb
+from .channels import _expm, rate_generator
 from .config import Config, checked, load_json
 from .errors import ConfigError, DataFormatError, FitError
 
@@ -42,6 +42,10 @@ MAX_MODULATION_INDEX = 30.0
 
 #: bracket of the first zero of J_0 (the first carrier null)
 FIRST_NULL_BRACKET = (2.0, 3.0)
+#: midpoints of the trapezoid rule for ``J_v``: its error, about
+#: ``J_{2N-v}(n)``, is below rounding for ``2N - v >= 78`` and ``|n| <= 40``,
+#: a margin N keeps by growing past the default cutoff
+BESSEL_NODES = 64
 
 #: number of F=1 ground-state sublevels in the optical-pumping rate model
 N_BRIGHT = 3
@@ -97,6 +101,33 @@ def displacement_for_index(config: TrapBeamConfig, index: float) -> float:
     return float(index / modulation_index(config, displacement=1.0))
 
 
+@functools.cache
+def _bessel_tables(orders: int):
+    """``sin(t)``, ``2 cos(v t)/N`` for even v and ``2 sin(v t)/N`` for odd v
+    on the first half of the N midpoints ``t`` of [0, pi], v <= orders."""
+    nodes = 2 * max(BESSEL_NODES // 2, (orders + 81) // 4)
+    t = (np.arange(nodes // 2) + 0.5) * (math.pi / nodes)
+    vt = np.outer(t, np.arange(orders + 1))
+    return np.sin(t), 2.0 * np.cos(vt[:, 0::2]) / nodes, 2.0 * np.sin(vt[:, 1::2]) / nodes
+
+
+def _bessel(n: np.ndarray, orders: int) -> np.ndarray:
+    """``J_v(n)`` for v = 0..orders, shaped ``(*n.shape, orders + 1)``.
+
+    The trapezoid rule on ``(1/pi) int_0^pi cos(v t - n sin t) dt``
+    converges geometrically (Trefethen & Weideman, SIAM Rev. 56, 385, 2014);
+    nodes ``t`` and ``pi - t`` pair up into a cosine half for even v and a
+    sine half for odd v.  ``einsum`` sums each point alike, whatever the
+    shape of ``n``.
+    """
+    sin_t, even, odd = _bessel_tables(orders)
+    phase = n[..., None] * sin_t
+    out = np.empty((*phase.shape[:-1], orders + 1))
+    out[..., 0::2] = np.einsum("...k,kv->...v", np.cos(phase), even)
+    out[..., 1::2] = np.einsum("...k,kv->...v", np.sin(phase), odd)
+    return out
+
+
 def suppression_factor(index, rf_over_linewidth: float,
                        harmonic_cutoff: int = DEFAULT_HARMONIC_CUTOFF):
     """Scattering rate relative to an undisplaced ion.
@@ -120,23 +151,31 @@ def suppression_factor(index, rf_over_linewidth: float,
         raise ValueError("rf_over_linewidth must be positive")
     if harmonic_cutoff < 1:
         raise ValueError("harmonic_cutoff must be at least 1")
-    n = np.asarray(index, dtype=float)
-    total = special.j0(n) ** 2
-    for v in range(1, harmonic_cutoff + 1):
-        weight = 1.0 / (1.0 + (2.0 * v * rf_over_linewidth) ** 2)
-        total = total + 2.0 * weight * special.jv(v, n) ** 2
+    v = np.arange(1, harmonic_cutoff + 1)
+    weights = np.concatenate(([1.0], 2.0 / (1.0 + (2.0 * v * rf_over_linewidth) ** 2)))
+    j = _bessel(np.asarray(index, dtype=float), harmonic_cutoff)
+    total = np.einsum("...v,v->...", j * j, weights)
     if np.ndim(index) == 0:
         return float(total)
     return total
 
 
 def carrier_null_index(bracket: tuple[float, float]) -> float:
-    """Root of ``J_0`` inside ``bracket`` (a carrier-extinction point)."""
-    lo, hi = bracket
-    flo, fhi = special.j0(lo), special.j0(hi)
-    if flo * fhi >= 0:
+    """Root of ``J_0`` inside ``bracket`` (a carrier-extinction point): Newton
+    steps with ``J_0' = -J_1`` inside the shrinking bracket, else bisection."""
+    lo, hi = map(float, bracket)
+    f_lo, f_hi = _bessel(np.array([lo, hi]), 0)[:, 0]
+    if f_lo * f_hi >= 0:
         raise ValueError(f"bracket {bracket} does not straddle a J0 zero")
-    return float(brentq(special.j0, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    x = 0.5 * (lo + hi)
+    for _ in range(100):
+        j0, j1 = _bessel(np.array(x), 1)
+        newton = x + j0 / j1 if j1 else math.inf
+        if abs(newton - x) <= 1e-15 * abs(x):
+            return float(newton)
+        lo, hi = (x, hi) if (j0 > 0) == (f_lo > 0) else (lo, x)
+        x = newton if lo < newton < hi else 0.5 * (lo + hi)
+    return float(x)
 
 
 def first_null_modulation_index() -> float:
@@ -160,10 +199,6 @@ def suppression_scan(config: TrapBeamConfig, displacements: np.ndarray):
 BRIGHT_ASYMPTOTE = 2.0 / 3.0
 
 
-def _depump_curve(t, gamma, amplitude=BRIGHT_ASYMPTOTE):
-    return amplitude * (1.0 - np.exp(-3.0 * gamma * t))
-
-
 def depump_probability(gamma: float, t):
     """Probability that a bright state has pumped to dark after exposure ``t``.
 
@@ -172,19 +207,10 @@ def depump_probability(gamma: float, t):
     population of the two field-insensitive neighbours of the initial state.
     """
     t = np.asarray(t, dtype=float)
-    out = _depump_curve(t, gamma)
+    out = BRIGHT_ASYMPTOTE * (1.0 - np.exp(-3.0 * gamma * t))
     if np.ndim(t) == 0:
         return float(out)
     return out
-
-
-def rate_generator(rates: np.ndarray) -> np.ndarray:
-    """Population generator G (``dp/dt = G p``) of jump rates ``rates[a, b]``."""
-    g = rates.T.copy()
-    np.fill_diagonal(g, 0.0)
-    out_rates = rates.sum(axis=1) - np.diag(rates)  # elastic jumps do not move population
-    g[np.diag_indices(len(rates))] = -out_rates
-    return g
 
 
 @dataclass(frozen=True)
@@ -202,8 +228,8 @@ class RateModel:
         r = np.asarray(self.rates, dtype=float)
         if r.shape != (N_BRIGHT, N_BRIGHT):
             raise ValueError(f"rates must be {N_BRIGHT}x{N_BRIGHT}, got {r.shape}")
-        if np.any(r < 0):
-            raise ValueError("rates must be non-negative")
+        if not np.all((r >= 0) & (r < np.inf)):
+            raise ValueError("rates must be finite and non-negative")
         r = r.copy()
         r.setflags(write=False)
         object.__setattr__(self, "rates", r)
@@ -222,8 +248,9 @@ class RateModel:
     def evolve(self, populations, times):
         """Populations at the requested times.
 
-        One matrix exponential of the generator per time.  Returns an array
-        of shape ``(len(times), 3)``, or ``(3,)`` for a scalar time.
+        One matrix exponential of the generator for all (finite) times at
+        once.  Returns an array of shape ``(len(times), 3)``, or ``(3,)`` for
+        a scalar time.
         """
         p0 = np.asarray(populations, dtype=float)
         if p0.shape != (N_BRIGHT,):
@@ -232,8 +259,9 @@ class RateModel:
             raise ValueError("populations must be non-negative")
         scalar = np.ndim(times) == 0
         ts = np.atleast_1d(np.asarray(times, dtype=float))
-        g = self.generator()
-        out = np.stack([expm(g * t) @ p0 for t in ts])
+        if not np.all(np.isfinite(ts)):
+            raise ValueError("times must be finite")
+        out = _expm(self.generator() * ts[:, None, None]) @ p0
         return out[0] if scalar else out
 
 
@@ -266,6 +294,15 @@ def _depump_sigma(fractions: np.ndarray, shots: np.ndarray) -> np.ndarray:
     return np.sqrt(smoothed * (1.0 - smoothed) / shots)
 
 
+#: the depump curve, pinned or free, as a law of :func:`mcmr.rb._profile_fit`:
+#: ``rate = exp(-3 gamma t_unit)``, t_unit the first positive time; the rate
+#: stays 1e-9 short of 1, so gamma stays positive (as ``curve_fit`` kept it)
+_DEPUMP_LAWS = {free: rb._Law(
+    lambda t, amplitude, rate: amplitude * (1.0 - rate ** t),
+    functools.partial(rb._rise_fit, amplitude=None if free else BRIGHT_ASYMPTOTE),
+    0.0, ("amplitude", "rate"), sign=-1.0, ceiling=math.exp(-1e-9)) for free in (False, True)}
+
+
 def fit_depump(times, dark_fractions, shots=None,
                free_amplitude: bool = False) -> DepumpFit:
     """Fit the bright-state depumping curve and return the pumping rate.
@@ -277,12 +314,16 @@ def fit_depump(times, dark_fractions, shots=None,
     shots : array_like or int, optional
         Shots behind each fraction; enables binomial weighting.
     free_amplitude : bool
-        Fit the asymptote too instead of pinning it at 2/3.
+        Fit the asymptote too (in [0, 1]) instead of pinning it at 2/3.
 
-    Each fitted parameter needs its own distinct positive time (a time-0
-    point constrains neither), else :class:`DataFormatError`; a fit whose
-    sigma comes out 0 or non-finite is unconstrained and raises
-    :class:`FitError`.
+    The benchmarking laws' variable projection (:func:`mcmr.rb._profile_fit`)
+    fits; sigmas come from ``(J^T W J)^-1``, scaled by the reduced chi-square
+    without ``shots``.  Each fitted parameter needs its own distinct
+    positive time (a time-0 point constrains neither), else
+    :class:`DataFormatError`.  :class:`FitError` marks an unconstrained fit:
+    a rate on the floor (saturated by the first positive time), on the
+    ceiling with no more positive times than parameters, or a sigma 0 or
+    non-finite.
     """
     t = np.asarray(times, dtype=float)
     f = np.asarray(dark_fractions, dtype=float)
@@ -291,44 +332,35 @@ def fit_depump(times, dark_fractions, shots=None,
     n_params = 2 if free_amplitude else 1
     if t.size < n_params + 1:
         raise DataFormatError("not enough points to constrain the depump fit")
-    if np.any(f < 0) or np.any(f > 1):
+    if not np.all((f >= 0) & (f <= 1)):  # NaN too
         raise DataFormatError("dark fractions must lie in [0, 1]")
-    if np.any(t < 0):
-        raise DataFormatError("times must be non-negative")
+    if not np.all((t >= 0) & (t < np.inf)):
+        raise DataFormatError("times must be finite and non-negative")
     n_times = np.unique(t[t > 0]).size
     if n_times < n_params:
         raise DataFormatError(f"the depump fit needs {n_params} distinct positive "
                               f"time(s), got {n_times}")
 
-    sigma = None
+    sigma = np.ones_like(t)
     if shots is not None:
         n = np.broadcast_to(np.asarray(shots, dtype=float), t.shape)
         if np.any(n <= 0):
             raise DataFormatError("shots must be positive")
         sigma = _depump_sigma(f, n)
 
-    # initial rate from the first half-rise crossing
-    a0 = max(float(f.max()), 1e-3) if free_amplitude else BRIGHT_ASYMPTOTE
-    above = np.nonzero(f >= 0.5 * a0)[0]
-    t_half = t[above[0]] if above.size and t[above[0]] > 0 else max(float(np.median(t)), 1e-12)
-    gamma0 = math.log(2.0) / (3.0 * t_half)
-
-    if free_amplitude:
-        p0, bounds = [gamma0, a0], ([0.0, 0.0], [np.inf, 1.0])
-    else:  # the curve's amplitude stays at its default, 2/3
-        p0, bounds = [gamma0], (0.0, np.inf)
-    try:
-        popt, pcov = curve_fit(_depump_curve, t, f, p0=p0, sigma=sigma,
-                               absolute_sigma=sigma is not None,
-                               bounds=bounds, maxfev=10000)
-    except (RuntimeError, ValueError) as exc:
-        raise FitError(f"depump fit failed: {exc}") from exc
-    sigmas = np.sqrt(np.diag(pcov))
-    gamma, gamma_sig = popt[0], sigmas[0]
-    amp, amp_sig = (popt[1], sigmas[1]) if free_amplitude else (BRIGHT_ASYMPTOTE, 0.0)
-    if not np.isfinite(gamma) or gamma <= 0:
-        raise FitError(f"depump fit returned unusable rate {gamma!r}")
-    if not np.all(np.isfinite(sigmas) & (sigmas > 0)):
-        raise FitError(f"depump fit is unconstrained: sigmas {sigmas.tolist()}")
-    return DepumpFit(float(gamma), float(gamma_sig), float(amp), float(amp_sig),
-                     free_amplitude)
+    law = _DEPUMP_LAWS[free_amplitude]
+    t_unit = float(t[t > 0].min())
+    amp, rate = (float(p[0]) for p in rb._profile_fit(law, t / t_unit, f[None], sigma[None]))
+    if not (rb._RATE_FLOOR < rate < law.ceiling or rate == law.ceiling and n_times > n_params):
+        raise FitError(f"depump fit is unconstrained: exp(-3 gamma t) sits on an end "
+                       f"of its range, {rate:.9g} at the first positive time {t_unit:.3g} s")
+    gamma = -math.log(rate) / (3.0 * t_unit)
+    decay = np.exp(-3.0 * gamma * t)
+    jac = np.stack((3.0 * amp * t * decay, 1.0 - decay)[:n_params]) / sigma
+    residuals = (f - amp * (1.0 - decay)) / sigma  # without shots, scale as curve_fit
+    scale = 1.0 if shots is not None else residuals @ residuals / (t.size - n_params)
+    variances = np.diag(np.linalg.pinv(jac @ jac.T)) * scale
+    if not np.all(np.isfinite(variances) & (variances > 0)):
+        raise FitError(f"depump fit is unconstrained: variances {variances.tolist()}")
+    sigmas = np.sqrt(variances).tolist() + [0.0]
+    return DepumpFit(gamma, sigmas[0], amp, sigmas[1], free_amplitude)

@@ -35,9 +35,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-# No code in this package calls ``curve_fit``: the traced benchmark wraps
-# ``rb.curve_fit`` (``perfbench/layers.py``) until ROADMAP item 1 retires that wrap.
-from scipy.optimize import curve_fit  # noqa: F401
 
 from . import channels, clifford, liouville
 from .channels import ChannelSpec  # rb.ChannelSpec; resolves the ProbeSpec hints
@@ -55,6 +52,9 @@ MAX_SEQUENCES_PER_LENGTH = 100_000
 #: most shots of one length, ``sequences_per_length * shots``: the focus
 #: simulation holds several (sequences, shots) arrays of them at once
 MAX_SHOTS_PER_LENGTH = 10_000_000
+#: most Clifford indices of one experiment, ``sequences_per_length *
+#: sum(lengths)``: the sequences hold each one as a Python int
+MAX_CLIFFORDS = 10_000_000
 
 PAULI_LABELS = clifford.PAULI_LABELS
 _DARK_PAULIS = ("I", "Z")
@@ -69,6 +69,14 @@ FOCUS_HEADER = ("length", "seq_id", "slot", "meas_index", "shots", "errors")
 #: fraction of bootstrap refits allowed to fail before the analysis is
 #: declared unstable
 BOOTSTRAP_FAILURE_BUDGET = 0.10
+
+
+def curve_fit(*args, **kwargs):
+    """``scipy.optimize.curve_fit``, imported when called.  No code here calls
+    it: it is only the name the traced benchmark wraps, until ROADMAP item 1
+    retires that wrap, and this with it."""
+    from scipy.optimize import curve_fit as scipy_curve_fit
+    return scipy_curve_fit(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +483,16 @@ _GRID = np.concatenate((
 #: halvings of the refinement bracket: a bracket of two coarse spacings
 #: (a fifth of its exponent) shrinks to about 2e-10 of its exponent
 _BISECTIONS = 30
-#: lanes per block of the coarse grid, which bounds its temporaries
+#: lanes per block of the coarse grid, and (grid point, length) pairs scored
+#: at once, which bound its temporaries (a decay law's grid is one block;
+#: a depump fit of many points is not)
 _GRID_LANES = 16
+_GRID_BLOCK = 1 << 20
+# glibc gives every allocation above its mmap threshold (128 KiB at start)
+# fresh pages, and the grid's (5, 16, 232) temporaries are 148 KiB: about
+# 2,500 page faults per leakage fit.  Freeing one 8 MiB block raises the
+# threshold past them (mallopt(3)), as loading scipy used to.
+np.empty(1 << 20)
 #: bootstrap resamples drawn together, one length at a time
 _RESAMPLE_BLOCK = 64
 
@@ -565,6 +581,18 @@ def _intercept_asymptote_fit(x, y, w):
     return best, (b_best, c_best)
 
 
+def _rise_fit(x, y, w, amplitude=None):
+    """Amplitude in [0, 1] (or ``amplitude``) minimising ``sum w (y - A z)**2``,
+    ``z = 1 - x``, for every lane and point of ``x`` (:func:`_lane_sums`):
+    the (lanes, points) cost ``sum w y**2 - A (2 sum w z y - A sum w z**2)``
+    and ``(A,)``."""
+    z = 1.0 - x
+    wy = w * y
+    szy, szz = _lane_sums(z, wy), _lane_sums(z * z, w)
+    a = _clipped_ratio(szy, szz, 1.0) if amplitude is None else np.full(szz.shape, amplitude)
+    return (wy * y).sum(-1)[:, None] - a * (2.0 * szy - a * szz), (a,)
+
+
 @dataclass(frozen=True)
 class _Law:
     """A decay law as the fits see it: linear in all parameters but its rate."""
@@ -576,6 +604,10 @@ class _Law:
     exponent_offset: float
     #: parameter names in model order, rate last
     params: tuple[str, ...]
+    #: sign of the first parameter's factor of ``rate**(length + offset)``,
+    #: and the largest rate searched
+    sign: float = 1.0
+    ceiling: float = 1.0
 
 
 _LAWS = {"standard": _Law(standard_decay, _amplitude_fit, 0.0, ("amplitude", "base")),
@@ -583,37 +615,37 @@ _LAWS = {"standard": _Law(standard_decay, _amplitude_fit, 0.0, ("amplitude", "ba
                          ("intercept", "asymptote", "t_minus"))}
 
 
-def _profile_slope(law: str, lengths, means, w, params) -> np.ndarray:
+def _profile_slope(spec: _Law, lengths, means, w, params) -> np.ndarray:
     """Slope of the profiled cost in ``s = -ln(rate)`` at ``params`` (the fitted
     linear parameters, then the rate, as (lanes,) arrays).
 
     By the envelope theorem it is the partial derivative there,
-    ``2 scale sum w r e x``: the law's first parameter as ``scale``,
-    residuals ``r``, ``e = lengths + exponent_offset`` and ``x = rate**e``.
-    It is exactly 0 where ``scale`` is 0.
+    ``2 scale sum w r e x``: the law's first parameter times its ``sign``
+    as ``scale``, residuals ``r``, ``e = lengths + exponent_offset`` and
+    ``x = rate**e``.  It is exactly 0 where ``scale`` is 0.
     """
-    spec = _LAWS[law]
     columns = [p[..., None] for p in params]
     e = lengths + spec.exponent_offset
     residuals = means - spec.model(lengths, *columns)
-    return 2.0 * params[0] * (w * residuals * e * columns[-1] ** e).sum(-1)
+    return 2.0 * spec.sign * params[0] * (w * residuals * e * columns[-1] ** e).sum(-1)
 
 
-def _profile_fit(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]:
+def _profile_fit(spec: _Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
     """Bounded weighted least squares of one decay law on every lane at once.
 
     Variable projection: given the decay rate ``r``, the law is linear in
     its other parameters, which its ``linear_fit`` solves in closed form.
     The profiled cost is searched over ``s = -ln r`` for ``r`` in [1e-9,
-    1].  A coarse grid in ``s`` brackets its global minimum between the best
-    point's two neighbours, then bisection on the sign of the cost's slope
-    (:func:`_profile_slope`) halves the bracket :data:`_BISECTIONS` times,
-    one point per lane and step.  The boxes of the linear parameters do not
-    depend on ``s``, so the profiled cost is smooth wherever the box optimum
-    is unique, also where a bound becomes active.  The cheapest of the
-    final bracket's midpoint, the best coarse point and both bounds wins, a
-    tie going to rate 1, then the floor, then the coarse point (a leakage
-    lane with B = 0 costs the same at every rate and reports 1).  The
+    ``spec.ceiling``].  A coarse grid in ``s`` brackets its global minimum
+    between the best point's two neighbours, then bisection on the sign of
+    the cost's slope (:func:`_profile_slope`) halves the bracket
+    :data:`_BISECTIONS` times, one point per lane and step.  The boxes of
+    the linear parameters do not depend on ``s``, so the profiled cost is
+    smooth wherever the box optimum is unique, also where a bound becomes
+    active.  The cheapest of the final bracket's midpoint, the best coarse
+    point and both bounds wins, a tie going to the ceiling, then the floor,
+    then the coarse point (a leakage lane with B = 0 costs the same at every
+    rate and reports 1).  The
     coarse grid is scored by ``linear_fit``'s cost, which it forms from
     weighted sums; the final pick scores its four candidates from their
     residuals, which round less where the fit is close.  ``means`` and
@@ -622,25 +654,26 @@ def _profile_fit(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]:
     non-finite parameters.
     """
     w = _lane_weights(sems)
-    spec = _LAWS[law]
     exponents = lengths + spec.exponent_offset
 
+    def clipped(exponent):
+        return np.clip(np.exp(-exponent), _RATE_FLOOR, spec.ceiling)
+
     def solve(exponent):  # (lanes, points) -> parameters, rate last, each (lanes, points)
-        rate = np.clip(np.exp(-exponent), _RATE_FLOOR, 1.0)
+        rate = clipped(exponent)
         return (*spec.linear_fit(rate[..., None] ** exponents, means, w)[1], rate)
 
-    n = len(means)
-    x = np.clip(np.exp(-_GRID), _RATE_FLOOR, 1.0)[:, None] ** exponents
-    coarse = np.concatenate([
-        np.argmin(spec.linear_fit(x, means[i:i + _GRID_LANES], w[i:i + _GRID_LANES])[0],
-                  axis=-1)
-        for i in range(0, n, _GRID_LANES)])
+    n, step = len(means), max(1, _GRID_BLOCK // exponents.size)
+    rates = [clipped(_GRID[j:j + step])[:, None] for j in range(0, _GRID.size, step)]
+    coarse = np.concatenate([np.argmin(np.concatenate([
+        spec.linear_fit(r ** exponents, means[i:i + _GRID_LANES], w[i:i + _GRID_LANES])[0]
+        for r in rates], axis=-1), axis=-1) for i in range(0, n, _GRID_LANES)])
     lo = _GRID[np.maximum(coarse - 1, 0)]
     hi = _GRID[np.minimum(coarse + 1, _GRID.size - 1)]
     for _ in range(_BISECTIONS):
         mid = 0.5 * (lo + hi)
         params = [p[:, 0] for p in solve(mid[:, None])]
-        rising = _profile_slope(law, lengths, means, w, params) > 0
+        rising = _profile_slope(spec, lengths, means, w, params) > 0
         lo, hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
     tried = np.stack([np.full(n, _GRID[0]), np.full(n, _GRID[-1]), _GRID[coarse],
                       0.5 * (lo + hi)], axis=-1)
@@ -654,7 +687,7 @@ def _fit(law: str, stats) -> list[float]:
     """One lane of :func:`_profile_fit`."""
     lengths, means, sems = (np.array([getattr(s, f) for s in stats], dtype=float)
                             for f in ("length", "mean", "sem"))
-    params = [float(p[0]) for p in _profile_fit(law, lengths, means[None], sems[None])]
+    params = [float(p[0]) for p in _profile_fit(_LAWS[law], lengths, means[None], sems[None])]
     if not all(np.isfinite(params)):
         raise FitError(f"{law} decay fit returned non-finite parameters")
     return params
@@ -785,7 +818,7 @@ def bootstrap_analysis(dataset: RBDataset, n_resamples: int = 200,
     lengths = np.array(dataset.lengths, dtype=float)
     values = {}
     for law, means, sems in (("standard", *stats[:2]), ("leakage", *stats[2:])):
-        values.update(zip(_LAWS[law].params, _profile_fit(law, lengths, means, sems)))
+        values.update(zip(_LAWS[law].params, _profile_fit(_LAWS[law], lengths, means, sems)))
     values["leakage"], values["seepage"] = _leakage_seepage(
         values["intercept"], values["asymptote"], values["t_minus"])
     values["epsilon"] = average_error(values["base"], values["leakage"])
@@ -1106,10 +1139,13 @@ class ExperimentConfig(Config):
         if len(self.lengths) > MAX_LENGTHS:
             raise ConfigError(f"lengths must hold at most {MAX_LENGTHS} lengths, "
                               f"got {len(self.lengths)}")
-        if self.sequences_per_length * self.shots > MAX_SHOTS_PER_LENGTH:
-            raise ConfigError(f"sequences_per_length * shots must be <= "
-                              f"{MAX_SHOTS_PER_LENGTH}, got "
-                              f"{self.sequences_per_length * self.shots}")
+        for what, size, limit in (
+                ("shots", self.sequences_per_length * self.shots, MAX_SHOTS_PER_LENGTH),
+                ("sum(lengths)", self.sequences_per_length * sum(self.lengths),
+                 MAX_CLIFFORDS)):
+            if size > limit:
+                raise ConfigError(f"sequences_per_length * {what} must be <= {limit}, "
+                                  f"got {size}")
 
 
 @dataclass(frozen=True)

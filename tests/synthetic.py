@@ -22,19 +22,24 @@ the package (one 16x16 generator exponential in the column-stacked basis
 instead of a 4x4 population exponential plus analytic coherence factors),
 so agreement is a genuine cross-check.  The gate oracle here conjugates
 every basis operator by the unitary; the package's ``liouville.embed_gate``
-changes basis once from the column-stacked ``kron`` form.
+changes basis once from the column-stacked ``kron`` form.  The scipy
+oracles (``scipy.linalg.expm``, ``scipy.special.jv``, ``brentq`` on ``J_0``
+and the ``curve_fit`` depump fit) are the routes the package used before
+its runtime dropped scipy; its numpy routes must reproduce them.
 """
 from __future__ import annotations
 
 import dataclasses
 import decimal
+import math
 import warnings
 
 import numpy as np
+from scipy import special
 from scipy.linalg import expm
-from scipy.optimize import OptimizeWarning, curve_fit
+from scipy.optimize import OptimizeWarning, brentq, curve_fit
 
-from mcmr import channels, clifford, liouville, rb
+from mcmr import channels, clifford, liouville, micromotion, rb
 
 
 def lindblad_vec_oracle(rates: np.ndarray) -> np.ndarray:
@@ -61,11 +66,16 @@ def lindblad_vec_oracle(rates: np.ndarray) -> np.ndarray:
 
 
 def conjugation_oracle(qubit_unitary, extra_unitary=None) -> np.ndarray:
-    """Superoperator of a block-diagonal unitary, one conjugated basis operator
-    per column: ``M[i, k] = Tr(B_i^dag U B_k U^dag)``."""
+    """Superoperator of a block-diagonal unitary (:func:`unitary_superop_oracle`)."""
     u4 = np.zeros((liouville.DIM, liouville.DIM), dtype=complex)
     u4[:2, :2] = qubit_unitary
     u4[2:, 2:] = np.eye(2) if extra_unitary is None else extra_unitary
+    return unitary_superop_oracle(u4)
+
+
+def unitary_superop_oracle(u4) -> np.ndarray:
+    """Superoperator of a 4x4 unitary, one conjugated basis operator per
+    column: ``M[i, k] = Tr(B_i^dag U B_k U^dag)``."""
     basis = liouville.standard_basis()
     conjugated = np.einsum("ab,kbc,dc->kad", u4, basis, u4.conj())
     m = np.einsum("iab,kab->ik", basis.conj(), conjugated)
@@ -458,3 +468,38 @@ def focus_oracle(sequences, interleaved_ops, initial_state: int,
                     ideal = rng.integers(0, 2, shots).astype(np.int8)
                     state = ideal.copy()
     return np.array(rows, dtype=np.int64).reshape(-1, len(rb.FOCUS_HEADER))
+
+
+# ---------------------------------------------------------------------------
+# the scipy routes of earlier versions
+
+
+def carrier_null_oracle(bracket) -> float:
+    """``brentq`` on ``scipy.special.j0``, as ``micromotion.carrier_null_index`` was."""
+    return float(brentq(special.j0, *bracket, xtol=1e-14, rtol=8.9e-16))
+
+
+def fit_depump_oracle(times, fractions, shots=None, free_amplitude=False, tol=None):
+    """``(gamma, gamma_sigma, amplitude, amplitude_sigma)`` of the ``curve_fit``
+    depump fit ``micromotion.fit_depump`` was, from its half-rise start guess;
+    ``tol`` sets ``ftol``, ``xtol`` and ``gtol`` (scipy's defaults, 1e-8, then)."""
+    t, f = np.asarray(times, dtype=float), np.asarray(fractions, dtype=float)
+    sigma = None
+    if shots is not None:
+        sigma = micromotion._depump_sigma(f, np.broadcast_to(float(shots), t.shape))
+    a0 = max(float(f.max()), 1e-3) if free_amplitude else micromotion.BRIGHT_ASYMPTOTE
+    above = np.nonzero(f >= 0.5 * a0)[0]
+    t_half = t[above[0]] if above.size and t[above[0]] > 0 else max(float(np.median(t)), 1e-12)
+    p0 = [math.log(2.0) / (3.0 * t_half)] + ([a0] if free_amplitude else [])
+    bounds = ([0.0, 0.0], [np.inf, 1.0]) if free_amplitude else (0.0, np.inf)
+
+    def curve(t, gamma, amplitude=micromotion.BRIGHT_ASYMPTOTE):
+        return amplitude * (1.0 - np.exp(-3.0 * gamma * t))
+
+    tols = {} if tol is None else {"ftol": tol, "xtol": tol, "gtol": tol}
+    popt, pcov = curve_fit(curve, t, f, p0=p0, sigma=sigma, absolute_sigma=sigma is not None,
+                           bounds=bounds, maxfev=10000, **tols)
+    sigmas = np.sqrt(np.diag(pcov))
+    if free_amplitude:
+        return popt[0], sigmas[0], popt[1], sigmas[1]
+    return popt[0], sigmas[0], micromotion.BRIGHT_ASYMPTOTE, 0.0

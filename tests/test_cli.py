@@ -245,8 +245,8 @@ def test_depump_fit_failure_exits_4(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("payload, code, message", [
     ({"gamma_per_s": 156.25, "times_s": [0, 0, 0]}, 3,
      "needs 1 distinct positive time(s), got 0"),
-    # every fraction is 0 and the one positive time is past the start
-    # guess's rise, so the rate is not constrained at all
+    # every fraction is 0 at the one positive time, which the curve reaches
+    # only as gamma -> 0: the rate sits on its range's end, set by no data
     ({"gamma_per_s": 1e-300, "times_s": [0, 0, 0.01]}, 4, "unconstrained"),
     ({"gamma_per_s": 156.25, "times_s": [0, 0, 0.01], "free_amplitude": True}, 3,
      "needs 2 distinct positive time(s), got 1"),
@@ -390,6 +390,11 @@ def test_benchmark_bad_config_values_exit_2(tmp_path, capsys, overrides):
      "experiments[0].sequences_per_length must be <= 100000, got 100002"),
     ({"sequences_per_length": 1, "shots": 10_000_001}, [],
      "experiments[0].sequences_per_length * shots must be <= 10000000, got 10000001"),
+    # each factor within its limit, 6.4e11 Clifford indices together
+    ({"sequences_per_length": 100_000, "shots": 1,
+      "lengths": list(range(100_000, 99_936, -1))}, [],
+     "experiments[0].sequences_per_length * sum(lengths) must be <= 10000000, "
+     "got 639798400000"),
 ])
 def test_benchmark_size_limits_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
                                                       overrides, flags, message):
@@ -830,6 +835,41 @@ def test_pytest_collects_from_a_checkout_without_pythonpath():
          os.path.join("tests", "test_config.py")],
         capture_output=True, text=True, env=env, cwd=root, timeout=120)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+_NO_SCIPY_RUN = """
+import sys
+import mcmr, mcmr.cli
+loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+assert not loaded, loaded
+sys.modules["scipy"] = None  # from here on any scipy import fails
+out, cfg = sys.argv[1], sys.argv[2:]
+runs = [["scan", "--config", cfg[0], "--points", "20"],
+        ["depump", "--config", cfg[1]], ["depump", "--config", cfg[2]],
+        ["benchmark", "--config", cfg[3], "--resamples", "4"],
+        ["fit", "--data", out + "/bench/measure-dark_probe.csv", "--resamples", "4"]]
+for k, argv in enumerate(runs):
+    code = mcmr.cli.main(argv + ["--out", out + ("/bench" if k == 3 else f"/run{k}")])
+    assert code == 0, (argv, code)
+"""
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    """A fresh interpreter imports the package and the CLI without any scipy
+    module, and every subcommand runs with scipy made unimportable (pytest's
+    own warning filters import scipy, hence the subprocess)."""
+    depump = {"gamma_per_s": 156.25, "t_max_s": 0.04}
+    configs = [write_json(tmp_path / "trap.json", TRAP_CONFIG),
+               write_json(tmp_path / "pinned.json", depump),
+               write_json(tmp_path / "free.json", {**depump, "free_amplitude": True}),
+               small_campaign(tmp_path)]
+    src = os.path.dirname(os.path.dirname(mcmr.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path), *configs],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run4" / "measure-dark_probe_results.json").exists()
 
 
 def test_module_entry_point_runs_without_warning(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from mcmr import clifford, liouville
 
 from synthetic import (choi_matrix, conjugation_oracle, lindblad_vec_oracle,
-                       random_symmetric_rates, random_unitary)
+                       random_symmetric_rates, random_unitary, unitary_superop_oracle)
 
 
 def test_basis_is_orthonormal_and_hermitian():
@@ -97,12 +97,14 @@ def test_embed_gate_default_extra_block_is_identity():
 
 
 def test_vec_to_basis_superop_matches_kraus_route():
+    """The column-stacked form of a full (not block-diagonal) unitary changes
+    basis to ``M[i, k] = Tr(B_i^dag U B_k U^dag)``, built operator by operator."""
     rng = np.random.default_rng(13)
     raw = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     u, _ = np.linalg.qr(raw)
     vec_form = np.kron(u.conj(), u)
     np.testing.assert_allclose(liouville.vec_to_basis_superop(vec_form),
-                               liouville.kraus_to_superop([u]), atol=1e-12)
+                               unitary_superop_oracle(u), atol=1e-12)
 
 
 def test_lindblad_oracle_channel_is_trace_preserving_and_cp():

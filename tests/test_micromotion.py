@@ -5,6 +5,7 @@ precision evaluation of the sideband sum, the Bessel zeros and the
 exponential depump curve.
 """
 
+import decimal
 import json
 import math
 
@@ -13,8 +14,9 @@ import pytest
 from scipy import special
 from scipy.linalg import expm
 
-from mcmr import micromotion
+from mcmr import cli, micromotion
 from mcmr.errors import ConfigError, DataFormatError, FitError
+from synthetic import carrier_null_oracle, fit_depump_oracle
 
 # 60-digit evaluations, rounded to double precision
 FIRST_NULL = 2.4048255576957727686
@@ -267,6 +269,10 @@ def test_fit_depump_input_validation():
         micromotion.fit_depump([-1e-3, 2e-3], [0.5, 0.6])
     with pytest.raises(DataFormatError):
         micromotion.fit_depump([1e-3], [0.5])
+    for times, fractions in (([1e-3, 2e-3, np.inf], [0.1, 0.2, 0.3]),
+                             ([1e-3, 2e-3, 3e-3], [0.1, np.nan, 0.3])):
+        with pytest.raises(DataFormatError):
+            micromotion.fit_depump(times, fractions)
 
 
 def test_fit_depump_all_dark_never_resolves_a_rate():
@@ -277,11 +283,79 @@ def test_fit_depump_all_dark_never_resolves_a_rate():
     assert fit.gamma < 3.0 * fit.gamma_sigma
 
 
-def test_fit_depump_wraps_optimizer_failure(monkeypatch):
-    def explode(*args, **kwargs):
-        raise RuntimeError("no convergence")
+def test_fit_depump_pinned_rate_is_a_fit_error(tmp_path, capsys):
+    """A rate on an end of its range is unconstrained: past the first positive
+    time's resolution (every point saturated), or about 0 with no more
+    positive times than parameters.  The CLI exits 4 on the first."""
+    with pytest.raises(FitError, match="unconstrained.*1e-09 at the first positive time"):
+        micromotion.fit_depump([0.0, 1e-3, 2e-3, 3e-3], [0.0, 0.7, 0.7, 0.7])
+    with pytest.raises(FitError, match="unconstrained.*0.999999999 at"):
+        micromotion.fit_depump([0.0, 0.0, 0.01], [0.0, 0.0, 0.0], shots=1000)
+    config = tmp_path / "depump.json"
+    config.write_text(json.dumps({"gamma_per_s": 1e4, "times_s": [0, 0.01, 0.02]}))
+    rc = cli.main(["depump", "--config", str(config), "--out", str(tmp_path / "out"),
+                   "--seed", "1"])
+    samples = (tmp_path / "out" / "depump_samples.csv").read_text().splitlines()
+    assert [int(row.split(",")[2]) for row in samples[2:]] == [673, 689]  # above 2/3
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: depump fit is unconstrained") and err.count("\n") == 1
 
-    monkeypatch.setattr(micromotion, "curve_fit", explode)
-    times = np.linspace(1e-3, 5e-3, 6)
-    with pytest.raises(FitError):
-        micromotion.fit_depump(times, micromotion.depump_probability(100.0, times))
+
+# ---------------------------------------------------------------------------
+# the numpy routes against the scipy routes they replaced
+
+
+def test_bessel_matches_scipy_oracle():
+    """``J_v`` to 1e-14 for v <= 50 and n <= 30, at any cutoff, and a point's
+    value does not depend on the shape of the array it comes in."""
+    n = np.linspace(0.0, 30.0, 2001)
+    for orders in (1, 200, 50):
+        got = micromotion._bessel(n, orders)
+        want = special.jv(np.arange(orders + 1), n[:, None])
+        assert np.max(np.abs(got[:, :51] - want[:, :51])) <= 1e-14, orders
+    for i in range(0, n.size, 97):
+        assert np.array_equal(micromotion._bessel(n[i], 50), got[i])
+        assert np.array_equal(micromotion._bessel(n[i:i + 1], 50)[0], got[i])
+
+
+def test_null_finder_matches_brentq_oracle():
+    for bracket in (micromotion.FIRST_NULL_BRACKET, (5.0, 6.0), (8.0, 9.0), (-3.0, -2.0)):
+        assert micromotion.carrier_null_index(bracket) == pytest.approx(
+            carrier_null_oracle(bracket), abs=1e-14)
+
+
+@pytest.mark.parametrize("free_amplitude", [False, True])
+@pytest.mark.parametrize("shots", [None, 1000])
+def test_fit_depump_matches_curve_fit_oracle(free_amplitude, shots):
+    """Rates within 1e-8 and sigmas within 1e-6 relative of the tightened
+    ``curve_fit`` fit of earlier versions.  Where the rates differ by more,
+    the oracle's fit costs more than ours (40-digit arithmetic): the
+    optimum is only flat to float64 rounding there."""
+    rng = np.random.default_rng(70)
+    for _ in range(25):
+        gamma = rng.uniform(20.0, 200.0)
+        times = np.linspace(0.0, rng.uniform(1.0, 6.0) / gamma, 12)
+        amplitude = rng.uniform(0.4, 0.8) if free_amplitude else micromotion.BRIGHT_ASYMPTOTE
+        fractions = rng.binomial(1000, amplitude * (1.0 - np.exp(-3.0 * gamma * times))) / 1000
+        fit = micromotion.fit_depump(times, fractions, shots=shots, free_amplitude=free_amplitude)
+        ours = (fit.gamma, fit.gamma_sigma, fit.amplitude, fit.amplitude_sigma)
+        oracle = fit_depump_oracle(times, fractions, shots, free_amplitude, tol=1e-15)
+        np.testing.assert_allclose(ours[1::2], oracle[1::2], rtol=1e-6)
+        if abs(ours[0] / oracle[0] - 1.0) > 1e-8:
+            sigma = np.ones(12) if shots is None else micromotion._depump_sigma(
+                fractions, np.full(12, 1000.0))
+            assert (_depump_cost(times, fractions, sigma, ours[0], ours[2])
+                    <= _depump_cost(times, fractions, sigma, oracle[0], oracle[2]))
+        np.testing.assert_allclose(ours[2], oracle[2], rtol=1e-7)
+
+
+def _depump_cost(times, fractions, sigma, gamma, amplitude) -> decimal.Decimal:
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        d = decimal.Decimal
+        total = d(0)
+        for t, f, s in zip(times, fractions, sigma):
+            model = d(amplitude) * (1 - (d(-3) * d(gamma) * d(t)).exp())
+            total += ((d(f) - model) / d(s)) ** 2
+        return total

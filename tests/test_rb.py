@@ -514,7 +514,7 @@ def _nan_lanes(monkeypatch, lanes_of) -> None:
 
     def failing(law, lengths, means, sems):
         params = real(law, lengths, means, sems)
-        if law == "leakage":
+        if law is rb._LAWS["leakage"]:
             bad = lanes_of(params)
             params = tuple(np.where(bad, np.nan, p) for p in params)
         return params
@@ -582,7 +582,7 @@ def test_bootstrap_matches_record_oracle(case, monkeypatch):
     kept = np.ones(60, dtype=bool)
     if case == "failing-refits":
         # the refits with the top 5% of asymptotes fail
-        asymptote = rb._profile_fit("leakage", np.array(ds.lengths, dtype=float),
+        asymptote = rb._profile_fit(rb._LAWS["leakage"], np.array(ds.lengths, dtype=float),
                                     stats[2], stats[3])[1]
         cutoff = np.quantile(asymptote, 0.95)
         kept = asymptote <= cutoff
@@ -677,7 +677,7 @@ def test_profile_slope_matches_finite_difference(law):
     rate = np.exp(-s)
     _, params = rb._LAWS[law].linear_fit(rate[:, None, None] ** exponents, means, w)
     params = [p[:, 0] for p in params]
-    slope = rb._profile_slope(law, lengths, means, w, (*params, rate))
+    slope = rb._profile_slope(rb._LAWS[law], lengths, means, w, (*params, rate))
     h = 1e-6 * s
     fd = (_profiled_cost(law, s + h, exponents, means, w)
           - _profiled_cost(law, s - h, exponents, means, w)) / (2 * h)
@@ -698,14 +698,14 @@ def test_profile_fit_lane_equals_one_lane_fit():
     lengths = np.array([2.0, 9.0, 30.0])
     for law, half in (("standard", 0), ("leakage", 2)):
         means, sems = stats[half], stats[half + 1]
-        batch = rb._profile_fit(law, lengths, means, sems)
+        batch = rb._profile_fit(rb._LAWS[law], lengths, means, sems)
         for i in range(0, 40, 3):
-            one = rb._profile_fit(law, lengths, means[i:i + 1], sems[i:i + 1])
+            one = rb._profile_fit(rb._LAWS[law], lengths, means[i:i + 1], sems[i:i + 1])
             assert [p[i] for p in batch] == [p[0] for p in one], i
         # a lane with non-finite statistics fails alone
         means = means.copy()
         means[7, 1] = np.nan
-        broken = rb._profile_fit(law, lengths, means, sems)
+        broken = rb._profile_fit(rb._LAWS[law], lengths, means, sems)
         assert not all(np.isfinite(p[7]) for p in broken)
         for p, q in zip(broken, batch):
             np.testing.assert_array_equal(np.delete(p, 7), np.delete(q, 7))
@@ -722,7 +722,7 @@ def test_profile_fit_matches_oracle(case):
         assert np.sum(np.any(stats[1] == 0.0, axis=-1)) >= 20
     lengths = np.array(ds.lengths, dtype=float)
     for law, means, sems in (("standard", *stats[:2]), ("leakage", *stats[2:])):
-        ours = rb._profile_fit(law, lengths, means, sems)
+        ours = rb._profile_fit(rb._LAWS[law], lengths, means, sems)
         oracle = profile_fit_oracle(law, lengths, means, sems)
         for i in range(len(means)):
             mine, theirs = [p[i] for p in ours], [p[i] for p in oracle]
@@ -742,7 +742,8 @@ def test_clipped_amplitude_never_exceeds_its_bound():
     lengths = np.array([2.0, 11.0, 81.0])
     rate = rng.uniform(0.95, 0.999, (300, 1))
     means = 0.5 + rng.uniform(0.8, 1.5, (300, 1)) * rate ** lengths
-    amplitude, _ = rb._profile_fit("standard", lengths, means, np.full((300, 3), 0.01))
+    amplitude, _ = rb._profile_fit(rb._LAWS["standard"], lengths, means,
+                                   np.full((300, 3), 0.01))
     assert np.sum(amplitude == 0.75) >= 100 and np.all(amplitude <= 0.75)
 
 
@@ -1299,6 +1300,7 @@ def test_standard_experiments_cover_the_canonical_set():
     assert by_name["control"].interleaved_ops == ()
     assert by_name["measure-bright"].initial_focus_state == 1
     assert by_name["bleed-through"].interleaved_ops.count("measure") == 2
+    assert all(c.sequences_per_length * sum(c.lengths) <= rb.MAX_CLIFFORDS for c in configs)
     # control probes still carry the channel specs, but no op triggers them
     slot = by_name["control"].probes["probe"].slot_channel(())
     ref = rb.channel_reference(channels.compose(
