@@ -47,6 +47,9 @@ FIRST_NULL_BRACKET = (2.0, 3.0)
 #: a margin N keeps by growing past the default cutoff
 BESSEL_NODES = 64
 
+#: displacements per evaluation of a scan's suppression
+SCAN_BLOCK = 4096
+
 #: number of F=1 ground-state sublevels in the optical-pumping rate model
 N_BRIGHT = 3
 
@@ -164,6 +167,8 @@ def carrier_null_index(bracket: tuple[float, float]) -> float:
     """Root of ``J_0`` inside ``bracket`` (a carrier-extinction point): Newton
     steps with ``J_0' = -J_1`` inside the shrinking bracket, else bisection."""
     lo, hi = map(float, bracket)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"bracket {bracket} is not finite")
     f_lo, f_hi = _bessel(np.array([lo, hi]), 0)[:, 0]
     if f_lo * f_hi >= 0:
         raise ValueError(f"bracket {bracket} does not straddle a J0 zero")
@@ -184,10 +189,14 @@ def first_null_modulation_index() -> float:
 
 
 def suppression_scan(config: TrapBeamConfig, displacements: np.ndarray):
-    """Modulation index and suppression for an array of displacements."""
-    disp = np.asarray(displacements, dtype=float)
-    idx = modulation_index(config, displacement=disp)
-    sup = suppression_factor(idx, config.rf_over_linewidth)
+    """Modulation index and suppression for a 1-D array of displacements.
+
+    The suppression is evaluated ``SCAN_BLOCK`` points at a time, which
+    bounds the Bessel temporaries; each point sums alike in any block.
+    """
+    idx = modulation_index(config, displacement=np.asarray(displacements, dtype=float))
+    sup = np.concatenate([suppression_factor(idx[i:i + SCAN_BLOCK], config.rf_over_linewidth)
+                          for i in range(0, max(idx.size, 1), SCAN_BLOCK)])
     return idx, sup
 
 

@@ -483,6 +483,12 @@ _GRID = np.concatenate((
 #: halvings of the refinement bracket: a bracket of two coarse spacings
 #: (a fifth of its exponent) shrinks to about 2e-10 of its exponent
 _BISECTIONS = 30
+#: a problem of at most ``_DEEP_SIZE`` (lane, length) pairs takes
+#: ``_DEEP_LEVELS`` halvings per step, scoring all 31 midpoints they can
+#: reach at once: its steps cost numpy call overhead, not work.  Past about
+#: 200 pairs a step of 31 midpoints costs more than the five it replaces.
+_DEEP_LEVELS = 5
+_DEEP_SIZE = 128
 #: lanes per block of the coarse grid, and (grid point, length) pairs scored
 #: at once, which bound its temporaries (a decay law's grid is one block;
 #: a depump fit of many points is not)
@@ -639,7 +645,9 @@ def _profile_fit(spec: _Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
     ``spec.ceiling``].  A coarse grid in ``s`` brackets its global minimum
     between the best point's two neighbours, then bisection on the sign of
     the cost's slope (:func:`_profile_slope`) halves the bracket
-    :data:`_BISECTIONS` times, one point per lane and step.  The boxes of
+    :data:`_BISECTIONS` times: one midpoint per lane and step, or for a
+    small problem the midpoints of ``_DEEP_LEVELS`` halvings per step, each
+    computed and scored as one-level steps would.  The boxes of
     the linear parameters do not depend on ``s``, so the profiled cost is
     smooth wherever the box optimum is unique, also where a bound becomes
     active.  The cheapest of the final bracket's midpoint, the best coarse
@@ -659,9 +667,9 @@ def _profile_fit(spec: _Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
     def clipped(exponent):
         return np.clip(np.exp(-exponent), _RATE_FLOOR, spec.ceiling)
 
-    def solve(exponent):  # (lanes, points) -> parameters, rate last, each (lanes, points)
+    def solve(exponent, y, wy):  # (lanes, points) -> parameters, rate last, each (lanes, points)
         rate = clipped(exponent)
-        return (*spec.linear_fit(rate[..., None] ** exponents, means, w)[1], rate)
+        return (*spec.linear_fit(rate[..., None] ** exponents, y, wy)[1], rate)
 
     n, step = len(means), max(1, _GRID_BLOCK // exponents.size)
     rates = [clipped(_GRID[j:j + step])[:, None] for j in range(0, _GRID.size, step)]
@@ -670,14 +678,28 @@ def _profile_fit(spec: _Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
         for r in rates], axis=-1), axis=-1) for i in range(0, n, _GRID_LANES)])
     lo = _GRID[np.maximum(coarse - 1, 0)]
     hi = _GRID[np.minimum(coarse + 1, _GRID.size - 1)]
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        params = [p[:, 0] for p in solve(mid[:, None])]
-        rising = _profile_slope(spec, lengths, means, w, params) > 0
-        lo, hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
+    levels = _DEEP_LEVELS if means.size <= _DEEP_SIZE else 1
+    width, lanes = 1 << levels, np.arange(n)
+    # each midpoint is scored as a lane of its own, so its sums round as one
+    # midpoint per lane would
+    deep_means, deep_w = (np.repeat(a, width - 1, axis=0) for a in (means, w))
+    for _ in range(_BISECTIONS // levels):
+        edges = np.empty((n, width + 1))  # the dyadic points of [lo, hi], sorted
+        edges[:, 0], edges[:, -1] = lo, hi
+        for k in range(levels):
+            stride = width >> k
+            edges[:, stride // 2::stride] = 0.5 * (edges[:, :-1:stride] + edges[:, stride::stride])
+        mids = edges[:, 1:-1].reshape(-1, 1)
+        params = [p[:, 0] for p in solve(mids, deep_means, deep_w)]
+        rising = (_profile_slope(spec, lengths, deep_means, deep_w, params) > 0).reshape(n, -1)
+        at = np.zeros(n, dtype=int)  # the halving path, one level at a time
+        for k in range(1, levels + 1):
+            mid = at + (width >> k)
+            at = np.where(rising[lanes, mid - 1], at, mid)
+        lo, hi = edges[lanes, at], edges[lanes, at + 1]
     tried = np.stack([np.full(n, _GRID[0]), np.full(n, _GRID[-1]), _GRID[coarse],
                       0.5 * (lo + hi)], axis=-1)
-    params = solve(tried)
+    params = solve(tried, means, w)
     model = spec.model(lengths, *(p[..., None] for p in params))
     pick = np.argmin(_weighted_cost(w[:, None], means[:, None] - model), axis=-1)[:, None]
     return tuple(np.take_along_axis(p, pick, -1)[:, 0] for p in params)

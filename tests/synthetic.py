@@ -13,7 +13,11 @@ grids; the package solves the linear part from weighted sums and bisects on
 the slope of the profiled cost, and must reach an equal or lower cost, with
 the same parameters wherever the two costs do not tie.  Costs are compared
 in 40-digit decimal arithmetic (``weighted_cost``), so float64 rounding of
-small residuals does not decide a comparison.  The per-sequence focus
+small residuals does not decide a comparison.  The one-level bisection here
+scores one midpoint per lane and step; the package's profile fit, which
+takes several levels per step on small problems, must return its
+parameters bit for bit.  The ``csv.writer`` row writers here format one
+cell at a time; the CLI's one-pass writers must write the same bytes.  The per-sequence focus
 simulation here runs one trajectory array per sequence; the package's
 per-length batched ``rb.simulate_focus`` must return the same table
 whenever no random draw decides it, and the same statistics otherwise.
@@ -29,6 +33,7 @@ its runtime dropped scipy; its numpy routes must reproduce them.
 """
 from __future__ import annotations
 
+import csv
 import dataclasses
 import decimal
 import math
@@ -366,6 +371,41 @@ def profile_fit_oracle(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]
     return tuple(np.choose(pick, p) for p in params)
 
 
+def bisection_profile_fit_oracle(spec: rb._Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
+    """``rb._profile_fit`` with one bisection level per numpy step, as it was
+    before small problems took several: every step scores one midpoint per
+    lane, ``rb._BISECTIONS`` steps in all.  The package must return the
+    same parameters bit for bit."""
+    w = rb._lane_weights(sems)
+    exponents = lengths + spec.exponent_offset
+
+    def clipped(exponent):
+        return np.clip(np.exp(-exponent), rb._RATE_FLOOR, spec.ceiling)
+
+    def solve(exponent):
+        rate = clipped(exponent)
+        return (*spec.linear_fit(rate[..., None] ** exponents, means, w)[1], rate)
+
+    n, step = len(means), max(1, rb._GRID_BLOCK // exponents.size)
+    rates = [clipped(rb._GRID[j:j + step])[:, None] for j in range(0, rb._GRID.size, step)]
+    coarse = np.concatenate([np.argmin(np.concatenate([
+        spec.linear_fit(r ** exponents, means[i:i + rb._GRID_LANES], w[i:i + rb._GRID_LANES])[0]
+        for r in rates], axis=-1), axis=-1) for i in range(0, n, rb._GRID_LANES)])
+    lo = rb._GRID[np.maximum(coarse - 1, 0)]
+    hi = rb._GRID[np.minimum(coarse + 1, rb._GRID.size - 1)]
+    for _ in range(rb._BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        params = [p[:, 0] for p in solve(mid[:, None])]
+        rising = rb._profile_slope(spec, lengths, means, w, params) > 0
+        lo, hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
+    tried = np.stack([np.full(n, rb._GRID[0]), np.full(n, rb._GRID[-1]), rb._GRID[coarse],
+                      0.5 * (lo + hi)], axis=-1)
+    params = solve(tried)
+    model = spec.model(lengths, *(p[..., None] for p in params))
+    pick = np.argmin(rb._weighted_cost(w[:, None], means[:, None] - model), axis=-1)[:, None]
+    return tuple(np.take_along_axis(p, pick, -1)[:, 0] for p in params)
+
+
 def _rate_guess(lengths, excess, lo: float, hi: float, default: float) -> float:
     """Per-step decay rate of ``excess`` (means above the asymptote) from its ends."""
     first, last = excess[0], excess[-1]
@@ -503,3 +543,33 @@ def fit_depump_oracle(times, fractions, shots=None, free_amplitude=False, tol=No
     if free_amplitude:
         return popt[0], sigmas[0], popt[1], sigmas[1]
     return popt[0], sigmas[0], micromotion.BRIGHT_ASYMPTOTE, 0.0
+
+
+# ---------------------------------------------------------------------------
+# the row-by-row CSV writers of earlier versions
+
+
+def _fmt(value: float) -> str:
+    return format(float(value), ".17g")
+
+
+def write_scan_csv_oracle(path, config, nulls, displacements, indices, suppression) -> None:
+    """``scan.csv`` as ``mcmr scan`` wrote it, one ``csv.writer`` row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        for name, index in zip(("first", "second"), nulls):
+            fh.write(f"# {name}_null_modulation_index={_fmt(index)}\n")
+            fh.write(f"# {name}_null_displacement_m="
+                     f"{_fmt(micromotion.displacement_for_index(config, index))}\n")
+        writer = csv.writer(fh)
+        writer.writerow(("displacement_m", "modulation_index", "suppression"))
+        for d, n, s in zip(displacements, indices, suppression):
+            writer.writerow((_fmt(d), _fmt(n), _fmt(s)))
+
+
+def write_depump_csv_oracle(path, times, shots: int, counts) -> None:
+    """``depump_samples.csv`` as ``mcmr depump`` wrote it, one ``csv.writer`` row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("time_s", "shots", "dark_counts", "dark_fraction"))
+        for t, d in zip(times, counts):
+            writer.writerow((_fmt(t), shots, int(d), _fmt(d / shots)))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 import mcmr
 from mcmr import cli, micromotion, rb
 from mcmr.errors import FitError
+from synthetic import write_depump_csv_oracle, write_scan_csv_oracle
 
 TRAP_CONFIG = {
     "rf_frequency_hz": 21.0e6,
@@ -806,6 +808,52 @@ def test_depump_on_any_config_exits_0_2_3_or_4(config, seed):
     _run_config("depump", config, ["--seed", str(seed)])
 
 
+# ---------------------------------------------------------------------------
+# one-pass row formatting against the row-by-row csv.writer oracle
+
+#: values whose 17-digit forms are long, short, subnormal or signed
+EDGE_FLOATS = [5e-324, 1e308, 1.0 / 3.0, -0.0, 2.0 ** -1022, -1.7976931348623157e308]
+
+
+def _written(write) -> bytes:
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "out.csv")
+        write(path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: st.lists(
+           st.lists(st.floats() | st.sampled_from(EDGE_FLOATS), min_size=n, max_size=n),
+           min_size=3, max_size=3)),
+       st.lists(st.floats(), min_size=2, max_size=2),
+       st.sampled_from([1, 2, cli._ROW_BLOCK]))
+@example([EDGE_FLOATS[:3], EDGE_FLOATS[3:], EDGE_FLOATS[::-1][:3]], [2.4048255576957728, 1e308], 2)
+def test_scan_csv_bytes_match_row_writer_oracle(columns, nulls, block):
+    config = micromotion.TrapBeamConfig(**TRAP_CONFIG)
+    columns = [np.array(c, dtype=float) for c in columns]
+    with mock.patch.object(cli, "_ROW_BLOCK", block):
+        ours = _written(lambda path: cli._write_scan_csv(path, config, nulls, *columns))
+    assert ours == _written(lambda path: write_scan_csv_oracle(path, config, nulls, *columns))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 10 ** 9).flatmap(lambda shots: st.tuples(st.just(shots), st.lists(
+           st.tuples(st.floats() | st.sampled_from(EDGE_FLOATS), st.integers(0, shots)),
+           max_size=9))),
+       st.sampled_from([1, 2, cli._ROW_BLOCK]))
+@example((3, list(zip(EDGE_FLOATS, [0, 1, 2, 3, 1, 2]))), 2)
+def test_depump_csv_bytes_match_row_writer_oracle(sample, block):
+    shots, rows = sample
+    times = np.array([t for t, _ in rows], dtype=float)
+    counts = np.array([c for _, c in rows], dtype=np.int64)
+    with mock.patch.object(cli, "_ROW_BLOCK", block):
+        ours = _written(lambda path: cli._write_depump_csv(path, times, shots, counts,
+                                                            counts / shots))
+    assert ours == _written(lambda path: write_depump_csv_oracle(path, times, shots, counts))
+
+
 def test_unexpected_exception_exits_5_with_one_line(tmp_path, capsys, monkeypatch, caplog):
     def explode(args):
         raise RuntimeError("synthetic\ndefect")
@@ -854,6 +902,12 @@ for k, argv in enumerate(runs):
 """
 
 
+def _package_env() -> dict:
+    src = os.path.dirname(os.path.dirname(mcmr.__file__))
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def test_runtime_loads_no_scipy(tmp_path):
     """A fresh interpreter imports the package and the CLI without any scipy
     module, and every subcommand runs with scipy made unimportable (pytest's
@@ -863,23 +917,97 @@ def test_runtime_loads_no_scipy(tmp_path):
                write_json(tmp_path / "pinned.json", depump),
                write_json(tmp_path / "free.json", {**depump, "free_amplitude": True}),
                small_campaign(tmp_path)]
-    src = os.path.dirname(os.path.dirname(mcmr.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path), *configs],
-                          capture_output=True, text=True, env=env, timeout=300)
+                          capture_output=True, text=True, env=_package_env(), timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "run4" / "measure-dark_probe_results.json").exists()
 
 
+_NO_WORK_AT_IMPORT = """
+import argparse, sys
+built, solved = [], []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+from mcmr import micromotion
+null = micromotion.carrier_null_index
+def counting_null(bracket):
+    solved.append(tuple(bracket))
+    return null(bracket)
+micromotion.carrier_null_index = counting_null
+import mcmr.cli
+assert not built and not solved, (built, solved)
+for k in range(3):
+    argv = ["scan", "--config", sys.argv[1], "--points", "20", "--out", sys.argv[2] + str(k)]
+    assert mcmr.cli.main(argv) == 0
+    if k == 0:
+        first_built = len(built)
+assert first_built > 0 and len(built) == first_built, built
+assert solved == [micromotion.FIRST_NULL_BRACKET, (5.0, 6.0)], solved
+"""
+
+
+def test_import_builds_no_parser_and_solves_no_null(tmp_path):
+    """``import mcmr.cli`` does no work (the benchmark's set-up time is the
+    import alone); the parser and the two carrier nulls are made on first use
+    and reused by every later call in the process."""
+    config = write_json(tmp_path / "trap.json", TRAP_CONFIG)
+    proc = subprocess.run([sys.executable, "-c", _NO_WORK_AT_IMPORT, config,
+                           str(tmp_path / "out")],
+                          capture_output=True, text=True, env=_package_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _tree(folder) -> dict:
+    return {path.relative_to(folder).as_posix(): path.read_bytes()
+            for path in folder.rglob("*") if path.is_file()}
+
+
+def test_repeated_in_process_calls_match_fresh_interpreters(tmp_path):
+    """One process calling ``cli.main`` for a scan, an argparse error, a
+    config error, a depump and the scan again writes, prints and returns
+    what a fresh interpreter per call does, byte for byte."""
+    trap = write_json(tmp_path / "trap.json", TRAP_CONFIG)
+    depump = write_json(tmp_path / "depump.json", {"gamma_per_s": 156.25, "t_max_s": 0.04})
+    runs = [["scan", "--config", trap, "--out", "scan", "--points", "50"],
+            ["scan", "--config", trap, "--out", "bad", "--points", "many"],
+            ["scan", "--config", str(tmp_path / "none.json"), "--out", "none"],
+            ["depump", "--config", depump, "--out", "depump", "--seed", "3"],
+            ["scan", "--config", trap, "--out", "again", "--points", "50"]]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    cwd = os.getcwd()
+    in_process = []
+    try:
+        os.chdir(here)
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()) as out, \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            in_process.append((code, out.getvalue(), err.getvalue()))
+    finally:
+        os.chdir(cwd)
+    for argv, seen in zip(runs, in_process):
+        proc = subprocess.run([sys.executable, "-m", "mcmr.cli", *argv], cwd=fresh,
+                              capture_output=True, text=True, env=_package_env(), timeout=120)
+        assert seen == (proc.returncode, proc.stdout, proc.stderr), argv
+    assert [code for code, _, _ in in_process] == [0, 2, 2, 0, 0]
+    files = _tree(here)
+    assert files == _tree(fresh)
+    assert files["scan/scan.csv"] == files["again/scan.csv"]
+
+
 def test_module_entry_point_runs_without_warning(tmp_path):
-    src = os.path.dirname(os.path.dirname(mcmr.__file__))
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "mcmr.cli",
          "scan", "--config", str(tmp_path / "none.json"),
          "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_package_env(), timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -14,9 +14,9 @@ import pytest
 from scipy import special
 from scipy.linalg import expm
 
-from mcmr import cli, micromotion
+from mcmr import cli, micromotion, rb
 from mcmr.errors import ConfigError, DataFormatError, FitError
-from synthetic import carrier_null_oracle, fit_depump_oracle
+from synthetic import bisection_profile_fit_oracle, carrier_null_oracle, fit_depump_oracle
 
 # 60-digit evaluations, rounded to double precision
 FIRST_NULL = 2.4048255576957727686
@@ -92,6 +92,18 @@ def test_null_finder_rejects_bracket_without_sign_change():
         micromotion.carrier_null_index((3.0, 5.0))
 
 
+@pytest.mark.parametrize("bracket", [(math.nan, 6.0), (5.0, math.inf)])
+def test_null_finder_rejects_non_finite_bracket(bracket, monkeypatch):
+    """Refused by name before any Bessel evaluation (it returned the NaN or
+    infinite end, the second with numpy warnings)."""
+    def refuse(*args):
+        raise AssertionError("Bessel evaluated")
+
+    monkeypatch.setattr(micromotion, "_bessel", refuse)
+    with pytest.raises(ValueError, match=r"bracket \(.*\) is not finite"):
+        micromotion.carrier_null_index(bracket)
+
+
 def test_suppression_at_exact_null_frozen_value():
     got = micromotion.suppression_factor(FIRST_NULL, 2.0)
     np.testing.assert_allclose(got, SUPPRESSION_AT_NULL_RATIO2, rtol=1e-13)
@@ -131,6 +143,16 @@ def test_suppression_scan_consistent_with_pointwise_eval():
     np.testing.assert_allclose(
         sup, micromotion.suppression_factor(idx, config.rf_over_linewidth),
         rtol=1e-14)
+
+
+def test_blocked_scan_equals_one_evaluation():
+    """A scan spanning several blocks equals one ``suppression_factor`` call
+    on all its indices, bit for bit."""
+    config = make_config()
+    disp = np.linspace(0.0, 4.0e-6, 3 * micromotion.SCAN_BLOCK + 17)
+    idx, sup = micromotion.suppression_scan(config, disp)
+    assert np.array_equal(sup, micromotion.suppression_factor(idx, config.rf_over_linewidth))
+    assert micromotion.suppression_scan(config, disp[:0])[1].shape == (0,)
 
 
 def test_config_round_trip_and_validation(tmp_path):
@@ -359,3 +381,35 @@ def _depump_cost(times, fractions, sigma, gamma, amplitude) -> decimal.Decimal:
             model = d(amplitude) * (1 - (d(-3) * d(gamma) * d(t)).exp())
             total += ((d(f) - model) / d(s)) ** 2
         return total
+
+
+def _depump_fits(monkeypatch, times, fractions, **kwargs):
+    """``fit_depump`` with the package's profile fit, then with the oracle's."""
+    ours = micromotion.fit_depump(times, fractions, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(rb, "_profile_fit", bisection_profile_fit_oracle)
+        return ours, micromotion.fit_depump(times, fractions, **kwargs)
+
+
+@pytest.mark.parametrize("free_amplitude", [False, True])
+def test_fit_depump_matches_bisection_oracle(free_amplitude, monkeypatch):
+    """Five bisection levels per step give the one-level fit bit for bit."""
+    rng = np.random.default_rng(71)
+    for _ in range(50):
+        gamma = rng.uniform(20.0, 200.0)
+        times = np.linspace(0.0, rng.uniform(1.0, 6.0) / gamma, 12)
+        amplitude = rng.uniform(0.4, 0.8) if free_amplitude else micromotion.BRIGHT_ASYMPTOTE
+        fractions = rng.binomial(1000, amplitude * (1.0 - np.exp(-3.0 * gamma * times))) / 1000
+        ours, oracle = _depump_fits(monkeypatch, times, fractions, shots=1000,
+                                    free_amplitude=free_amplitude)
+        assert ours == oracle
+
+
+def test_large_fit_depump_matches_bisection_oracle(monkeypatch):
+    """A curve too large for several levels per step keeps one, bit for bit."""
+    times = np.linspace(0.0, 0.02, 100_000)
+    assert times.size > rb._DEEP_SIZE
+    fractions = np.random.default_rng(72).binomial(
+        1000, micromotion.depump_probability(120.0, times)) / 1000
+    ours, oracle = _depump_fits(monkeypatch, times, fractions, shots=1000)
+    assert ours == oracle

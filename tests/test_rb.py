@@ -10,8 +10,8 @@ from scipy.optimize import lsq_linear
 
 from mcmr import channels, clifford, liouville, rb
 from mcmr.errors import ConfigError, DataFormatError, FitError
-from synthetic import (LINEAR_FIT_ORACLES, curve_fit_decay, exact_average_survival,
-                       focus_oracle, profile_fit_oracle, random_lambda_channel,
+from synthetic import (LINEAR_FIT_ORACLES, bisection_profile_fit_oracle, curve_fit_decay,
+                       exact_average_survival, focus_oracle, profile_fit_oracle, random_lambda_channel,
                        record_resample_stats, record_stats, weighted_cost)
 
 
@@ -730,6 +730,29 @@ def test_profile_fit_matches_oracle(case):
             assert_no_costlier(*args, mine, theirs)
             if mine != theirs:  # the oracle reaches no lower cost either
                 assert_no_costlier(*args, theirs, mine)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_profile_fit_matches_bisection_oracle_on_the_campaign(seed):
+    """Every fit of the canonical campaign's probes, its point estimate
+    stacked on 200 resamples as one 201-lane batch and a stride of its lanes
+    fitted one at a time (several bisection levels per step), equals the
+    one-level bisection oracle bit for bit."""
+    for result in rb.run_campaign(rb.standard_experiments(), seed=seed, resamples=0):
+        for label, ds in sorted(result.datasets.items()):
+            lengths = np.array(ds.lengths, dtype=float)
+            point = [[[getattr(s, f) for s in half] for f in ("mean", "sem")]
+                     for half in rb.per_length_stats(ds)]
+            resampled = rb._resample_stats(ds, 200, np.random.default_rng(seed))
+            for k, law in enumerate(("standard", "leakage")):
+                means, sems = (np.concatenate(([point[k][j]], resampled[2 * k + j]))
+                               for j in (0, 1))
+                oracle = bisection_profile_fit_oracle(rb._LAWS[law], lengths, means, sems)
+                batch = rb._profile_fit(rb._LAWS[law], lengths, means, sems)
+                np.testing.assert_array_equal(batch, oracle)
+                for i in range(0, 201, 8):
+                    one = rb._profile_fit(rb._LAWS[law], lengths, means[i:i + 1], sems[i:i + 1])
+                    assert [p[0] for p in one] == [p[i] for p in oracle], (label, law, i)
 
 
 def test_clipped_amplitude_never_exceeds_its_bound():
