@@ -46,22 +46,6 @@ DECAY_HEADER = ("length", "standard_mean", "standard_sem", "standard_fit",
                 "dark_mean", "dark_sem", "dark_fit")
 
 
-#: CSV rows formatted per write: the text held at once stays small beside a
-#: fit's arrays (65,536 rows raised a 100,000-point depump's peak RSS 2%)
-_ROW_BLOCK = 1 << 10
-
-
-def _write_csv(path, header, row: str, columns, comments: str = "") -> None:
-    """Write ``comments``, the ``header`` line, then one ``row % values`` line
-    per entry of the equal-length 1-D ``columns``: the bytes ``csv.writer``
-    writes (``\\r\\n`` line ends; no field needs quoting)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(comments + ",".join(header) + "\r\n")
-        for start in range(0, len(columns[0]), _ROW_BLOCK):
-            block = [np.asarray(c)[start:start + _ROW_BLOCK].tolist() for c in columns]
-            fh.write("".join([row % values for values in zip(*block)]))
-
-
 def _write_json(path, payload) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -101,8 +85,8 @@ def _write_scan_csv(path, config, nulls, displacements, indices, suppression) ->
                        f"# {name}_null_displacement_m="
                        f"{micromotion.displacement_for_index(config, index):.17g}\n"
                        for name, index in zip(("first", "second"), nulls))
-    _write_csv(path, ("displacement_m", "modulation_index", "suppression"),
-               "%.17g,%.17g,%.17g\r\n", (displacements, indices, suppression), comments)
+    rb._write_csv(path, ("displacement_m", "modulation_index", "suppression"),
+                  "%.17g,%.17g,%.17g\r\n", (displacements, indices, suppression), comments)
 
 
 def _cmd_scan(args) -> int:
@@ -175,8 +159,8 @@ class DepumpConfig(Config):
 
 
 def _write_depump_csv(path, times, shots: int, counts, fractions) -> None:
-    _write_csv(path, ("time_s", "shots", "dark_counts", "dark_fraction"),
-               f"%.17g,{shots},%d,%.17g\r\n", (times, counts, fractions))
+    rb._write_csv(path, ("time_s", "shots", "dark_counts", "dark_fraction"),
+                  f"%.17g,{shots},%d,%.17g\r\n", (times, counts, fractions))
 
 
 def _cmd_depump(args) -> int:
@@ -222,7 +206,7 @@ def _write_decay_csv(path, analysis: rb.AnalysisResult) -> None:
              d.mean, d.sem, rb.leakage_decay(d.length, leak.intercept, leak.asymptote,
                                              leak.t_minus))
             for s, d in zip(std.per_length, leak.per_length)]
-    _write_csv(path, DECAY_HEADER, "%d" + ",%.17g" * 6 + "\r\n", list(zip(*rows)))
+    rb._write_csv(path, DECAY_HEADER, "%d" + ",%.17g" * 6 + "\r\n", list(zip(*rows)))
 
 
 def _results_payload(analysis: rb.AnalysisResult, reference=None,

@@ -277,6 +277,22 @@ def _read_csv(path, header: tuple[str, ...], what: str) -> list[tuple[int, list]
     return [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
 
 
+#: CSV rows formatted per write: the text held at once stays small beside a
+#: fit's arrays (65,536 rows raised a 100,000-point depump's peak RSS 2%)
+_ROW_BLOCK = 1 << 10
+
+
+def _write_csv(path, header, row: str, columns, comments: str = "") -> None:
+    """Write ``comments``, the ``header`` line, then one ``row % values`` line
+    per entry of the equal-length 1-D ``columns``: the bytes ``csv.writer``
+    writes (``\\r\\n`` line ends; no field needs quoting)."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(comments + ",".join(header) + "\r\n")
+        for start in range(0, len(columns[0]), _ROW_BLOCK):
+            block = [np.asarray(c)[start:start + _ROW_BLOCK].tolist() for c in columns]
+            fh.write("".join([row % values for values in zip(*block)]))
+
+
 @dataclass(frozen=True)
 class DatasetRecord:
     length: int
@@ -346,12 +362,8 @@ class RBDataset:
         return cls(records)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(DATASET_HEADER)
-            for r in self.records:
-                writer.writerow([r.length, r.seq_id, r.pauli, r.target_outcome,
-                                 r.shots, r.dark_counts, r.bright_counts])
+        _write_csv(path, DATASET_HEADER, "%d,%d,%s,%d,%d,%d,%d\r\n",
+                   [[getattr(r, name) for r in self.records] for name in DATASET_HEADER])
 
     @classmethod
     def from_csv(cls, path) -> "RBDataset":
@@ -480,15 +492,8 @@ _RATE_FLOOR = PARAMETER_BOUNDS["base"][0]
 _GRID = np.concatenate((
     [0.0], np.exp(np.arange(np.log(1e-9), np.log(-np.log(_RATE_FLOOR)), 0.1)),
     [-np.log(_RATE_FLOOR) + 1e-9]))
-#: halvings of the refinement bracket: a bracket of two coarse spacings
-#: (a fifth of its exponent) shrinks to about 2e-10 of its exponent
-_BISECTIONS = 30
-#: a problem of at most ``_DEEP_SIZE`` (lane, length) pairs takes
-#: ``_DEEP_LEVELS`` halvings per step, scoring all 31 midpoints they can
-#: reach at once: its steps cost numpy call overhead, not work.  Past about
-#: 200 pairs a step of 31 midpoints costs more than the five it replaces.
-_DEEP_LEVELS = 5
-_DEEP_SIZE = 128
+#: relative tolerance of the rate search in ``-ln(rate)`` (see :func:`_profile_fit`)
+_XRTOL = 1e-10
 #: lanes per block of the coarse grid, and (grid point, length) pairs scored
 #: at once, which bound its temporaries (a decay law's grid is one block;
 #: a depump fit of many points is not)
@@ -507,10 +512,6 @@ def _lane_weights(sems: np.ndarray) -> np.ndarray:
     """``1/sem**2`` per length, or 1 for every length of a lane with a zero SEM."""
     weighted = np.all(sems > 0, axis=-1, keepdims=True)
     return np.where(weighted, 1.0 / np.where(weighted, sems, 1.0) ** 2, 1.0)
-
-
-def _weighted_cost(w, residuals):
-    return (w * residuals * residuals).sum(-1)
 
 
 def _clipped_ratio(num, den, hi: float):
@@ -643,17 +644,21 @@ def _profile_fit(spec: _Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
     its other parameters, which its ``linear_fit`` solves in closed form.
     The profiled cost is searched over ``s = -ln r`` for ``r`` in [1e-9,
     ``spec.ceiling``].  A coarse grid in ``s`` brackets its global minimum
-    between the best point's two neighbours, then bisection on the sign of
-    the cost's slope (:func:`_profile_slope`) halves the bracket
-    :data:`_BISECTIONS` times: one midpoint per lane and step, or for a
-    small problem the midpoints of ``_DEEP_LEVELS`` halvings per step, each
-    computed and scored as one-level steps would.  The boxes of
-    the linear parameters do not depend on ``s``, so the profiled cost is
-    smooth wherever the box optimum is unique, also where a bound becomes
-    active.  The cheapest of the final bracket's midpoint, the best coarse
-    point and both bounds wins, a tie going to the ceiling, then the floor,
-    then the coarse point (a leakage lane with B = 0 costs the same at every
-    rate and reports 1).  The
+    between the best point's two neighbours.  A lane whose slope there
+    (:func:`_profile_slope`) does not rise from <= 0 to > 0 takes the lower
+    end where it is positive, else the upper, as bisection would; the others
+    find its root by inverse quadratic interpolation (Chandrupatla, Adv.
+    Eng. Softw. 28, 145, 1997), halving where that fails its test, is not
+    finite, or the bracket has not halved over two steps (Brent's
+    safeguard).  A lane stops once its bracket is narrower than ``2 _XRTOL
+    (|s| + _GRID[1])`` (>= 2e-19), takes its end of smaller absolute slope
+    and leaves the working set.  Brackets start at most 3.6 wide and halve
+    at least once in three steps, so no lane takes more than 3 x 64 = 192
+    steps; the median takes 5, and one whose root sits at a kink of the
+    slope (B reaching 1 or C 0) halves for up to about 30.  The cheapest of
+    the search's result, the best coarse point and both bounds wins, a tie
+    going to the ceiling, then the floor, then the coarse point (a leakage
+    lane with B = 0 costs the same at every rate and reports 1).  The
     coarse grid is scored by ``linear_fit``'s cost, which it forms from
     weighted sums; the final pick scores its four candidates from their
     residuals, which round less where the fit is close.  ``means`` and
@@ -678,30 +683,42 @@ def _profile_fit(spec: _Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
         for r in rates], axis=-1), axis=-1) for i in range(0, n, _GRID_LANES)])
     lo = _GRID[np.maximum(coarse - 1, 0)]
     hi = _GRID[np.minimum(coarse + 1, _GRID.size - 1)]
-    levels = _DEEP_LEVELS if means.size <= _DEEP_SIZE else 1
-    width, lanes = 1 << levels, np.arange(n)
-    # each midpoint is scored as a lane of its own, so its sums round as one
-    # midpoint per lane would
-    deep_means, deep_w = (np.repeat(a, width - 1, axis=0) for a in (means, w))
-    for _ in range(_BISECTIONS // levels):
-        edges = np.empty((n, width + 1))  # the dyadic points of [lo, hi], sorted
-        edges[:, 0], edges[:, -1] = lo, hi
-        for k in range(levels):
-            stride = width >> k
-            edges[:, stride // 2::stride] = 0.5 * (edges[:, :-1:stride] + edges[:, stride::stride])
-        mids = edges[:, 1:-1].reshape(-1, 1)
-        params = [p[:, 0] for p in solve(mids, deep_means, deep_w)]
-        rising = (_profile_slope(spec, lengths, deep_means, deep_w, params) > 0).reshape(n, -1)
-        at = np.zeros(n, dtype=int)  # the halving path, one level at a time
-        for k in range(1, levels + 1):
-            mid = at + (width >> k)
-            at = np.where(rising[lanes, mid - 1], at, mid)
-        lo, hi = edges[lanes, at], edges[lanes, at + 1]
-    tried = np.stack([np.full(n, _GRID[0]), np.full(n, _GRID[-1]), _GRID[coarse],
-                      0.5 * (lo + hi)], axis=-1)
+
+    def slope(x, y, wy):  # (lanes, points) -> (lanes, points)
+        return _profile_slope(spec, lengths, y[:, None], wy[:, None], solve(x, y, wy))
+
+    f_lo, f_hi = slope(np.stack((lo, hi), axis=-1), means, w).T
+    root = np.where(f_lo > 0, lo, hi)  # the end bisection reaches without a sign change
+    run = np.flatnonzero((f_lo <= 0) & (f_hi > 0))
+    # [x1, x2] is the bracket, x1 its newest point, x3 the point dropped last
+    x1, x2, f1, f2, y, wy = lo[run], hi[run], f_lo[run], f_hi[run], means[run], w[run]
+    t, older, old = np.full(run.size, 0.5), x2 - x1, x2 - x1
+    while run.size:
+        x = x1 + t * (x2 - x1)
+        f = slope(x[:, None], y, wy)[:, 0]
+        same = (f > 0) == (f1 > 0)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x1, x2, f1, f2 = x, np.where(same, x2, x1), f, np.where(same, f2, f1)
+        width = np.abs(x2 - x1)
+        best = np.where(np.abs(f1) < np.abs(f2), x1, x2)
+        with np.errstate(all="ignore"):  # a non-finite step halves
+            tlim = _XRTOL * (np.abs(best) + _GRID[1]) / width
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            t = f1 / (f3 - f2) * (f3 / (f1 - f2) + (x3 - x1) / (x2 - x1) * f2 / (f3 - f1))
+            fits = ((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(t)
+                    & (width <= 0.5 * older))  # else halve
+        t = np.minimum(np.maximum(np.where(fits, t, 0.5), tlim), 1.0 - tlim)
+        older, old = old, width  # the bracket's widths two steps and one step back
+        done = tlim > 0.5
+        if done.any():
+            root[run[done]] = best[done]
+            run, x1, x2, f1, f2, t, older, old, y, wy = (
+                a[~done] for a in (run, x1, x2, f1, f2, t, older, old, y, wy))
+    tried = np.stack([np.full(n, _GRID[0]), np.full(n, _GRID[-1]), _GRID[coarse], root],
+                     axis=-1)
     params = solve(tried, means, w)
-    model = spec.model(lengths, *(p[..., None] for p in params))
-    pick = np.argmin(_weighted_cost(w[:, None], means[:, None] - model), axis=-1)[:, None]
+    r = means[:, None] - spec.model(lengths, *(p[..., None] for p in params))
+    pick = np.argmin((w[:, None] * r * r).sum(-1), axis=-1)[:, None]
     return tuple(np.take_along_axis(p, pick, -1)[:, 0] for p in params)
 
 
@@ -1006,10 +1023,8 @@ def simulate_focus(sequences, interleaved_ops, initial_state: int,
 
 def write_focus_csv(records, path) -> None:
     """Write a focus table (columns :data:`FOCUS_HEADER`) as CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FOCUS_HEADER)
-        writer.writerows(np.asarray(records, dtype=np.int64).tolist())
+    _write_csv(path, FOCUS_HEADER, ",".join(["%d"] * len(FOCUS_HEADER)) + "\r\n",
+               np.asarray(records, dtype=np.int64).reshape(-1, len(FOCUS_HEADER)).T)
 
 
 def read_focus_csv(path) -> np.ndarray:

@@ -9,18 +9,19 @@ bootstrap must reproduce its per-resample statistics draw for draw.  The
 package's variable-projection fits must reach an equal or lower weighted
 cost.  The profile fit here solves each law's linear part in residual form
 (one residual array per candidate) and refines its rate bracket on zoom
-grids; the package solves the linear part from weighted sums and bisects on
-the slope of the profiled cost, and must reach an equal or lower cost, with
+grids; the package solves the linear part from weighted sums and finds the
+root of the profiled cost's slope, and must reach an equal or lower cost, with
 the same parameters wherever the two costs do not tie.  Costs are compared
 in 40-digit decimal arithmetic (``weighted_cost``), so float64 rounding of
-small residuals does not decide a comparison.  The one-level bisection here
-scores one midpoint per lane and step; the package's profile fit, which
-takes several levels per step on small problems, must return its
-parameters bit for bit.  The ``csv.writer`` row writers here format one
-cell at a time; the CLI's one-pass writers must write the same bytes.  The per-sequence focus
-simulation here runs one trajectory array per sequence; the package's
-per-length batched ``rb.simulate_focus`` must return the same table
-whenever no random draw decides it, and the same statistics otherwise.
+small residuals does not decide a comparison.  The bisection here halves
+each lane's bracket 30 times on the sign of that slope; the package's
+interpolating root search takes fewer steps and must reach no higher cost
+(``assert_cost_within_slack``).  The ``csv.writer`` row writers here format
+one cell at a time; the package's one-pass writers must write the same
+bytes.  The per-sequence focus simulation here runs one trajectory array
+per sequence; the package's per-length batched ``rb.simulate_focus`` must
+return the same table whenever no random draw decides it, and the same
+statistics otherwise.
 The Lindblad oracle here intentionally uses a different construction from
 the package (one 16x16 generator exponential in the column-stacked basis
 instead of a 4x4 population exponential plus analytic coherence factors),
@@ -327,8 +328,8 @@ def profile_fit_oracle(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]
     and scores the coarse grid that way, one (lanes, points, lengths) array
     per block of ``rb._GRID_LANES`` lanes, where the package works from each
     lane's weighted sums, and it refines the bracket with ``_ZOOM_STEPS``
-    rounds of a ``_ZOOM`` grid, where the package bisects on the slope of
-    the profiled cost.  The final pick is the package's.
+    rounds of a ``_ZOOM`` grid, where the package searches for the root of
+    the profiled cost's slope.  The final pick is the package's.
 
     Variable projection: given the decay rate ``r``, the law is linear in
     its other parameters, which have a closed form.
@@ -371,11 +372,16 @@ def profile_fit_oracle(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]
     return tuple(np.choose(pick, p) for p in params)
 
 
+#: halvings of the bisection oracle's bracket: a bracket of two coarse
+#: spacings (a fifth of its exponent) shrinks to about 2e-10 of its exponent
+BISECTIONS = 30
+
+
 def bisection_profile_fit_oracle(spec: rb._Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
-    """``rb._profile_fit`` with one bisection level per numpy step, as it was
-    before small problems took several: every step scores one midpoint per
-    lane, ``rb._BISECTIONS`` steps in all.  The package must return the
-    same parameters bit for bit."""
+    """``rb._profile_fit`` as it was before its interpolating root search:
+    the coarse grid's bracket halved ``BISECTIONS`` times on the sign of the
+    profiled cost's slope, one midpoint per lane and step, then the same
+    final pick.  The package must reach no higher cost on any lane."""
     w = rb._lane_weights(sems)
     exponents = lengths + spec.exponent_offset
 
@@ -393,7 +399,7 @@ def bisection_profile_fit_oracle(spec: rb._Law, lengths, means, sems) -> tuple[n
         for r in rates], axis=-1), axis=-1) for i in range(0, n, rb._GRID_LANES)])
     lo = rb._GRID[np.maximum(coarse - 1, 0)]
     hi = rb._GRID[np.minimum(coarse + 1, rb._GRID.size - 1)]
-    for _ in range(rb._BISECTIONS):
+    for _ in range(BISECTIONS):
         mid = 0.5 * (lo + hi)
         params = [p[:, 0] for p in solve(mid[:, None])]
         rising = rb._profile_slope(spec, lengths, means, w, params) > 0
@@ -401,8 +407,8 @@ def bisection_profile_fit_oracle(spec: rb._Law, lengths, means, sems) -> tuple[n
     tried = np.stack([np.full(n, rb._GRID[0]), np.full(n, rb._GRID[-1]), rb._GRID[coarse],
                       0.5 * (lo + hi)], axis=-1)
     params = solve(tried)
-    model = spec.model(lengths, *(p[..., None] for p in params))
-    pick = np.argmin(rb._weighted_cost(w[:, None], means[:, None] - model), axis=-1)[:, None]
+    r = means[:, None] - spec.model(lengths, *(p[..., None] for p in params))
+    pick = np.argmin((w[:, None] * r * r).sum(-1), axis=-1)[:, None]
     return tuple(np.take_along_axis(p, pick, -1)[:, 0] for p in params)
 
 
@@ -444,6 +450,16 @@ def curve_fit_decay(law: str, lengths, means, sems, ls_ratio: float = 1.0,
                             sigma=None if np.any(sems <= 0) else sems,
                             bounds=bounds, maxfev=20000, ftol=tol, xtol=tol, gtol=tol)
     return [float(v) for v in popt]
+
+
+def assert_cost_within_slack(cost: float, oracle_cost: float, floor: float, context=()) -> None:
+    """A fit's weighted ``cost`` reaches the oracle's or lower.
+
+    Slack: 1e-12 of the oracle's cost, plus 1e-20 of ``floor``, the
+    weighted sum of squared data: the rounding floor of an exactly
+    determined fit.
+    """
+    assert cost <= oracle_cost * (1 + 1e-12) + 1e-20 * floor, (*context, cost, oracle_cost)
 
 
 def weighted_cost(law: str, lengths, means, sems, params) -> float:
@@ -573,3 +589,21 @@ def write_depump_csv_oracle(path, times, shots: int, counts) -> None:
         writer.writerow(("time_s", "shots", "dark_counts", "dark_fraction"))
         for t, d in zip(times, counts):
             writer.writerow((_fmt(t), shots, int(d), _fmt(d / shots)))
+
+
+def write_dataset_csv_oracle(dataset, path) -> None:
+    """A dataset CSV as ``rb.RBDataset.to_csv`` wrote it, one ``csv.writer`` row at a time."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(rb.DATASET_HEADER)
+        for r in dataset.records:
+            writer.writerow([r.length, r.seq_id, r.pauli, r.target_outcome,
+                             r.shots, r.dark_counts, r.bright_counts])
+
+
+def write_focus_csv_oracle(records, path) -> None:
+    """A focus CSV as ``rb.write_focus_csv`` wrote it, through ``csv.writer``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(rb.FOCUS_HEADER)
+        writer.writerows(np.asarray(records, dtype=np.int64).tolist())

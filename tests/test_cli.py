@@ -828,12 +828,12 @@ def _written(write) -> bytes:
            st.lists(st.floats() | st.sampled_from(EDGE_FLOATS), min_size=n, max_size=n),
            min_size=3, max_size=3)),
        st.lists(st.floats(), min_size=2, max_size=2),
-       st.sampled_from([1, 2, cli._ROW_BLOCK]))
+       st.sampled_from([1, 2, rb._ROW_BLOCK]))
 @example([EDGE_FLOATS[:3], EDGE_FLOATS[3:], EDGE_FLOATS[::-1][:3]], [2.4048255576957728, 1e308], 2)
 def test_scan_csv_bytes_match_row_writer_oracle(columns, nulls, block):
     config = micromotion.TrapBeamConfig(**TRAP_CONFIG)
     columns = [np.array(c, dtype=float) for c in columns]
-    with mock.patch.object(cli, "_ROW_BLOCK", block):
+    with mock.patch.object(rb, "_ROW_BLOCK", block):
         ours = _written(lambda path: cli._write_scan_csv(path, config, nulls, *columns))
     assert ours == _written(lambda path: write_scan_csv_oracle(path, config, nulls, *columns))
 
@@ -842,13 +842,13 @@ def test_scan_csv_bytes_match_row_writer_oracle(columns, nulls, block):
 @given(st.integers(1, 10 ** 9).flatmap(lambda shots: st.tuples(st.just(shots), st.lists(
            st.tuples(st.floats() | st.sampled_from(EDGE_FLOATS), st.integers(0, shots)),
            max_size=9))),
-       st.sampled_from([1, 2, cli._ROW_BLOCK]))
+       st.sampled_from([1, 2, rb._ROW_BLOCK]))
 @example((3, list(zip(EDGE_FLOATS, [0, 1, 2, 3, 1, 2]))), 2)
 def test_depump_csv_bytes_match_row_writer_oracle(sample, block):
     shots, rows = sample
     times = np.array([t for t, _ in rows], dtype=float)
     counts = np.array([c for _, c in rows], dtype=np.int64)
-    with mock.patch.object(cli, "_ROW_BLOCK", block):
+    with mock.patch.object(rb, "_ROW_BLOCK", block):
         ours = _written(lambda path: cli._write_depump_csv(path, times, shots, counts,
                                                             counts / shots))
     assert ours == _written(lambda path: write_depump_csv_oracle(path, times, shots, counts))

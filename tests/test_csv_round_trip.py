@@ -1,13 +1,16 @@
-"""Property tests: valid datasets and focus tables survive their CSV round trip."""
+"""Property tests: valid datasets and focus tables survive their CSV round
+trip, and are written as the row-by-row ``csv.writer`` oracles write them."""
 
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmr import clifford, rb
+from synthetic import write_dataset_csv_oracle, write_focus_csv_oracle
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -62,3 +65,27 @@ def test_focus_csv_round_trip_is_exact(table):
         again = rb.read_focus_csv(path)
         assert again.dtype == np.int64
         np.testing.assert_array_equal(again, table)
+
+
+def _written(write) -> bytes:
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "out.csv")
+        write(path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@PROPERTY_SETTINGS
+@given(datasets(), st.sampled_from([1, 2, rb._ROW_BLOCK]))
+def test_dataset_csv_bytes_match_row_writer_oracle(dataset, block):
+    with mock.patch.object(rb, "_ROW_BLOCK", block):
+        ours = _written(dataset.to_csv)
+    assert ours == _written(lambda path: write_dataset_csv_oracle(dataset, path))
+
+
+@PROPERTY_SETTINGS
+@given(focus_tables(), st.sampled_from([1, 2, rb._ROW_BLOCK]))
+def test_focus_csv_bytes_match_row_writer_oracle(table, block):
+    with mock.patch.object(rb, "_ROW_BLOCK", block):
+        ours = _written(lambda path: rb.write_focus_csv(table, path))
+    assert ours == _written(lambda path: write_focus_csv_oracle(table, path))
