@@ -76,13 +76,15 @@ def _build_group():
         array.setflags(write=False)
     elements = tuple(CliffordElement(index, u, img)
                      for index, (u, img) in enumerate(zip(unitaries, images)))
-    # product[a][b] applies b first, then a
-    product = tuple(tuple(seen[(a @ b).tobytes()] for b in images) for a in images)
-    inverse = tuple(row.index(0) for row in product)
+    # product[a, b] applies b first, then a
+    product = np.array([[seen[(a @ b).tobytes()] for b in images] for a in images],
+                       dtype=np.intp)
+    inverse = np.argwhere(product == 0)[:, 1]
     paulis = {label: seen[np.diag(d).tobytes()]
               for label, d in _PAULI_DIAGONALS.items()}
     superops = np.stack([liouville.embed_gate(u) for u in unitaries])
-    superops.setflags(write=False)
+    for table in (product, inverse, superops):
+        table.setflags(write=False)
     return elements, product, inverse, paulis, superops
 
 
@@ -96,7 +98,7 @@ def clifford_table() -> tuple[CliffordElement, ...]:
 
 def compose(after: CliffordElement, before: CliffordElement) -> CliffordElement:
     """Element equal to applying ``before`` first, then ``after``."""
-    return _ELEMENTS[_PRODUCT[after.index][before.index]]
+    return _ELEMENTS[_PRODUCT[after.index, before.index]]
 
 
 def inverse(element: CliffordElement) -> CliffordElement:
@@ -125,7 +127,7 @@ def net_element(indices) -> CliffordElement:
     """Product of table elements applied in the given order (first acts first)."""
     net = 0
     for idx in indices:
-        net = _PRODUCT[idx][net]
+        net = _PRODUCT[idx, net]
     return _ELEMENTS[net]
 
 
@@ -136,6 +138,16 @@ def inversion_element(indices, pauli_label: str) -> CliffordElement:
     element realises ``pauli_label`` exactly (up to global phase).
     """
     return compose(pauli_element(pauli_label), inverse(net_element(indices)))
+
+
+def product_table() -> np.ndarray:
+    """Read-only (24, 24) index table: ``[a, b]`` applies ``b`` first, then ``a``."""
+    return _PRODUCT
+
+
+def inverse_table() -> np.ndarray:
+    """Read-only (24,) index table of group inverses."""
+    return _INVERSE
 
 
 def superop_table() -> np.ndarray:

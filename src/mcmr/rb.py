@@ -53,8 +53,15 @@ MAX_SEQUENCES_PER_LENGTH = 100_000
 #: simulation holds several (sequences, shots) arrays of them at once
 MAX_SHOTS_PER_LENGTH = 10_000_000
 #: most Clifford indices of one experiment, ``sequences_per_length *
-#: sum(lengths)``: the sequences hold each one as a Python int
+#: sum(lengths)``: the sequences hold each one as a Python int, and their
+#: generation one length's at a time as an int64 array
 MAX_CLIFFORDS = 10_000_000
+
+#: CSV rows formatted per write, and sequences propagated at once by
+#: :func:`survival_dark_probabilities`: the text and the (rows, 16, 16) gate
+#: stack held at once stay small beside a fit's arrays (65,536 CSV rows
+#: raised a 100,000-point depump's peak RSS 2%)
+_ROW_BLOCK = 1 << 10
 
 PAULI_LABELS = clifford.PAULI_LABELS
 _DARK_PAULIS = ("I", "Z")
@@ -149,6 +156,11 @@ def generate_sequences(lengths=DEFAULT_LENGTHS,
     the ordinary decay.  ``balanced=False`` draws the net Pauli uniformly at
     random per sequence, which inflates the pooled variance (useful as a
     negative control).
+
+    Draw order, per length: the labels, then every sequence's Clifford
+    indices in one ``rng.integers`` call, row by row (the stream of one
+    call per sequence).  The inversion gates of a length are folded
+    together, one product-table lookup per position.
     """
     rng = np.random.default_rng(seed)
     lengths = tuple(int(l) for l in lengths)
@@ -160,22 +172,27 @@ def generate_sequences(lengths=DEFAULT_LENGTHS,
     if balanced and sequences_per_length % 2:
         raise ConfigError("balanced sampling needs an even sequences_per_length")
 
+    product, inverse = clifford.product_table(), clifford.inverse_table()
+    pauli_index = {label: clifford.pauli_element(label).index for label in PAULI_LABELS}
     sequences = []
     for length in lengths:
         if balanced:
             half = sequences_per_length // 2
             labels = list(rng.choice(_DARK_PAULIS, half))
             labels += list(rng.choice(_BRIGHT_PAULIS, half))
-            labels = [labels[i] for i in rng.permutation(sequences_per_length)]
+            labels = [str(labels[i]) for i in rng.permutation(sequences_per_length)]
         else:
-            labels = list(rng.choice(PAULI_LABELS, sequences_per_length))
-        for seq_id, label in enumerate(labels):
-            indices = tuple(int(i) for i in rng.integers(0, clifford.GROUP_ORDER, length))
-            inv = clifford.inversion_element(indices, label)
+            labels = [str(label) for label in rng.choice(PAULI_LABELS, sequences_per_length)]
+        indices = rng.integers(0, clifford.GROUP_ORDER, (sequences_per_length, length))
+        net = np.zeros(sequences_per_length, dtype=np.intp)
+        for column in indices.T:
+            net = product[column, net]
+        inversions = product[[pauli_index[label] for label in labels], inverse[net]]
+        for seq_id, (label, row, inv) in enumerate(zip(labels, indices, inversions.tolist())):
             sequences.append(RBSequence(
-                length=length, seq_id=seq_id, clifford_indices=indices,
-                pauli=str(label), inversion_index=inv.index,
-                target_outcome=clifford.target_outcome(str(label))))
+                length=length, seq_id=seq_id, clifford_indices=tuple(row.tolist()),
+                pauli=label, inversion_index=inv,
+                target_outcome=clifford.target_outcome(label)))
     return sequences
 
 
@@ -189,20 +206,31 @@ def survival_dark_probabilities(sequences, slot_channel,
 
     ``slot_channel`` is the error applied after every random Clifford (the
     interleaved crosstalk, composed with any gate error); the inversion gate
-    is applied clean.
+    is applied clean.  Sequences of one length propagate together, one
+    length at a time in order of first appearance, in blocks of at most
+    ``_ROW_BLOCK``: one stacked matrix-vector product per position (each
+    row the product of one sequence alone, bit for bit), then one Born
+    probability per sequence.
     """
     slot = slot_channel.matrix
     gates = clifford.superop_table()
     stepped = np.einsum("ij,njk->nik", slot, gates)
     prep = spam.prep_vector()
     effect = spam.dark_effect()
+    lengths = np.array([s.length for s in sequences], dtype=np.int64)
     out = np.empty(len(sequences))
-    for i, seq in enumerate(sequences):
-        v = prep
-        for idx in seq.clifford_indices:
-            v = stepped[idx] @ v
-        v = gates[seq.inversion_index] @ v
-        out[i] = liouville.born_probability(effect, v)
+    for length in dict.fromkeys(lengths.tolist()):
+        members = np.flatnonzero(lengths == length)
+        for start in range(0, members.size, _ROW_BLOCK):
+            rows = members[start:start + _ROW_BLOCK]
+            block = [sequences[i] for i in rows]
+            indices = np.array([s.clifford_indices for s in block],
+                               dtype=np.int8).reshape(rows.size, length)
+            v = np.broadcast_to(prep[:, None], (rows.size, prep.size, 1))
+            for column in indices.T:
+                v = stepped[column] @ v
+            v = gates[[s.inversion_index for s in block]] @ v
+            out[rows] = [liouville.born_probability(effect, x) for x in v[..., 0]]
     return out
 
 
@@ -275,11 +303,6 @@ def _read_csv(path, header: tuple[str, ...], what: str) -> list[tuple[int, list]
         raise DataFormatError(
             f"bad {what} header in {path}: expected {','.join(header)}")
     return [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
-
-
-#: CSV rows formatted per write: the text held at once stays small beside a
-#: fit's arrays (65,536 rows raised a 100,000-point depump's peak RSS 2%)
-_ROW_BLOCK = 1 << 10
 
 
 def _write_csv(path, header, row: str, columns, comments: str = "") -> None:
@@ -969,7 +992,10 @@ def simulate_focus(sequences, interleaved_ops, initial_state: int,
     against the ideal error-free trajectory, which is tracked alongside
     (after a ``random_su2`` the sampled random bit is the ideal).  All
     sequences of one length run together as ``(n_seq, shots)`` arrays, one
-    length at a time in order of first appearance.
+    length at a time in order of first appearance.  Uniforms are drawn only
+    for a probability above 0 (preparation flip, depumping, either readout
+    confusion, reset error); a reset with ``reset_error`` 0 sets the state
+    to 0.
     """
     if initial_state not in (0, 1):
         raise ConfigError("initial_state must be 0 or 1")
@@ -1004,13 +1030,18 @@ def simulate_focus(sequences, interleaved_ops, initial_state: int,
                 if op == "measure":
                     if model.depump_per_measure > 0:
                         state[(state == 1) & (rng.random(size) < model.depump_per_measure)] = 0
-                    confusion = np.where(state == 1, model.bright_to_dark,
-                                         model.dark_to_bright)
-                    outcome = state ^ (rng.random(size) < confusion)
-                    errors.append(np.sum(outcome != ideal, axis=1))
+                    outcome = state
+                    if model.dark_to_bright > 0 or model.bright_to_dark > 0:
+                        confusion = np.where(state == 1, model.bright_to_dark,
+                                             model.dark_to_bright)
+                        outcome = state ^ (rng.random(size) < confusion)
+                    errors.append((outcome != ideal).sum(axis=1))
                 elif op == "reset":
-                    state[rng.random(size) >= model.reset_error] = 0
-                    ideal = np.zeros_like(state)
+                    if model.reset_error > 0:
+                        state[rng.random(size) >= model.reset_error] = 0
+                    else:
+                        state = np.zeros(size, dtype=np.int8)
+                    ideal = np.zeros(size, dtype=np.int8)
                 elif op == "x_pi":
                     state, ideal = 1 - state, 1 - ideal
                 elif op == "random_su2":
@@ -1025,6 +1056,18 @@ def write_focus_csv(records, path) -> None:
     """Write a focus table (columns :data:`FOCUS_HEADER`) as CSV."""
     _write_csv(path, FOCUS_HEADER, ",".join(["%d"] * len(FOCUS_HEADER)) + "\r\n",
                np.asarray(records, dtype=np.int64).reshape(-1, len(FOCUS_HEADER)).T)
+
+
+def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable lexicographic order of the rows of the 2-D integer ``keys``
+    (first column most significant), and ``starts``: ``starts[i, k]`` is
+    whether sorted row ``i`` begins a run of equal first ``k + 1`` columns.
+    Rows of equal keys keep their input order."""
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(ordered.shape, dtype=bool)
+    np.logical_or.accumulate(ordered[1:] != ordered[:-1], axis=1, out=starts[1:])
+    return order, starts
 
 
 def read_focus_csv(path) -> np.ndarray:
@@ -1043,8 +1086,9 @@ def read_focus_csv(path) -> np.ndarray:
         linenos.append(lineno)
     table = np.array(rows, dtype=np.int64).reshape(-1, len(FOCUS_HEADER))
     length, seq_id, slot, meas_index, shots, errors = table.T
-    repeated = np.ones(len(table), dtype=bool)
-    repeated[np.unique(table[:, :4], axis=0, return_index=True)[1]] = False
+    order, starts = _sorted_runs(table[:, :4])
+    repeated = np.zeros(len(table), dtype=bool)
+    repeated[order[~starts[:, -1]]] = True  # every row after the first of its key
     for bad, what in (((length < 1) | (shots < 1), "length and shots must be positive"),
                       ((errors < 0) | (errors > shots), "errors outside [0, shots]"),
                       ((slot < 1) | (slot > length), "slot outside [1, length]"),
@@ -1086,30 +1130,34 @@ def spam_report(records) -> tuple[SpamReportEntry, ...]:
     """
     table = np.asarray(records, dtype=np.int64).reshape(-1, len(FOCUS_HEADER))
     # one cluster per (meas_index, length, seq_id), one group per (meas_index, length)
-    clusters, in_cluster = np.unique(table[:, [3, 0, 1]], axis=0, return_inverse=True)
-    groups, cluster_group = np.unique(clusters[:, :2], axis=0, return_inverse=True)
-    in_cluster, cluster_group = in_cluster.ravel(), cluster_group.ravel()
-    # (shots, errors) per group as Python ints: int64 sums could wrap
-    counts = np.zeros((len(groups), 2), dtype=object)
-    np.add.at(counts, cluster_group[in_cluster], table[:, 4:].astype(object))
-    # variance of each group's error total from its m sequences: m * s^2
+    order, starts = _sorted_runs(table[:, [3, 0, 1]])
+    sorted_cluster = np.cumsum(starts[:, 2]) - 1
+    in_cluster = np.empty(len(table), dtype=np.intp)
+    in_cluster[order] = sorted_cluster
+    # each sequence's error total, summed in table order
     cluster_errors = np.bincount(in_cluster, weights=table[:, 5].astype(float))
-    variance = np.zeros(len(groups))
-    for g in range(len(groups)):
-        errors = cluster_errors[cluster_group == g]
-        if errors.size > 1:
-            variance[g] = errors.size * errors.var(ddof=1)
+    group_rows = np.append(np.flatnonzero(starts[:, 1]), len(table))
+    group_clusters = np.append(sorted_cluster[group_rows[:-1]], len(cluster_errors))
+    keys = table[order[group_rows[:-1]]][:, [3, 0]].tolist()
+    # (shots, errors) per group as Python ints: int64 sums could wrap
+    shots, errors = table[order, 4].tolist(), table[order, 5].tolist()
+    by_index: dict[int, list] = {}
+    for g, (meas_index, length) in enumerate(keys):
+        rows = slice(group_rows[g], group_rows[g + 1])
+        totals = cluster_errors[group_clusters[g]:group_clusters[g + 1]]
+        # variance of the group's error total from its m sequences: m * s^2
+        variance = totals.size * totals.var(ddof=1) if totals.size > 1 else 0.0
+        by_index.setdefault(meas_index, []).append(
+            (length, sum(shots[rows]), sum(errors[rows]), variance))
     entries = []
-    for meas_index in np.unique(groups[:, 0]).tolist():
-        rows = groups[:, 0] == meas_index
-        per_length = tuple((length, s, e, e / s) for (_, length), (s, e)
-                           in zip(groups[rows].tolist(), counts[rows].tolist()))
-        shots, errors = counts[rows].sum(axis=0).tolist()
-        rate = errors / shots
-        binomial = float(np.sqrt(max(rate * (1 - rate), 1.0 / shots) / shots))
-        sigma = max(binomial, float(np.sqrt(variance[rows].sum())) / shots)
-        entries.append(SpamReportEntry(meas_index, shots, errors, rate, sigma,
-                                       per_length))
+    for meas_index, groups in by_index.items():
+        per_length = tuple((length, s, e, e / s) for length, s, e, _ in groups)
+        n_shots, n_errors = sum(g[1] for g in groups), sum(g[2] for g in groups)
+        rate = n_errors / n_shots
+        binomial = float(np.sqrt(max(rate * (1 - rate), 1.0 / n_shots) / n_shots))
+        spread = float(np.sqrt(np.array([g[3] for g in groups]).sum())) / n_shots
+        entries.append(SpamReportEntry(meas_index, n_shots, n_errors, rate,
+                                       max(binomial, spread), per_length))
     return tuple(entries)
 
 

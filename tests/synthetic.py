@@ -21,7 +21,13 @@ one cell at a time; the package's one-pass writers must write the same
 bytes.  The per-sequence focus simulation here runs one trajectory array
 per sequence; the package's per-length batched ``rb.simulate_focus`` must
 return the same table whenever no random draw decides it, and the same
-statistics otherwise.
+statistics otherwise.  The sequence draws here take one ``rng.integers``
+call and one element-by-element inversion fold per sequence, the survival
+here propagates one sequence at a time, and the SPAM report here groups by
+row-wise ``np.unique``; the package draws, folds and propagates a length at
+a time and groups by one sorted key, and must return equal records, leave
+the generator in the same state, give bit-equal probabilities and equal
+report entries.
 The Lindblad oracle here intentionally uses a different construction from
 the package (one 16x16 generator exponential in the column-stacked basis
 instead of a 4x4 population exponential plus analytic coherence factors),
@@ -485,12 +491,86 @@ def weighted_cost(law: str, lengths, means, sems, params) -> float:
         return float(total)
 
 
+def generate_sequences_oracle(lengths, sequences_per_length: int, seed=None,
+                              balanced: bool = True) -> list:
+    """Per-sequence draws: the records ``rb.generate_sequences`` returns.
+
+    Each sequence draws its Clifford indices in its own ``rng.integers``
+    call and folds its inversion gate element by element.
+    """
+    rng = np.random.default_rng(seed)
+    sequences = []
+    for length in lengths:
+        if balanced:
+            half = sequences_per_length // 2
+            labels = list(rng.choice(rb._DARK_PAULIS, half))
+            labels += list(rng.choice(rb._BRIGHT_PAULIS, half))
+            labels = [labels[i] for i in rng.permutation(sequences_per_length)]
+        else:
+            labels = list(rng.choice(rb.PAULI_LABELS, sequences_per_length))
+        for seq_id, label in enumerate(labels):
+            indices = tuple(int(i) for i in rng.integers(0, clifford.GROUP_ORDER, length))
+            inv = clifford.inversion_element(indices, label)
+            sequences.append(rb.RBSequence(
+                length=length, seq_id=seq_id, clifford_indices=indices,
+                pauli=str(label), inversion_index=inv.index,
+                target_outcome=clifford.target_outcome(str(label))))
+    return sequences
+
+
+def survival_oracle(sequences, slot_channel, spam: rb.SpamModel = rb.PERFECT_SPAM) -> np.ndarray:
+    """One sequence and one matrix-vector product at a time: the dark
+    probabilities ``rb.survival_dark_probabilities`` returns."""
+    slot = slot_channel.matrix
+    gates = clifford.superop_table()
+    stepped = np.einsum("ij,njk->nik", slot, gates)
+    prep = spam.prep_vector()
+    effect = spam.dark_effect()
+    out = np.empty(len(sequences))
+    for i, seq in enumerate(sequences):
+        v = prep
+        for idx in seq.clifford_indices:
+            v = stepped[idx] @ v
+        v = gates[seq.inversion_index] @ v
+        out[i] = liouville.born_probability(effect, v)
+    return out
+
+
+def spam_report_oracle(records) -> tuple:
+    """Row-wise ``np.unique`` grouping: the entries ``rb.spam_report`` returns."""
+    table = np.asarray(records, dtype=np.int64).reshape(-1, len(rb.FOCUS_HEADER))
+    clusters, in_cluster = np.unique(table[:, [3, 0, 1]], axis=0, return_inverse=True)
+    groups, cluster_group = np.unique(clusters[:, :2], axis=0, return_inverse=True)
+    in_cluster, cluster_group = in_cluster.ravel(), cluster_group.ravel()
+    counts = np.zeros((len(groups), 2), dtype=object)
+    np.add.at(counts, cluster_group[in_cluster], table[:, 4:].astype(object))
+    cluster_errors = np.bincount(in_cluster, weights=table[:, 5].astype(float))
+    variance = np.zeros(len(groups))
+    for g in range(len(groups)):
+        errors = cluster_errors[cluster_group == g]
+        if errors.size > 1:
+            variance[g] = errors.size * errors.var(ddof=1)
+    entries = []
+    for meas_index in np.unique(groups[:, 0]).tolist():
+        rows = groups[:, 0] == meas_index
+        per_length = tuple((length, s, e, e / s) for (_, length), (s, e)
+                           in zip(groups[rows].tolist(), counts[rows].tolist()))
+        shots, errors = counts[rows].sum(axis=0).tolist()
+        rate = errors / shots
+        binomial = float(np.sqrt(max(rate * (1 - rate), 1.0 / shots) / shots))
+        sigma = max(binomial, float(np.sqrt(variance[rows].sum())) / shots)
+        entries.append(rb.SpamReportEntry(meas_index, shots, errors, rate, sigma,
+                                          per_length))
+    return tuple(entries)
+
+
 def focus_oracle(sequences, interleaved_ops, initial_state: int,
                  model: rb.FocusModel, shots: int, seed=None) -> np.ndarray:
     """Per-sequence focus trajectories: the table ``rb.simulate_focus`` returns.
 
     Each sequence runs as its own ``(shots,)`` arrays, drawing its random
-    numbers before the next sequence starts.
+    numbers before the next sequence starts, and only for a probability
+    above 0.
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -507,14 +587,17 @@ def focus_oracle(sequences, interleaved_ops, initial_state: int,
                     if model.depump_per_measure > 0:
                         drop = (state == 1) & (rng.random(shots) < model.depump_per_measure)
                         state[drop] = 0
-                    confusion = np.where(state == 1, model.bright_to_dark,
-                                         model.dark_to_bright)
-                    outcome = np.where(rng.random(shots) < confusion, 1 - state, state)
+                    outcome = state
+                    if model.dark_to_bright > 0 or model.bright_to_dark > 0:
+                        confusion = np.where(state == 1, model.bright_to_dark,
+                                             model.dark_to_bright)
+                        outcome = np.where(rng.random(shots) < confusion, 1 - state, state)
                     rows.append((seq.length, seq.seq_id, slot, meas_index, shots,
                                  int(np.sum(outcome != ideal))))
                     meas_index += 1
                 elif op == "reset":
-                    keep = rng.random(shots) < model.reset_error
+                    keep = (rng.random(shots) < model.reset_error if model.reset_error > 0
+                            else np.zeros(shots, dtype=bool))
                     state = np.where(keep, state, 0).astype(np.int8)
                     ideal = np.zeros(shots, dtype=np.int8)
                 elif op == "x_pi":

@@ -1,5 +1,6 @@
 """Property tests: valid datasets and focus tables survive their CSV round
-trip, and are written as the row-by-row ``csv.writer`` oracles write them."""
+trip, and are written as the row-by-row ``csv.writer`` oracles write them;
+the SPAM report of a valid focus table equals the ``np.unique`` oracle's."""
 
 import os
 import tempfile
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcmr import clifford, rb
-from synthetic import write_dataset_csv_oracle, write_focus_csv_oracle
+from synthetic import spam_report_oracle, write_dataset_csv_oracle, write_focus_csv_oracle
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -89,3 +90,12 @@ def test_focus_csv_bytes_match_row_writer_oracle(table, block):
     with mock.patch.object(rb, "_ROW_BLOCK", block):
         ours = _written(lambda path: rb.write_focus_csv(table, path))
     assert ours == _written(lambda path: write_focus_csv_oracle(table, path))
+
+
+@PROPERTY_SETTINGS
+@given(focus_tables(), st.integers(0, 2 ** 32 - 1))
+def test_spam_report_of_shuffled_tables_equals_unique_oracle(table, seed):
+    """Counts up to the int64 limit: the sums stay exact and the per-sequence
+    float totals are summed in table order, as the oracle sums them."""
+    shuffled = table[np.random.default_rng(seed).permutation(len(table))]
+    assert rb.spam_report(shuffled) == spam_report_oracle(shuffled)

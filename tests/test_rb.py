@@ -3,16 +3,21 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 
 from mcmr import channels, clifford, liouville, rb
 from mcmr.errors import ConfigError, DataFormatError, FitError
 from synthetic import (LINEAR_FIT_ORACLES, assert_cost_within_slack, bisection_profile_fit_oracle,
-                       curve_fit_decay, exact_average_survival, focus_oracle, profile_fit_oracle,
-                       random_lambda_channel, record_resample_stats, record_stats, weighted_cost)
+                       curve_fit_decay, exact_average_survival, focus_oracle,
+                       generate_sequences_oracle, profile_fit_oracle, random_lambda_channel,
+                       record_resample_stats, record_stats, spam_report_oracle,
+                       survival_oracle, weighted_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +100,41 @@ def test_generate_sequences_seeded_and_validated():
     assert len(unbalanced) == 7
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 120), min_size=1, max_size=3, unique=True),
+       st.sampled_from([1, 2, 7, 40]), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_sequences_and_survival_equal_per_sequence_oracles(lengths, per_length, balanced, seed):
+    """A length's draws and products at once equal one sequence at a time,
+    bit for bit, whatever order the sequences arrive in."""
+    assume(not (balanced and per_length % 2))
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    seqs = rb.generate_sequences(lengths, per_length, seed=rng, balanced=balanced)
+    assert seqs == generate_sequences_oracle(lengths, per_length, seed=oracle_rng,
+                                             balanced=balanced)
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    shuffled = [seqs[i] for i in rng.permutation(len(seqs))]
+    prep_flip, prep_leak, dark_to_bright, bright_to_dark = rng.uniform(0.0, 0.1, 4)
+    spam = rb.SpamModel(prep_flip, prep_leak, dark_to_bright, bright_to_dark)
+    slot = random_lambda_channel(rng)
+    np.testing.assert_array_equal(rb.survival_dark_probabilities(shuffled, slot, spam),
+                                  survival_oracle(shuffled, slot, spam))
+
+
 # ---------------------------------------------------------------------------
 # exact survival
+
+
+def test_survival_memory_is_bounded_by_row_blocks():
+    """Propagating 20,000 sequences at once would hold a 41 MB gate stack."""
+    seqs = rb.generate_sequences(lengths=(3,), sequences_per_length=20_000, seed=19)
+    slot = channels.depolarizing(0.01)
+    tracemalloc.start()
+    try:
+        rb.survival_dark_probabilities(seqs, slot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_identity_channel_survival_is_deterministic():
@@ -1024,11 +1062,16 @@ def test_simulate_focus_equals_oracle_with_one_sequence_per_length():
     model = rb.FocusModel(prep_flip=0.1, dark_to_bright=0.05,
                           bright_to_dark=0.08, depump_per_measure=0.1,
                           reset_error=0.2)
+    # the mixed models skip the draws of their zero probabilities
+    mixed = (rb.FocusModel(prep_flip=0.1, dark_to_bright=0.05, bright_to_dark=0.08),
+             rb.FocusModel(depump_per_measure=0.1, reset_error=0.2),
+             rb.FocusModel(bright_to_dark=0.08, reset_error=0.2))
     ops = ("random_su2", "measure", "reset", "measure", "x_pi")
-    for initial in (0, 1):
-        np.testing.assert_array_equal(
-            rb.simulate_focus(seqs, ops, initial, model, shots=50, seed=64),
-            focus_oracle(seqs, ops, initial, model, shots=50, seed=64))
+    for focus in (model, *mixed):
+        for initial in (0, 1):
+            np.testing.assert_array_equal(
+                rb.simulate_focus(seqs, ops, initial, focus, shots=50, seed=64),
+                focus_oracle(seqs, ops, initial, focus, shots=50, seed=64))
 
 
 @pytest.mark.parametrize("seed", [1103, 2207, 3301])
@@ -1079,6 +1122,22 @@ def test_spam_report_pooling():
                                       (2, 1, 1, 0, big, big // 2)]))
     assert (report[0].shots, report[0].errors) == (2 * big, big)
     assert report[0].rate == 0.5
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 0.3)), min_size=5, max_size=5),
+       st.lists(st.sampled_from(rb.INTERLEAVED_OPS), min_size=1, max_size=5),
+       st.sampled_from([1, 2, 7]), st.integers(0, 2 ** 32 - 1))
+def test_spam_report_equals_unique_oracle_on_shuffled_tables(probabilities, ops, per_length,
+                                                             seed):
+    rng = np.random.default_rng(seed)
+    seqs = rb.generate_sequences((1, 4, 9), per_length, seed=rng, balanced=False)
+    table = rb.simulate_focus(seqs, ops, 1, rb.FocusModel(*probabilities), shots=20,
+                              seed=rng)
+    shuffled = table[rng.permutation(len(table))]
+    report = rb.spam_report(shuffled)
+    assert report == spam_report_oracle(shuffled)
+    assert report == rb.spam_report(table)
 
 
 def test_spam_report_sigma_matches_seed_to_seed_spread():
@@ -1143,6 +1202,21 @@ def test_focus_csv_rejects_rows_the_writer_never_produces(tmp_path, row, message
     path.write_text(f"{header}\n2,0,1,0,30,3\n2,0,2,0,30,1\n{row}\n")
     with pytest.raises(DataFormatError, match=message):
         rb.read_focus_csv(path)
+
+
+def test_focus_csv_names_first_repeated_row_in_file_order(tmp_path):
+    rng = np.random.default_rng(66)
+    rows = [(9, seq_id, slot, 0, 30, 1) for seq_id in range(3) for slot in (1, 5, 9)]
+    rows += [rows[4], rows[7]]
+    for _ in range(5):
+        order = rng.permutation(len(rows))
+        shuffled = [rows[i] for i in order]
+        first_repeat = next(lineno for lineno, row in enumerate(shuffled, start=2)
+                            if row in shuffled[:lineno - 2])
+        path = tmp_path / "focus.csv"
+        rb.write_focus_csv(np.array(shuffled), path)
+        with pytest.raises(DataFormatError, match=f":{first_repeat}: repeats a "):
+            rb.read_focus_csv(path)
 
 
 # ---------------------------------------------------------------------------
