@@ -209,18 +209,6 @@ def _write_decay_csv(path, analysis: rb.AnalysisResult) -> None:
     rb._write_csv(path, DECAY_HEADER, "%d" + ",%.17g" * 6 + "\r\n", list(zip(*rows)))
 
 
-def _results_payload(analysis: rb.AnalysisResult, reference=None,
-                     experiment=None, probe=None) -> dict:
-    payload = analysis.to_dict()
-    if reference is not None:
-        payload["channel_reference"] = asdict(reference)
-    if experiment is not None:
-        payload["experiment"] = experiment
-    if probe is not None:
-        payload["probe"] = probe
-    return payload
-
-
 def _benchmark_files(configs, out) -> dict:
     """``{name: (focus CSV, {probe: (dataset, decay, results)})}`` file names.
 
@@ -257,21 +245,20 @@ def _cmd_benchmark(args) -> int:
         name = result.config.name
         focus_file, probe_files = files[name]
         rb.write_focus_csv(result.focus_records, os.path.join(out, focus_file))
+        experiment = result.config.to_dict()
+        spam = [{"meas_index": e.meas_index, "shots": e.shots,
+                 "errors": e.errors, "rate": e.rate, "sigma": e.sigma,
+                 "per_length": [{"length": l, "shots": s, "errors": err,
+                                 "rate": r} for (l, s, err, r) in e.per_length]}
+                for e in result.spam]
         probes_summary = {}
         for label, analysis in sorted(result.analyses.items()):
             dataset_file, decay_file, results_file = probe_files[label]
             result.datasets[label].to_csv(os.path.join(out, dataset_file))
             _write_decay_csv(os.path.join(out, decay_file), analysis)
-            payload = _results_payload(analysis, result.references[label],
-                                       experiment=result.config.to_dict(),
-                                       probe=label)
-            payload["spam_report"] = [
-                {"meas_index": e.meas_index, "shots": e.shots,
-                 "errors": e.errors, "rate": e.rate, "sigma": e.sigma,
-                 "per_length": [{"length": l, "shots": s, "errors": err,
-                                 "rate": r} for (l, s, err, r) in e.per_length]}
-                for e in result.spam]
-            _write_json(os.path.join(out, results_file), payload)
+            _write_json(os.path.join(out, results_file), {
+                **analysis.to_dict(), "experiment": experiment, "probe": label,
+                "channel_reference": asdict(result.references[label]), "spam_report": spam})
             probes_summary[label] = {
                 "epsilon": analysis.epsilon,
                 "base": analysis.standard.base,
@@ -294,7 +281,7 @@ def _cmd_fit(args) -> int:
     stem = os.path.splitext(os.path.basename(args.data))[0]
     _write_decay_csv(os.path.join(out, f"{stem}_decay.csv"), analysis)
     results_path = os.path.join(out, f"{stem}_results.json")
-    _write_json(results_path, _results_payload(analysis))
+    _write_json(results_path, analysis.to_dict())
     print(f"wrote {results_path}; epsilon = {analysis.epsilon:.6g}")
     return 0
 

@@ -290,8 +290,11 @@ def decay_coefficients(slot_channel, spam: SpamModel = PERFECT_SPAM) -> DecayCoe
 # datasets
 
 
-def _read_csv(path, header: tuple[str, ...], what: str) -> list[tuple[int, list]]:
-    """``(line number, row)`` of every non-empty data row after a checked header."""
+def _read_table(path, header: tuple[str, ...], what: str, text: int | None = None):
+    """The line numbers, int64 table and column ``text`` (stripped strings; []
+    without one) of the non-empty data rows of a CSV whose header is checked.
+    Each row needs ``len(header)`` columns and, outside column ``text``,
+    integers in the int64 range; the table leaves column ``text`` out."""
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
@@ -302,7 +305,39 @@ def _read_csv(path, header: tuple[str, ...], what: str) -> list[tuple[int, list]
     if not rows or tuple(h.strip() for h in rows[0]) != header:
         raise DataFormatError(
             f"bad {what} header in {path}: expected {','.join(header)}")
-    return [(lineno, row) for lineno, row in enumerate(rows[1:], start=2) if row]
+    linenos, values, labels = [], [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise DataFormatError(f"{path}:{lineno}: wrong column count")
+        if text is not None:
+            labels.append(row.pop(text).strip())
+        try:
+            ints = [int(x) for x in row]
+        except ValueError as exc:
+            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
+        if min(ints) < -INT64_MAX or max(ints) > INT64_MAX:
+            raise DataFormatError(f"{path}:{lineno}: value outside the int64 range")
+        linenos.append(lineno)
+        values.append(ints)
+    width = len(header) - (text is not None)
+    return linenos, np.array(values, dtype=np.int64).reshape(-1, width), labels
+
+
+def _check_rows(path, linenos, table, checks, key_width: int, repeat: str) -> None:
+    """Raise :class:`DataFormatError` at the first line of the first ``(bad rows,
+    message)`` check that fails, else at the first row whose first ``key_width``
+    columns repeat an earlier row's, with message ``repeat``; a message is
+    formatted with its row's values."""
+    order, starts = _sorted_runs(table[:, :key_width])
+    repeated = np.zeros(len(table), dtype=bool)
+    repeated[order[~starts[:, -1]]] = True  # every row after the first of its key
+    for bad, message in (*checks, (repeated, repeat)):
+        if bad.any():
+            i = int(bad.argmax())
+            raise DataFormatError(f"{path}:{linenos[i]}: "
+                                  + message.format(*table[i].tolist()))
 
 
 def _write_csv(path, header, row: str, columns, comments: str = "") -> None:
@@ -390,28 +425,14 @@ class RBDataset:
 
     @classmethod
     def from_csv(cls, path) -> "RBDataset":
-        records, seen = [], set()
-        for lineno, row in _read_csv(path, DATASET_HEADER, "dataset"):
-            if len(row) != len(DATASET_HEADER):
-                raise DataFormatError(f"{path}:{lineno}: wrong column count")
-            try:
-                length, seq_id = int(row[0]), int(row[1])
-                pauli = row[2].strip()
-                target, shots = int(row[3]), int(row[4])
-                dark, bright = int(row[5]), int(row[6])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-            if dark + bright != shots:
-                raise DataFormatError(
-                    f"{path}:{lineno}: dark + bright != shots")
-            if (length, seq_id) in seen:
-                raise DataFormatError(
-                    f"{path}:{lineno}: repeats length {length}, seq_id {seq_id}")
-            seen.add((length, seq_id))
-            records.append(DatasetRecord(length, seq_id, pauli, target,
-                                         shots, dark))
+        linenos, table, paulis = _read_table(path, DATASET_HEADER, "dataset", text=2)
+        _, _, _, shots, dark, bright = table.T
+        _check_rows(path, linenos, table, [(dark + bright != shots, "dark + bright != shots")],
+                    2, "repeats length {0}, seq_id {1}")
         try:
-            return cls(tuple(records))
+            return cls(tuple(DatasetRecord(length, seq_id, pauli, target, n, d)
+                             for (length, seq_id, target, n, d, _), pauli
+                             in zip(table.tolist(), paulis)))
         except DataFormatError as exc:
             raise DataFormatError(f"{path}: {exc}") from exc
 
@@ -552,18 +573,14 @@ def _lane_sums(x, v):
     return (x @ v[..., None])[..., 0]
 
 
-def _amplitude_fit(x, y, w):
-    """Bounded amplitude minimising ``sum w (y - 1/2 - A x)**2`` for every lane
-    and point of ``x`` (:func:`_lane_sums`): the (lanes, points) cost and ``(A,)``.
-
-    The cost of ``A`` is ``sum w r**2 - A (2 sum w x r - A sum w x**2)``
-    with ``r = y - 1/2``.
-    """
-    r = y - 0.5
+def _scale_fit(z, r, w, hi: float, scale=None):
+    """Scale in [0, ``hi``] (or ``scale``) minimising ``sum w (r - A z)**2`` for
+    every lane and point of ``z`` (:func:`_lane_sums`): the (lanes, points) cost
+    ``sum w r**2 - A (2 sum w z r - A sum w z**2)`` and ``(A,)``."""
     wr = w * r
-    sxr, sxx = _lane_sums(x, wr), _lane_sums(x * x, w)
-    amplitude = _clipped_ratio(sxr, sxx, PARAMETER_BOUNDS["amplitude"][1])
-    return (wr * r).sum(-1)[:, None] - amplitude * (2.0 * sxr - amplitude * sxx), (amplitude,)
+    szr, szz = _lane_sums(z, wr), _lane_sums(z * z, w)
+    a = _clipped_ratio(szr, szz, hi) if scale is None else np.full(szz.shape, scale)
+    return (wr * r).sum(-1)[:, None] - a * (2.0 * szr - a * szz), (a,)
 
 
 def _intercept_asymptote_fit(x, y, w):
@@ -611,18 +628,6 @@ def _intercept_asymptote_fit(x, y, w):
     return best, (b_best, c_best)
 
 
-def _rise_fit(x, y, w, amplitude=None):
-    """Amplitude in [0, 1] (or ``amplitude``) minimising ``sum w (y - A z)**2``,
-    ``z = 1 - x``, for every lane and point of ``x`` (:func:`_lane_sums`):
-    the (lanes, points) cost ``sum w y**2 - A (2 sum w z y - A sum w z**2)``
-    and ``(A,)``."""
-    z = 1.0 - x
-    wy = w * y
-    szy, szz = _lane_sums(z, wy), _lane_sums(z * z, w)
-    a = _clipped_ratio(szy, szz, 1.0) if amplitude is None else np.full(szz.shape, amplitude)
-    return (wy * y).sum(-1)[:, None] - a * (2.0 * szy - a * szz), (a,)
-
-
 @dataclass(frozen=True)
 class _Law:
     """A decay law as the fits see it: linear in all parameters but its rate."""
@@ -640,7 +645,8 @@ class _Law:
     ceiling: float = 1.0
 
 
-_LAWS = {"standard": _Law(standard_decay, _amplitude_fit, 0.0, ("amplitude", "base")),
+_LAWS = {"standard": _Law(standard_decay, lambda x, y, w: _scale_fit(
+             x, y - 0.5, w, PARAMETER_BOUNDS["amplitude"][1]), 0.0, ("amplitude", "base")),
          "leakage": _Law(leakage_decay, _intercept_asymptote_fit, 1.0,
                          ("intercept", "asymptote", "t_minus"))}
 
@@ -668,25 +674,24 @@ def _profile_fit(spec: _Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
     The profiled cost is searched over ``s = -ln r`` for ``r`` in [1e-9,
     ``spec.ceiling``].  A coarse grid in ``s`` brackets its global minimum
     between the best point's two neighbours.  A lane whose slope there
-    (:func:`_profile_slope`) does not rise from <= 0 to > 0 takes the lower
-    end where it is positive, else the upper, as bisection would; the others
-    find its root by inverse quadratic interpolation (Chandrupatla, Adv.
-    Eng. Softw. 28, 145, 1997), halving where that fails its test, is not
-    finite, or the bracket has not halved over two steps (Brent's
-    safeguard).  A lane stops once its bracket is narrower than ``2 _XRTOL
-    (|s| + _GRID[1])`` (>= 2e-19), takes its end of smaller absolute slope
-    and leaves the working set.  Brackets start at most 3.6 wide and halve
-    at least once in three steps, so no lane takes more than 3 x 64 = 192
-    steps; the median takes 5, and one whose root sits at a kink of the
-    slope (B reaching 1 or C 0) halves for up to about 30.  The cheapest of
-    the search's result, the best coarse point and both bounds wins, a tie
-    going to the ceiling, then the floor, then the coarse point (a leakage
-    lane with B = 0 costs the same at every rate and reports 1).  The
-    coarse grid is scored by ``linear_fit``'s cost, which it forms from
+    (:func:`_profile_slope`) does not rise from <= 0 to > 0 keeps its coarse
+    point; the others find its root by inverse quadratic interpolation
+    (Chandrupatla, Adv. Eng. Softw. 28, 145, 1997), halving where that
+    fails its test, is not finite, or the bracket has not halved over two
+    steps (Brent's safeguard).  A lane stops once its bracket is narrower
+    than ``2 _XRTOL (|s| + _GRID[1])`` (>= 2e-19), takes its end of smaller
+    absolute slope and leaves the working set.  Brackets start at most 3.6
+    wide and halve at least once in three steps, so no lane takes more than
+    3 x 64 = 192 steps; the median takes 5, and one whose root sits at a
+    kink of the slope (B reaching 1 or C 0) halves for up to about 30.  The
+    cheapest of the search's result, the best coarse point and both bounds
+    wins, a tie going to the ceiling, then the floor, then the coarse point
+    (a leakage lane with B = 0 costs the same at every rate and reports 1).
+    The coarse grid is scored by ``linear_fit``'s cost, which it forms from
     weighted sums; the final pick scores its four candidates from their
     residuals, which round less where the fit is close.  ``means`` and
-    ``sems`` are (lanes, lengths) arrays; returns the law's parameters,
-    rate last, as (lanes,) arrays.  A lane with non-finite statistics gets
+    ``sems`` are (lanes, lengths) arrays; returns the law's parameters, rate
+    last, as (lanes,) arrays.  A lane with non-finite statistics gets
     non-finite parameters.
     """
     w = _lane_weights(sems)
@@ -711,7 +716,7 @@ def _profile_fit(spec: _Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
         return _profile_slope(spec, lengths, y[:, None], wy[:, None], solve(x, y, wy))
 
     f_lo, f_hi = slope(np.stack((lo, hi), axis=-1), means, w).T
-    root = np.where(f_lo > 0, lo, hi)  # the end bisection reaches without a sign change
+    root = _GRID[coarse]
     run = np.flatnonzero((f_lo <= 0) & (f_hi > 0))
     # [x1, x2] is the bracket, x1 its newest point, x3 the point dropped last
     x1, x2, f1, f2, y, wy = lo[run], hi[run], f_lo[run], f_hi[run], means[run], w[run]
@@ -1072,31 +1077,14 @@ def _sorted_runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def read_focus_csv(path) -> np.ndarray:
     """Read a focus CSV back into the int64 table :func:`simulate_focus` returns."""
-    rows, linenos = [], []
-    for lineno, row in _read_csv(path, FOCUS_HEADER, "focus"):
-        try:
-            vals = [int(x) for x in row]
-        except ValueError as exc:
-            raise DataFormatError(f"{path}:{lineno}: {exc}") from exc
-        if len(vals) != len(FOCUS_HEADER):
-            raise DataFormatError(f"{path}:{lineno}: wrong column count")
-        if any(abs(v) > INT64_MAX for v in vals):
-            raise DataFormatError(f"{path}:{lineno}: value outside the int64 range")
-        rows.append(vals)
-        linenos.append(lineno)
-    table = np.array(rows, dtype=np.int64).reshape(-1, len(FOCUS_HEADER))
+    linenos, table, _ = _read_table(path, FOCUS_HEADER, "focus")
     length, seq_id, slot, meas_index, shots, errors = table.T
-    order, starts = _sorted_runs(table[:, :4])
-    repeated = np.zeros(len(table), dtype=bool)
-    repeated[order[~starts[:, -1]]] = True  # every row after the first of its key
-    for bad, what in (((length < 1) | (shots < 1), "length and shots must be positive"),
-                      ((errors < 0) | (errors > shots), "errors outside [0, shots]"),
-                      ((slot < 1) | (slot > length), "slot outside [1, length]"),
-                      ((seq_id < 0) | (meas_index < 0),
-                       "seq_id and meas_index must be non-negative"),
-                      (repeated, "repeats a (length, seq_id, slot, meas_index) key")):
-        if bad.any():
-            raise DataFormatError(f"{path}:{linenos[int(bad.argmax())]}: {what}")
+    _check_rows(path, linenos, table, (
+        ((length < 1) | (shots < 1), "length and shots must be positive"),
+        ((errors < 0) | (errors > shots), "errors outside [0, shots]"),
+        ((slot < 1) | (slot > length), "slot outside [1, length]"),
+        ((seq_id < 0) | (meas_index < 0), "seq_id and meas_index must be non-negative")),
+        4, "repeats a (length, seq_id, slot, meas_index) key")
     return table
 
 
@@ -1231,6 +1219,9 @@ class ExperimentConfig(Config):
             if size > limit:
                 raise ConfigError(f"sequences_per_length * {what} must be <= {limit}, "
                                   f"got {size}")
+        if self.balanced and self.sequences_per_length % 2:
+            raise ConfigError(f"sequences_per_length must be even when balanced is true, "
+                              f"got {self.sequences_per_length}")
 
 
 @dataclass(frozen=True)

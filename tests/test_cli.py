@@ -397,6 +397,8 @@ def test_benchmark_bad_config_values_exit_2(tmp_path, capsys, overrides):
       "lengths": list(range(100_000, 99_936, -1))}, [],
      "experiments[0].sequences_per_length * sum(lengths) must be <= 10000000, "
      "got 639798400000"),
+    ({"sequences_per_length": 3}, [],
+     "experiments[0].sequences_per_length must be even when balanced is true, got 3"),
 ])
 def test_benchmark_size_limits_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
                                                       overrides, flags, message):
@@ -591,6 +593,23 @@ def test_fit_shots_beyond_int64_exit_3(tmp_path, capsys, resamples):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "int64" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("column, value", [(0, 2 ** 63), (1, 10 ** 23)],
+                         ids=["length", "seq-id"])
+def test_fit_length_or_seq_id_beyond_int64_exit_3(tmp_path, capsys, column, value):
+    """Each integer of a dataset row is read as int64, not only the counts."""
+    header = ",".join(rb.DATASET_HEADER)
+    rows = [[l, i, p, t, 50, 25 + t, 25 - t] for l in (2, 5, 9)
+            for i, (p, t) in enumerate((("I", 0), ("X", 1), ("Z", 0), ("Y", 1)))]
+    rows[5][column] = value
+    data = tmp_path / "big.csv"
+    data.write_text("\n".join([header, *(",".join(map(str, r)) for r in rows)]) + "\n")
+    out = tmp_path / "out"
+    rc = cli.main(["fit", "--data", str(data), "--out", str(out), "--resamples", "0"])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error: {data}:7: value outside the int64 range\n"
     assert not out.exists()
 
 

@@ -349,6 +349,10 @@ def test_dataset_csv_validation(tmp_path):
     path.write_text(f"{header}\n2,0,I,0,{big},{big},0\n5,0,X,1,100,30,70\n")
     with pytest.raises(DataFormatError, match="int64"):
         rb.RBDataset.from_csv(path)
+    for row in (f"{2 ** 63},0,X,1,100,30,70", f"5,{10 ** 23},X,1,100,30,70"):
+        path.write_text(f"{header}\n2,0,I,0,100,60,40\n{row}\n")
+        with pytest.raises(DataFormatError, match=":3: value outside the int64 range"):
+            rb.RBDataset.from_csv(path)
 
     path.write_bytes(f"{header}\n2,0,I,0,100,60,40\n".encode() + b"\xff\n")
     with pytest.raises(DataFormatError, match="not a dataset CSV"):
@@ -357,6 +361,23 @@ def test_dataset_csv_validation(tmp_path):
         rb.RBDataset.from_csv(tmp_path)
     with pytest.raises(DataFormatError, match="cannot read dataset file"):
         rb.RBDataset.from_csv(tmp_path / "absent.csv")
+
+
+def test_dataset_csv_names_first_repeated_row_in_file_order(tmp_path):
+    rng = np.random.default_rng(67)
+    rows = [(length, seq_id, "I", 0, 30, 20, 10) for length in (2, 5, 9) for seq_id in range(3)]
+    rows += [rows[4], rows[7]]
+    for _ in range(5):
+        shuffled = [rows[i] for i in rng.permutation(len(rows))]
+        lineno, (length, seq_id, *_) = next(
+            (lineno, row) for lineno, row in enumerate(shuffled, start=2)
+            if row in shuffled[:lineno - 2])
+        path = tmp_path / "probe.csv"
+        path.write_text("\n".join([",".join(rb.DATASET_HEADER),
+                                   *(",".join(map(str, row)) for row in shuffled)]) + "\n")
+        with pytest.raises(DataFormatError,
+                           match=f":{lineno}: repeats length {length}, seq_id {seq_id}$"):
+            rb.RBDataset.from_csv(path)
 
 
 def test_simulate_dataset_deterministic_by_seed():
@@ -824,8 +845,11 @@ def test_profile_fit_handles_degenerate_lanes(monkeypatch):
     """Degenerate lanes fit without a warning, also where an overflow would
     raise (as in ``cli.main``): a lane with B = 0 everywhere keeps the tie
     rule's rate 1, a lane with SEMs 0 is fitted unweighted, a lane with NaN
-    statistics gets non-finite parameters, and a lane with a zero slope at a
-    bracket end is searched and costs no more than the bisection oracle's fit."""
+    statistics gets non-finite parameters, a lane with a zero slope at a
+    bracket end is searched and costs no more than the bisection oracle's fit,
+    and a rising lane, whose slope is positive at both bracket ends, is not
+    searched and returns the cheapest of the ceiling, the floor and its grid
+    point."""
     lanes = list(_degenerate_lanes())
     slopes = []
     real = rb._profile_slope
@@ -856,6 +880,23 @@ def test_profile_fit_handles_degenerate_lanes(monkeypatch):
         assert [p[1] for p in fit] == [p[0] for p in one]
     b, c, rate = (p[0] for p in fits[2])
     assert (b, rate) == (0.0, 1.0) and c == pytest.approx(0.3)
+
+    spec, lengths, sems = rb._LAWS["standard"], lanes[0][1], np.full((1, 3), 0.01)
+    rising = 0.6 + 0.3 * (1.0 - 0.97 ** lengths[None])
+    slopes.clear()
+    monkeypatch.setattr(rb, "_profile_slope", recorded)
+    amplitude, rate = (p[0] for p in rb._profile_fit(spec, lengths, rising, sems))
+    monkeypatch.undo()
+    assert len(slopes) == 1 and np.all(slopes[0] > 0)  # both ends, then no step
+    grid = np.clip(np.exp(-rb._GRID), rb._RATE_FLOOR, 1.0)
+    w = 1.0 / sems ** 2
+    rates = np.array([1.0, rb._RATE_FLOOR,
+                      grid[np.argmin(spec.linear_fit(grid[:, None] ** lengths, rising, w)[0])]])
+    amplitudes = spec.linear_fit(rates[:, None] ** lengths, rising, w)[1][0][0]
+    costs = [weighted_cost("standard", lengths, rising[0], sems[0], params)
+             for params in zip(amplitudes, rates)]
+    assert rate == rates[np.argmin(costs)]
+    assert weighted_cost("standard", lengths, rising[0], sems[0], (amplitude, rate)) == min(costs)
 
 
 def test_profile_fit_steps_are_bounded(monkeypatch):
