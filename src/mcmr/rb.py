@@ -343,12 +343,19 @@ def _check_rows(path, linenos, table, checks, key_width: int, repeat: str) -> No
 def _write_csv(path, header, row: str, columns, comments: str = "") -> None:
     """Write ``comments``, the ``header`` line, then one ``row % values`` line
     per entry of the equal-length 1-D ``columns``: the bytes ``csv.writer``
-    writes (``\\r\\n`` line ends; no field needs quoting)."""
+    writes (``\\r\\n`` line ends; no field needs quoting).  Each column is an
+    array once; each block of ``_ROW_BLOCK`` rows is one ``%`` on its values
+    in row order."""
+    columns = [np.asarray(c) for c in columns]
+    width = len(columns)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(comments + ",".join(header) + "\r\n")
         for start in range(0, len(columns[0]), _ROW_BLOCK):
-            block = [np.asarray(c)[start:start + _ROW_BLOCK].tolist() for c in columns]
-            fh.write("".join([row % values for values in zip(*block)]))
+            block = [c[start:start + _ROW_BLOCK].tolist() for c in columns]
+            values = [None] * (width * len(block[0]))
+            for j, column in enumerate(block):
+                values[j::width] = column
+            fh.write((row * len(block[0])) % tuple(values))
 
 
 @dataclass(frozen=True)
@@ -554,7 +561,7 @@ _RESAMPLE_BLOCK = 64
 
 def _lane_weights(sems: np.ndarray) -> np.ndarray:
     """``1/sem**2`` per length, or 1 for every length of a lane with a zero SEM."""
-    weighted = np.all(sems > 0, axis=-1, keepdims=True)
+    weighted = (sems > 0).all(-1, keepdims=True)
     return np.where(weighted, 1.0 / np.where(weighted, sems, 1.0) ** 2, 1.0)
 
 
@@ -575,17 +582,19 @@ def _lane_sums(x, v):
 
 def _scale_fit(z, r, w, hi: float, scale=None):
     """Scale in [0, ``hi``] (or ``scale``) minimising ``sum w (r - A z)**2`` for
-    every lane and point of ``z`` (:func:`_lane_sums`): the (lanes, points) cost
-    ``sum w r**2 - A (2 sum w z r - A sum w z**2)`` and ``(A,)``."""
+    every lane and point of ``z`` (:func:`_lane_sums`), as one candidate: the
+    (1, lanes, points) cost ``sum w r**2 - A (2 sum w z r - A sum w z**2)`` and ``(A,)``."""
     wr = w * r
     szr, szz = _lane_sums(z, wr), _lane_sums(z * z, w)
     a = _clipped_ratio(szr, szz, hi) if scale is None else np.full(szz.shape, scale)
-    return (wr * r).sum(-1)[:, None] - a * (2.0 * szr - a * szz), (a,)
+    return ((wr * r).sum(-1)[:, None] - a * (2.0 * szr - a * szz))[None], (a[None],)
 
 
 def _intercept_asymptote_fit(x, y, w):
     """``(B, C)`` in [0, 1]**2 minimising ``sum w (y - B x - C)**2`` for every
-    lane and point of ``x`` (:func:`_lane_sums`): the (lanes, points) cost and ``(B, C)``.
+    lane and point of ``x`` (:func:`_lane_sums`), as five candidates: the
+    (5, lanes, points) costs and ``(B, C)`` of the free solution (cost inf
+    where it is infeasible; B clipped into [0, 1]) and of the four edges.
 
     The cost is a convex quadratic on a box, so its minimum is the free one
     when that is feasible and otherwise lies on an edge: the cheapest of
@@ -620,12 +629,7 @@ def _intercept_asymptote_fit(x, y, w):
     d = y_mean - c - b * x_ref
     cost = (w * y_c * y_c).sum(-1)[:, None] + b * (b * suu - 2.0 * (suy + d * su)) + d * d * sw
     cost[0] = np.where(free, cost[0], np.inf)
-    best = cost.min(0)
-    b_best, c_best = b[4], c[4]
-    for k in (3, 2, 1, 0):  # the first cheapest candidate wins (an argmin is slower)
-        hit = cost[k] == best
-        b_best, c_best = np.where(hit, b[k], b_best), np.where(hit, c[k], c_best)
-    return best, (b_best, c_best)
+    return cost, (b, c)
 
 
 @dataclass(frozen=True)
@@ -634,7 +638,9 @@ class _Law:
 
     model: object
     #: ``linear_fit(rate**(length + exponent_offset), means, weights)``
-    #: returns the (lanes, points) minimal cost and optimal linear parameters
+    #: returns the (K, lanes, points) costs and linear parameters of K
+    #: candidate solutions, each optimal on one face of the parameters' box;
+    #: the first cheapest is the fit
     linear_fit: object
     exponent_offset: float
     #: parameter names in model order, rate last
@@ -653,7 +659,9 @@ _LAWS = {"standard": _Law(standard_decay, lambda x, y, w: _scale_fit(
 
 def _profile_slope(spec: _Law, lengths, means, w, params) -> np.ndarray:
     """Slope of the profiled cost in ``s = -ln(rate)`` at ``params`` (the fitted
-    linear parameters, then the rate, as (lanes,) arrays).
+    linear parameters, then the rate, as arrays that broadcast against
+    ``means[..., 0]``), in residual form; given every candidate of a
+    ``linear_fit``, each candidate's own slope.
 
     By the envelope theorem it is the partial derivative there,
     ``2 scale sum w r e x``: the law's first parameter times its ``sign``
@@ -670,23 +678,40 @@ def _profile_fit(spec: _Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
     """Bounded weighted least squares of one decay law on every lane at once.
 
     Variable projection: given the decay rate ``r``, the law is linear in
-    its other parameters, which its ``linear_fit`` solves in closed form.
-    The profiled cost is searched over ``s = -ln r`` for ``r`` in [1e-9,
-    ``spec.ceiling``].  A coarse grid in ``s`` brackets its global minimum
-    between the best point's two neighbours.  A lane whose slope there
-    (:func:`_profile_slope`) does not rise from <= 0 to > 0 keeps its coarse
-    point; the others find its root by inverse quadratic interpolation
-    (Chandrupatla, Adv. Eng. Softw. 28, 145, 1997), halving where that
-    fails its test, is not finite, or the bracket has not halved over two
-    steps (Brent's safeguard).  A lane stops once its bracket is narrower
-    than ``2 _XRTOL (|s| + _GRID[1])`` (>= 2e-19), takes its end of smaller
-    absolute slope and leaves the working set.  Brackets start at most 3.6
-    wide and halve at least once in three steps, so no lane takes more than
-    3 x 64 = 192 steps; the median takes 5, and one whose root sits at a
-    kink of the slope (B reaching 1 or C 0) halves for up to about 30.  The
-    cheapest of the search's result, the best coarse point and both bounds
-    wins, a tie going to the ceiling, then the floor, then the coarse point
-    (a leakage lane with B = 0 costs the same at every rate and reports 1).
+    its other parameters, which its ``linear_fit`` solves in closed form as
+    the first cheapest of its candidates.  The profiled cost is searched
+    over ``s = -ln r`` for ``r`` in [1e-9, ``spec.ceiling``].  A coarse grid
+    in ``s`` brackets its global minimum between the best point's two
+    neighbours.  A lane whose slope there (:func:`_profile_slope`) does not
+    rise from <= 0 to > 0 keeps its coarse point; the others find its root
+    by inverse quadratic interpolation (Chandrupatla, Adv. Eng. Softw. 28,
+    145, 1997), halving where that fails its test, is not finite, or the
+    bracket has not halved over two steps (Brent's safeguard).
+
+    The profiled slope is the slope of whichever candidate wins, so it
+    changes formula where the box's active set changes.  On a leakage lane
+    the free candidate fits three lengths exactly and its slope is almost
+    flat (about -3e-10 over 0.1 in ``s``), while the B = 1 or C = 0 face
+    beside it has a smooth slope of its own that crosses zero at the root;
+    interpolating through values of both faces fails the test, and such a
+    lane halves up to about 30 times.  So every step scores the slope of
+    every candidate in one call, and the interpolation uses the slope of
+    the face that wins at the newest point if that slope changes sign
+    across the bracket, else that of the face winning at the other end,
+    else the profiled slope.  The profiled slope alone decides the signs,
+    the tolerance and which end a lane keeps.  A law of one candidate
+    (standard, depump) has one face, whose slope is the profiled slope.
+
+    A lane stops once its bracket is narrower than ``2 _XRTOL (|s| +
+    _GRID[1])`` (>= 2e-19), takes its end of smaller absolute slope and
+    leaves the working set.  Brackets start at most 3.6 wide and halve at
+    least once in three steps, so no lane takes more than 3 x 64 = 192
+    steps.  On the canonical campaign at seeds 0 and 9001 a leakage batch
+    of 200 lanes scores the slope 10 to 13 times (23 to 33 on the profiled
+    slope alone) and a standard one 7 times.  The cheapest of the search's
+    result, the best coarse point and both bounds wins, a tie going to the
+    ceiling, then the floor, then the coarse point (a leakage lane with
+    B = 0 costs the same at every rate and reports 1).
     The coarse grid is scored by ``linear_fit``'s cost, which it forms from
     weighted sums; the final pick scores its four candidates from their
     residuals, which round less where the fit is close.  ``means`` and
@@ -698,41 +723,66 @@ def _profile_fit(spec: _Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
     exponents = lengths + spec.exponent_offset
 
     def clipped(exponent):
-        return np.clip(np.exp(-exponent), _RATE_FLOOR, spec.ceiling)
+        return np.minimum(np.maximum(np.exp(-exponent), _RATE_FLOOR), spec.ceiling)
 
-    def solve(exponent, y, wy):  # (lanes, points) -> parameters, rate last, each (lanes, points)
+    def solve(exponent, y, wy):
+        # (lanes, points) -> the winning candidate, then every candidate's
+        # parameters as (K, lanes, points) and the rate
         rate = clipped(exponent)
-        return (*spec.linear_fit(rate[..., None] ** exponents, y, wy)[1], rate)
+        cost, params = spec.linear_fit(rate[..., None] ** exponents, y, wy)
+        return cost.argmin(0), (*params, rate)
 
     n, step = len(means), max(1, _GRID_BLOCK // exponents.size)
     rates = [clipped(_GRID[j:j + step])[:, None] for j in range(0, _GRID.size, step)]
-    coarse = np.concatenate([np.argmin(np.concatenate([
+    coarse = np.concatenate([np.argmin(np.concatenate([  # the cheapest candidate's cost
         spec.linear_fit(r ** exponents, means[i:i + _GRID_LANES], w[i:i + _GRID_LANES])[0]
-        for r in rates], axis=-1), axis=-1) for i in range(0, n, _GRID_LANES)])
-    lo = _GRID[np.maximum(coarse - 1, 0)]
-    hi = _GRID[np.minimum(coarse + 1, _GRID.size - 1)]
+        .min(0) for r in rates], axis=-1), axis=-1) for i in range(0, n, _GRID_LANES)])
+    # the bracket: the best point's two neighbours, (lanes, 2)
+    ends = _GRID[np.minimum(np.maximum(coarse[:, None] + (-1, 1), 0), _GRID.size - 1)]
 
-    def slope(x, y, wy):  # (lanes, points) -> (lanes, points)
-        return _profile_slope(spec, lengths, y[:, None], wy[:, None], solve(x, y, wy))
+    def scored(x, y, wy):
+        # (lanes, points) -> the winning candidate, and every candidate's slope
+        # as (K, lanes, points)
+        k, params = solve(x, y, wy)
+        return k, _profile_slope(spec, lengths, y[:, None], wy[:, None], params)
 
-    f_lo, f_hi = slope(np.stack((lo, hi), axis=-1), means, w).T
+    k, g = scored(ends, means, w)
+    f = k.choose(g)
     root = _GRID[coarse]
-    run = np.flatnonzero((f_lo <= 0) & (f_hi > 0))
-    # [x1, x2] is the bracket, x1 its newest point, x3 the point dropped last
-    x1, x2, f1, f2, y, wy = lo[run], hi[run], f_lo[run], f_hi[run], means[run], w[run]
-    t, older, old = np.full(run.size, 0.5), x2 - x1, x2 - x1
+    run = np.flatnonzero((f[:, 0] <= 0) & (f[:, 1] > 0))
+    # the records of the bracket [x1, x2], x1 its newest point, and of x3, the
+    # point dropped last: every candidate's slope, the profiled slope f (the
+    # winner's), then x; and the winning candidates at x1 and x2
+    rec, wins = np.empty((3, len(g) + 2, run.size)), k[run].T
+    rec[:2] = np.concatenate((g, f[None], ends[None]))[:, run].transpose(2, 0, 1)
+    y, wy, lane = means[run], w[run], np.arange(run.size)
+    t, dx = np.full(run.size, 0.5), rec[1, -1] - rec[0, -1]
+    older = old = dx
     while run.size:
-        x = x1 + t * (x2 - x1)
-        f = slope(x[:, None], y, wy)[:, 0]
-        same = (f > 0) == (f1 > 0)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x1, x2, f1, f2 = x, np.where(same, x2, x1), f, np.where(same, f2, f1)
-        width = np.abs(x2 - x1)
+        x = rec[0, -1] + t * dx
+        k, g = scored(x[:, None], y, wy)
+        k, g = k[:, 0], g[..., 0]
+        f = k.choose(g)
+        same = (f > 0) == (rec[0, -2] > 0)
+        rec[1:], wins[1] = np.where(same, rec[1::-1], rec[:2]), np.where(same, wins[1], wins[0])
+        rec[0, :-2], rec[0, -2], rec[0, -1], wins[0] = g, f, x, k
+        x1, x2, x3, f1, f2 = rec[0, -1], rec[1, -1], rec[2, -1], rec[0, -2], rec[1, -2]
+        dx = x2 - x1
+        width = np.abs(dx)
         best = np.where(np.abs(f1) < np.abs(f2), x1, x2)
+        # interpolate the slope of the face winning at x1 if it changes sign
+        # across the bracket, else of the face winning at x2, else f (a law
+        # of one candidate has one face, whose slope is f)
+        h = rec[:, -2]
+        if len(g) > 1:
+            turns = np.not_equal(*(rec[:2, :-1] > 0))[wins, lane]
+            h = rec[:, np.where(turns[0], wins[0], np.where(turns[1], wins[1], len(g))), lane]
+        h1, h2, h3 = h[0], h[1], h[2]
         with np.errstate(all="ignore"):  # a non-finite step halves
+            d12, d32 = h1 - h2, h3 - h2
             tlim = _XRTOL * (np.abs(best) + _GRID[1]) / width
-            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
-            t = f1 / (f3 - f2) * (f3 / (f1 - f2) + (x3 - x1) / (x2 - x1) * f2 / (f3 - f1))
+            xi, phi = (x1 - x2) / (x3 - x2), d12 / d32
+            t = h1 / d32 * (h3 / d12 + (x3 - x1) / dx * h2 / (h3 - h1))
             fits = ((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(t)
                     & (width <= 0.5 * older))  # else halve
         t = np.minimum(np.maximum(np.where(fits, t, 0.5), tlim), 1.0 - tlim)
@@ -740,14 +790,16 @@ def _profile_fit(spec: _Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
         done = tlim > 0.5
         if done.any():
             root[run[done]] = best[done]
-            run, x1, x2, f1, f2, t, older, old, y, wy = (
-                a[~done] for a in (run, x1, x2, f1, f2, t, older, old, y, wy))
-    tried = np.stack([np.full(n, _GRID[0]), np.full(n, _GRID[-1]), _GRID[coarse], root],
-                     axis=-1)
-    params = solve(tried, means, w)
+            keep = ~done
+            run, t, dx, older, old, y, wy = (a[keep] for a in (run, t, dx, older, old, y, wy))
+            rec, wins, lane = rec[..., keep], wins[:, keep], lane[:run.size]
+    tried = np.empty((n, 4))
+    tried[:, 0], tried[:, 1], tried[:, 2], tried[:, 3] = _GRID[0], _GRID[-1], _GRID[coarse], root
+    k, (*linear, rate) = solve(tried, means, w)
+    params = (*(k.choose(p) for p in linear), rate)
     r = means[:, None] - spec.model(lengths, *(p[..., None] for p in params))
-    pick = np.argmin((w[:, None] * r * r).sum(-1), axis=-1)[:, None]
-    return tuple(np.take_along_axis(p, pick, -1)[:, 0] for p in params)
+    pick = np.argmin((w[:, None] * r * r).sum(-1), axis=-1)
+    return tuple(p[np.arange(n), pick] for p in params)
 
 
 def _fit(law: str, stats) -> list[float]:

@@ -383,6 +383,26 @@ def profile_fit_oracle(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]
 BISECTIONS = 30
 
 
+def best_linear_fit(spec: rb._Law, x, y, w):
+    """``spec.linear_fit`` reduced to its fit: the first cheapest candidate's
+    (lanes, points) cost and linear parameters."""
+    cost, params = spec.linear_fit(x, y, w)
+    k = np.argmin(cost, axis=0)
+    return np.choose(k, cost), tuple(np.choose(k, p) for p in params)
+
+
+def _coarse_grid(spec: rb._Law, exponents, means, w) -> np.ndarray:
+    """The package's coarse grid point of every lane (its first cheapest, by
+    the law's cost from weighted sums)."""
+    step = max(1, rb._GRID_BLOCK // exponents.size)
+    rates = [np.clip(np.exp(-rb._GRID[j:j + step]), rb._RATE_FLOOR, spec.ceiling)[:, None]
+             for j in range(0, rb._GRID.size, step)]
+    return np.concatenate([np.argmin(np.concatenate([
+        best_linear_fit(spec, r ** exponents, means[i:i + rb._GRID_LANES],
+                        w[i:i + rb._GRID_LANES])[0]
+        for r in rates], axis=-1), axis=-1) for i in range(0, len(means), rb._GRID_LANES)])
+
+
 def bisection_profile_fit_oracle(spec: rb._Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
     """``rb._profile_fit`` as it was before its interpolating root search:
     the coarse grid's bracket halved ``BISECTIONS`` times on the sign of the
@@ -396,13 +416,10 @@ def bisection_profile_fit_oracle(spec: rb._Law, lengths, means, sems) -> tuple[n
 
     def solve(exponent):
         rate = clipped(exponent)
-        return (*spec.linear_fit(rate[..., None] ** exponents, means, w)[1], rate)
+        return (*best_linear_fit(spec, rate[..., None] ** exponents, means, w)[1], rate)
 
-    n, step = len(means), max(1, rb._GRID_BLOCK // exponents.size)
-    rates = [clipped(rb._GRID[j:j + step])[:, None] for j in range(0, rb._GRID.size, step)]
-    coarse = np.concatenate([np.argmin(np.concatenate([
-        spec.linear_fit(r ** exponents, means[i:i + rb._GRID_LANES], w[i:i + rb._GRID_LANES])[0]
-        for r in rates], axis=-1), axis=-1) for i in range(0, n, rb._GRID_LANES)])
+    n = len(means)
+    coarse = _coarse_grid(spec, exponents, means, w)
     lo = rb._GRID[np.maximum(coarse - 1, 0)]
     hi = rb._GRID[np.minimum(coarse + 1, rb._GRID.size - 1)]
     for _ in range(BISECTIONS):
@@ -413,6 +430,63 @@ def bisection_profile_fit_oracle(spec: rb._Law, lengths, means, sems) -> tuple[n
     tried = np.stack([np.full(n, rb._GRID[0]), np.full(n, rb._GRID[-1]), rb._GRID[coarse],
                       0.5 * (lo + hi)], axis=-1)
     params = solve(tried)
+    r = means[:, None] - spec.model(lengths, *(p[..., None] for p in params))
+    pick = np.argmin((w[:, None] * r * r).sum(-1), axis=-1)[:, None]
+    return tuple(np.take_along_axis(p, pick, -1)[:, 0] for p in params)
+
+
+def chandrupatla_profile_fit_oracle(spec: rb._Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
+    """``rb._profile_fit`` as it was before it tracked the box's active set:
+    the same coarse grid, Chandrupatla step, safeguards, stopping rule and
+    final pick, but every step interpolates on the profiled slope, also
+    through values taken from different faces of the box (leakage lanes
+    whose root sits where the winning candidate changes halve about 30
+    times).  Standard and depump fits, one candidate each, must equal it
+    bit for bit; no leakage lane may cost more."""
+    w = rb._lane_weights(sems)
+    exponents = lengths + spec.exponent_offset
+
+    def solve(exponent, y, wy):  # (lanes, points) -> parameters, rate last, each (lanes, points)
+        rate = np.clip(np.exp(-exponent), rb._RATE_FLOOR, spec.ceiling)
+        return (*best_linear_fit(spec, rate[..., None] ** exponents, y, wy)[1], rate)
+
+    n, coarse = len(means), _coarse_grid(spec, exponents, means, w)
+    lo = rb._GRID[np.maximum(coarse - 1, 0)]
+    hi = rb._GRID[np.minimum(coarse + 1, rb._GRID.size - 1)]
+
+    def slope(x, y, wy):  # (lanes, points) -> (lanes, points)
+        return rb._profile_slope(spec, lengths, y[:, None], wy[:, None], solve(x, y, wy))
+
+    f_lo, f_hi = slope(np.stack((lo, hi), axis=-1), means, w).T
+    root = rb._GRID[coarse]
+    run = np.flatnonzero((f_lo <= 0) & (f_hi > 0))
+    # [x1, x2] is the bracket, x1 its newest point, x3 the point dropped last
+    x1, x2, f1, f2, y, wy = lo[run], hi[run], f_lo[run], f_hi[run], means[run], w[run]
+    t, older, old = np.full(run.size, 0.5), x2 - x1, x2 - x1
+    while run.size:
+        x = x1 + t * (x2 - x1)
+        f = slope(x[:, None], y, wy)[:, 0]
+        same = (f > 0) == (f1 > 0)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x1, x2, f1, f2 = x, np.where(same, x2, x1), f, np.where(same, f2, f1)
+        width = np.abs(x2 - x1)
+        best = np.where(np.abs(f1) < np.abs(f2), x1, x2)
+        with np.errstate(all="ignore"):  # a non-finite step halves
+            tlim = rb._XRTOL * (np.abs(best) + rb._GRID[1]) / width
+            xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
+            t = f1 / (f3 - f2) * (f3 / (f1 - f2) + (x3 - x1) / (x2 - x1) * f2 / (f3 - f1))
+            fits = ((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(t)
+                    & (width <= 0.5 * older))  # else halve
+        t = np.minimum(np.maximum(np.where(fits, t, 0.5), tlim), 1.0 - tlim)
+        older, old = old, width  # the bracket's widths two steps and one step back
+        done = tlim > 0.5
+        if done.any():
+            root[run[done]] = best[done]
+            run, x1, x2, f1, f2, t, older, old, y, wy = (
+                a[~done] for a in (run, x1, x2, f1, f2, t, older, old, y, wy))
+    tried = np.stack([np.full(n, rb._GRID[0]), np.full(n, rb._GRID[-1]), rb._GRID[coarse],
+                      root], axis=-1)
+    params = solve(tried, means, w)
     r = means[:, None] - spec.model(lengths, *(p[..., None] for p in params))
     pick = np.argmin((w[:, None] * r * r).sum(-1), axis=-1)[:, None]
     return tuple(np.take_along_axis(p, pick, -1)[:, 0] for p in params)

@@ -99,3 +99,21 @@ def test_spam_report_of_shuffled_tables_equals_unique_oracle(table, seed):
     float totals are summed in table order, as the oracle sums them."""
     shuffled = table[np.random.default_rng(seed).permutation(len(table))]
     assert rb.spam_report(shuffled) == spam_report_oracle(shuffled)
+
+
+def test_writers_spanning_several_row_blocks_match_row_writer_oracles():
+    """A dataset (written from Python lists) and a focus table of more than
+    three row blocks each come out as the oracles write them."""
+    n = 3 * rb._ROW_BLOCK + 7
+    rng = np.random.default_rng(74)
+    shots = rng.integers(1, 10 ** 6, n)
+    paulis = rng.choice(rb.PAULI_LABELS, n)
+    dataset = rb.RBDataset(tuple(
+        rb.DatasetRecord(1 + i // 100, i % 100, str(p), clifford.target_outcome(str(p)),
+                         int(s), int(rng.integers(0, s + 1)))
+        for i, (p, s) in enumerate(zip(paulis, shots))))
+    assert _written(dataset.to_csv) == _written(
+        lambda path: write_dataset_csv_oracle(dataset, path))
+    table = rng.integers(0, INT64_MAX, (n, len(rb.FOCUS_HEADER)), dtype=np.int64)
+    assert _written(lambda path: rb.write_focus_csv(table, path)) == _written(
+        lambda path: write_focus_csv_oracle(table, path))

@@ -18,7 +18,7 @@ from scipy.linalg import expm
 from mcmr import cli, micromotion, rb
 from mcmr.errors import ConfigError, DataFormatError, FitError
 from synthetic import (assert_cost_within_slack, bisection_profile_fit_oracle, carrier_null_oracle,
-                       fit_depump_oracle)
+                       chandrupatla_profile_fit_oracle, fit_depump_oracle)
 
 # 60-digit evaluations, rounded to double precision
 FIRST_NULL = 2.4048255576957727686
@@ -417,6 +417,22 @@ def test_fit_depump_matches_bisection_oracle(free_amplitude, monkeypatch):
         amplitude = rng.uniform(0.4, 0.8) if free_amplitude else micromotion.BRIGHT_ASYMPTOTE
         fractions = rng.binomial(1000, amplitude * (1.0 - np.exp(-3.0 * gamma * times))) / 1000
         _assert_depump_no_costlier(monkeypatch, times, fractions, free_amplitude=free_amplitude)
+
+
+@pytest.mark.parametrize("free_amplitude", [False, True])
+def test_fit_depump_equals_chandrupatla_oracle(free_amplitude, monkeypatch):
+    """A depump law has one candidate, so tracking the box's active set
+    leaves its search as it was, bit for bit."""
+    rng = np.random.default_rng(73)
+    for _ in range(30):
+        gamma = rng.uniform(20.0, 200.0)
+        times = np.linspace(0.0, rng.uniform(1.0, 6.0) / gamma, 12)
+        fractions = rng.binomial(1000, 0.6 * (1.0 - np.exp(-3.0 * gamma * times))) / 1000
+        ours = micromotion.fit_depump(times, fractions, shots=1000, free_amplitude=free_amplitude)
+        with monkeypatch.context() as m:
+            m.setattr(rb, "_profile_fit", chandrupatla_profile_fit_oracle)
+            assert micromotion.fit_depump(times, fractions, shots=1000,
+                                          free_amplitude=free_amplitude) == ours
 
 
 def test_large_fit_depump_matches_bisection_oracle(monkeypatch):

@@ -13,7 +13,8 @@ from scipy.optimize import lsq_linear
 
 from mcmr import channels, clifford, liouville, rb
 from mcmr.errors import ConfigError, DataFormatError, FitError
-from synthetic import (LINEAR_FIT_ORACLES, assert_cost_within_slack, bisection_profile_fit_oracle,
+from synthetic import (LINEAR_FIT_ORACLES, assert_cost_within_slack, best_linear_fit,
+                       bisection_profile_fit_oracle, chandrupatla_profile_fit_oracle,
                        curve_fit_decay, exact_average_survival, focus_oracle,
                        generate_sequences_oracle, profile_fit_oracle, random_lambda_channel,
                        record_resample_stats, record_stats, spam_report_oracle,
@@ -703,8 +704,8 @@ def test_bootstrap_counts_unidentified_leakage_refits():
     stats = rb._resample_stats(ds, 60, np.random.default_rng(66))
     lengths = np.array(ds.lengths, dtype=float) + 1.0
     means, w = stats[2][flat], rb._lane_weights(stats[3][flat])
-    costs = [rb._intercept_asymptote_fit(np.full((len(means), 1, 1), rate) ** lengths,
-                                         means, w)[0]
+    costs = [best_linear_fit(rb._LAWS["leakage"], np.full((len(means), 1, 1), rate) ** lengths,
+                             means, w)[0]
              for rate in (1.0, 0.999, 0.9, 0.5)]
     for cost in costs[1:]:
         np.testing.assert_allclose(cost, costs[0], rtol=1e-12, atol=0)
@@ -733,7 +734,7 @@ def test_profile_slope_matches_finite_difference(law):
     sems[::7, 1] = 0.0  # unweighted lanes
     w = rb._lane_weights(sems)
     rate = np.exp(-s)
-    _, params = rb._LAWS[law].linear_fit(rate[:, None, None] ** exponents, means, w)
+    _, params = best_linear_fit(rb._LAWS[law], rate[:, None, None] ** exponents, means, w)
     params = [p[:, 0] for p in params]
     slope = rb._profile_slope(rb._LAWS[law], lengths, means, w, (*params, rate))
     h = 1e-6 * s
@@ -825,6 +826,36 @@ def test_profile_fit_matches_bisection_oracle_on_the_campaign(seed):
             assert [p[0] for p in one] == [p[i] for p in batch], (label, law, i)
 
 
+def _assert_matches_chandrupatla_oracle(law, lengths, means, sems, context=()) -> None:
+    """Standard fits equal the single-face Chandrupatla oracle's bit for bit;
+    no leakage lane costs more than the oracle's fit."""
+    ours = rb._profile_fit(rb._LAWS[law], lengths, means, sems)
+    oracle = chandrupatla_profile_fit_oracle(rb._LAWS[law], lengths, means, sems)
+    if law == "standard":
+        for p, q in zip(ours, oracle):
+            np.testing.assert_array_equal(p, q, err_msg=str(context))
+        return
+    for i in range(len(means)):
+        mine, theirs = [p[i] for p in ours], [p[i] for p in oracle]
+        if mine != theirs and np.all(np.isfinite(means[i])):
+            assert_no_costlier(law, lengths, means[i], sems[i], mine, theirs)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_profile_fit_matches_chandrupatla_oracle_on_the_campaign(seed):
+    for label, law, lengths, means, sems in _campaign_fit_lanes(seed):
+        _assert_matches_chandrupatla_oracle(law, lengths, means, sems, (seed, label))
+
+
+@pytest.mark.parametrize("case", FIT_CASES)
+def test_profile_fit_matches_chandrupatla_oracle_on_the_fit_cases(case):
+    ds = _fit_case_dataset(case)
+    stats = rb._resample_stats(ds, 200, np.random.default_rng(68))
+    lengths = np.array(ds.lengths, dtype=float)
+    for law, means, sems in (("standard", *stats[:2]), ("leakage", *stats[2:])):
+        _assert_matches_chandrupatla_oracle(law, lengths, means, sems, case)
+
+
 def _degenerate_lanes():
     """``(law, lengths, means, sems)`` of three fits: per law a decaying
     lane, the same lane with all SEMs 0 and with a NaN mean; then a flat
@@ -851,10 +882,11 @@ def test_profile_fit_handles_degenerate_lanes(monkeypatch):
     searched and returns the cheapest of the ceiling, the floor and its grid
     point."""
     lanes = list(_degenerate_lanes())
-    slopes = []
+    slopes, rates = [], []
     real = rb._profile_slope
 
     def recorded(*args):
+        rates.append(args[-1][-1])
         slopes.append(real(*args))
         return slopes[-1]
 
@@ -866,8 +898,18 @@ def test_profile_fit_handles_degenerate_lanes(monkeypatch):
         oracles = [bisection_profile_fit_oracle(rb._LAWS[law], *args) for law, *args in lanes]
         unit = [rb._profile_fit(rb._LAWS[law], lengths, means[1:2], np.ones((1, 3)))
                 for law, lengths, means, _ in lanes[:2]]
-    ends = slopes[0]  # the slope at both ends of each lane's bracket, in one call
-    assert ends[1, 0] == 0.0 and ends[1, 1] > 0 and len(slopes) > 1
+    # the decay lane's profiled slope at its bracket's ends, scored with every
+    # candidate's in the search's first call, is 0 at rate 1 and positive at
+    # the other end
+    lengths, means, sems = lanes[-1][1:]
+    rate, w = rates[0][1], rb._lane_weights(sems[1:])
+    assert rate[0] == 1.0
+    _, params = best_linear_fit(rb._LAWS["leakage"], rate[None, :, None] ** (lengths + 1.0),
+                                means[1:], w)
+    ends = rb._profile_slope(rb._LAWS["leakage"], lengths, means[1:, None], w[:, None],
+                             (*params, rate))[0]
+    assert ends[0] == 0.0 and ends[1] > 0 and len(slopes) > 1
+    assert ends[0] in slopes[0][:, 1, 0] and ends[1] in slopes[0][:, 1, 1]
     for (law, lengths, means, sems), fit, oracle in zip(lanes, fits, oracles):
         for i in range(len(means)):
             mine, theirs = [p[i] for p in fit], [p[i] for p in oracle]
@@ -890,13 +932,19 @@ def test_profile_fit_handles_degenerate_lanes(monkeypatch):
     assert len(slopes) == 1 and np.all(slopes[0] > 0)  # both ends, then no step
     grid = np.clip(np.exp(-rb._GRID), rb._RATE_FLOOR, 1.0)
     w = 1.0 / sems ** 2
-    rates = np.array([1.0, rb._RATE_FLOOR,
-                      grid[np.argmin(spec.linear_fit(grid[:, None] ** lengths, rising, w)[0])]])
-    amplitudes = spec.linear_fit(rates[:, None] ** lengths, rising, w)[1][0][0]
+    grid_cost = best_linear_fit(spec, grid[:, None] ** lengths, rising, w)[0]
+    rates = np.array([1.0, rb._RATE_FLOOR, grid[np.argmin(grid_cost)]])
+    amplitudes = best_linear_fit(spec, rates[:, None] ** lengths, rising, w)[1][0][0]
     costs = [weighted_cost("standard", lengths, rising[0], sems[0], params)
              for params in zip(amplitudes, rates)]
     assert rate == rates[np.argmin(costs)]
     assert weighted_cost("standard", lengths, rising[0], sems[0], (amplitude, rate)) == min(costs)
+
+
+def test_profile_fit_matches_chandrupatla_oracle_on_degenerate_lanes():
+    with np.errstate(over="raise"):
+        for law, *args in _degenerate_lanes():
+            _assert_matches_chandrupatla_oracle(law, *args)
 
 
 def test_profile_fit_steps_are_bounded(monkeypatch):
@@ -924,6 +972,27 @@ def test_profile_fit_steps_are_bounded(monkeypatch):
         assert len(scored) - start <= bound
         lane_steps += sum(scored[start + 1:])
     assert lane_steps < 8 * sum(len(means) for _, _, means, _ in fits)
+
+
+@pytest.mark.parametrize("seed", [0, 9001])
+def test_leakage_fit_steps_track_the_active_set(seed, monkeypatch):
+    """Interpolating on the slope of the face that holds keeps every leakage
+    fit of the canonical campaign, one lane or 201, within 16 slope calls;
+    on the profiled slope alone they took up to 33."""
+    calls = []
+    real = rb._profile_slope
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(rb, "_profile_slope", counted)
+    for label, law, lengths, means, sems in _campaign_fit_lanes(seed):
+        if law == "leakage":
+            for lanes in (slice(0, 1), slice(None)):
+                calls.clear()
+                rb._profile_fit(rb._LAWS[law], lengths, means[lanes], sems[lanes])
+                assert len(calls) <= 16, (label, lanes, len(calls))
 
 
 def test_clipped_amplitude_never_exceeds_its_bound():
@@ -966,7 +1035,7 @@ def test_box_constrained_linear_fit_is_exact():
     w = np.array([1.0, 4.0, 2.0])
     b_free, c_free = np.polyfit(x, y, 1, w=np.sqrt(w))
     assert b_free > 1.0 and 0.0 <= c_free <= 1.0
-    cost, (b, c) = rb._intercept_asymptote_fit(x[None, None], y[None], w[None])
+    cost, (b, c) = best_linear_fit(rb._LAWS["leakage"], x[None, None], y[None], w[None])
     cost, b, c = cost[0, 0], b[0, 0], c[0, 0]
     naive = _box_cost(x, y, w, 1.0, c_free)
     assert b == 1.0 and cost < naive - 1e-3
@@ -976,7 +1045,7 @@ def test_box_constrained_linear_fit_is_exact():
     x = np.sort(rng.uniform(0.0, 1.0, (300, 3)), axis=1)[:, ::-1]
     y = rng.uniform(-0.5, 1.5, (300, 3))
     w = rng.uniform(0.1, 10.0, (300, 3))
-    cost, (b, c) = rb._intercept_asymptote_fit(x[:, None], y, w)
+    cost, (b, c) = best_linear_fit(rb._LAWS["leakage"], x[:, None], y, w)
     cost, b, c = cost[:, 0], b[:, 0], c[:, 0]
     for i in range(300):
         root = np.sqrt(w[i])
