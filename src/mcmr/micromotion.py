@@ -306,12 +306,14 @@ def _depump_sigma(fractions: np.ndarray, shots: np.ndarray) -> np.ndarray:
 #: the depump curve, pinned or free, as a law of :func:`mcmr.rb._profile_fit`:
 #: ``rate = exp(-3 gamma t_unit)``, t_unit the first positive time; the rate
 #: stays 1e-9 short of 1, so gamma stays positive (as ``curve_fit`` kept it).
-#: The amplitude fits ``y`` on ``z = 1 - rate**t`` (:func:`mcmr.rb._scale_fit`),
-#: in [0, 1] or pinned at 2/3 by the default argument
+#: The amplitude fits ``y`` on ``z = 1 - x``, ``x = rate**t``
+#: (:func:`mcmr.rb._scale_fit`), in [0, 1] or pinned at 2/3 by the default
+#: argument
 _DEPUMP_LAWS = {free: rb._Law(
-    lambda t, amplitude, rate: amplitude * (1.0 - rate ** t),
-    lambda x, y, w, scale=None if free else BRIGHT_ASYMPTOTE: rb._scale_fit(
-        1.0 - x, y, w, 1.0, scale),
+    lambda x, amplitude: amplitude * (1.0 - x), lambda x: rb._scale_terms(1.0 - x),
+    rb._scale_lanes,
+    lambda terms, lanes, scale=None if free else BRIGHT_ASYMPTOTE: rb._scale_fit(
+        terms, lanes, 1.0, scale),
     0.0, ("amplitude", "rate"), sign=-1.0, ceiling=math.exp(-1e-9)) for free in (False, True)}
 
 

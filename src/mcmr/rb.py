@@ -31,7 +31,6 @@ byte for byte, serial or parallel.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -521,14 +520,24 @@ def per_length_stats(dataset: RBDataset) -> tuple[tuple[PerLengthStats, ...],
     return tuple(correct), tuple(dark)
 
 
+def _standard(x, amplitude):
+    """:func:`standard_decay` at ``x = base**length``."""
+    return amplitude * x + 0.5
+
+
+def _leakage(x, intercept, asymptote):
+    """:func:`leakage_decay` at ``x = t_minus**(length+1)``."""
+    return intercept * x + asymptote
+
+
 def standard_decay(length, amplitude, base):
     """Correct-outcome decay law ``amplitude * base**length + 1/2``."""
-    return amplitude * base ** length + 0.5
+    return _standard(base ** length, amplitude)
 
 
 def leakage_decay(length, intercept, asymptote, t_minus):
     """Pooled dark-outcome decay law ``intercept * t_minus**(length+1) + asymptote``."""
-    return intercept * t_minus ** (length + 1.0) + asymptote
+    return _leakage(t_minus ** (length + 1.0), intercept, asymptote)
 
 
 #: bounds of every fitted parameter; the floor of the two decay rates keeps
@@ -545,15 +554,19 @@ _GRID = np.concatenate((
     [-np.log(_RATE_FLOOR) + 1e-9]))
 #: relative tolerance of the rate search in ``-ln(rate)`` (see :func:`_profile_fit`)
 _XRTOL = 1e-10
-#: lanes per block of the coarse grid, and (grid point, length) pairs scored
-#: at once, which bound its temporaries (a decay law's grid is one block;
-#: a depump fit of many points is not)
-_GRID_LANES = 16
-_GRID_BLOCK = 1 << 20
-# glibc gives every allocation above its mmap threshold (128 KiB at start)
-# fresh pages, and the grid's (5, 16, 232) temporaries are 148 KiB: about
-# 2,500 page faults per leakage fit.  Freeing one 8 MiB block raises the
-# threshold past them (mallopt(3)), as loading scipy used to.
+#: elements of the coarse grid's (lanes, points) cost arrays and of its
+#: (points, lengths) rate-only terms: a block of 34 lanes scores all 240
+#: points in 64 KiB arrays (under glibc's initial 128 KiB mmap threshold),
+#: and a depump curve of more than 8,192 points one point at a time, its
+#: rate-only terms then a whole row of lengths each
+_GRID_BLOCK = 1 << 13
+# Freeing one 8 MiB block raises glibc's mmap threshold (128 KiB at start)
+# past it, and its heap trim threshold to twice that (mallopt(3)), as
+# loading scipy used to.  The grid's own temporaries stay under 128 KiB,
+# but a campaign without this block still takes about 1,250 minor page
+# faults after the import where it takes about 340 with it, and a long
+# depump curve's rate-only terms (800 KB a point at 100,000 points) would
+# each be mapped afresh.
 np.empty(1 << 20)
 #: bootstrap resamples drawn together, one length at a time
 _RESAMPLE_BLOCK = 64
@@ -580,21 +593,60 @@ def _lane_sums(x, v):
     return (x @ v[..., None])[..., 0]
 
 
-def _scale_fit(z, r, w, hi: float, scale=None):
-    """Scale in [0, ``hi``] (or ``scale``) minimising ``sum w (r - A z)**2`` for
-    every lane and point of ``z`` (:func:`_lane_sums`), as one candidate: the
-    (1, lanes, points) cost ``sum w r**2 - A (2 sum w z r - A sum w z**2)`` and ``(A,)``."""
+def _scale_terms(z):
+    """The rate-only terms :func:`_scale_fit` reads: ``z`` and ``z**2``."""
+    return z, z * z
+
+
+def _scale_lanes(r, w):
+    """The lane-only terms :func:`_scale_fit` reads: ``w``, ``w r`` and
+    ``sum w r**2`` as (lanes, 1)."""
     wr = w * r
-    szr, szz = _lane_sums(z, wr), _lane_sums(z * z, w)
+    return w, wr, (wr * r).sum(-1)[:, None]
+
+
+def _scale_fit(terms, lanes, hi: float, scale=None):
+    """Scale in [0, ``hi``] (or ``scale``) minimising ``sum w (r - A z)**2`` for
+    every lane and point of ``z`` (``terms`` from :func:`_scale_terms`,
+    ``lanes`` from :func:`_scale_lanes`; see :func:`_lane_sums`), as one
+    candidate ``(A,)`` with its cost ``sum w r**2 - A (2 sum w z r - A sum w
+    z**2)`` (see :class:`_Law`)."""
+    z, zz = terms
+    w, wr, swrr = lanes
+    szr, szz = _lane_sums(z, wr), _lane_sums(zz, w)
+
+    def cost(a):
+        return swrr - a * (2.0 * szr - a * szz)
+
     a = _clipped_ratio(szr, szz, hi) if scale is None else np.full(szz.shape, scale)
-    return ((wr * r).sum(-1)[:, None] - a * (2.0 * szr - a * szz))[None], (a[None],)
+    return cost, [(a,)], True
 
 
-def _intercept_asymptote_fit(x, y, w):
+def _intercept_asymptote_terms(x):
+    """The rate-only terms :func:`_intercept_asymptote_fit` reads: ``x``'s mean
+    over lengths ``x_ref``, the spread ``u = x - x_ref`` and ``u**2``."""
+    x_ref = x.sum(-1) / x.shape[-1]  # x.mean(-1), without its Python overhead
+    u = x - x_ref[..., None]
+    return x_ref, u, u * u
+
+
+def _intercept_asymptote_lanes(y, w):
+    """The lane-only terms :func:`_intercept_asymptote_fit` reads: ``w``, ``w y~``
+    (``y~ = y - y_mean``), and ``sum w``, ``y_mean`` and ``sum w y~**2`` as
+    (lanes, 1)."""
+    sw = w.sum(-1)[:, None]
+    y_mean = (w * y).sum(-1)[:, None] / sw
+    y_c = y - y_mean
+    wy_c = w * y_c
+    return w, wy_c, sw, y_mean, (wy_c * y_c).sum(-1)[:, None]
+
+
+def _intercept_asymptote_fit(terms, lanes):
     """``(B, C)`` in [0, 1]**2 minimising ``sum w (y - B x - C)**2`` for every
-    lane and point of ``x`` (:func:`_lane_sums`), as five candidates: the
-    (5, lanes, points) costs and ``(B, C)`` of the free solution (cost inf
-    where it is infeasible; B clipped into [0, 1]) and of the four edges.
+    lane and point of ``x`` (``terms`` from :func:`_intercept_asymptote_terms`,
+    ``lanes`` from :func:`_intercept_asymptote_lanes`; see :func:`_lane_sums`),
+    as five candidates (see :class:`_Law`): the free solution (feasible or
+    not; B clipped into [0, 1]) and the four edges.
 
     The cost is a convex quadratic on a box, so its minimum is the free one
     when that is feasible and otherwise lies on an edge: the cheapest of
@@ -605,73 +657,133 @@ def _intercept_asymptote_fit(x, y, w):
     The sums hold spreads, not offsets: ``u = x - x_ref`` shifts each rate's
     ``x`` by its mean over lengths and ``y~ = y - y_mean`` centres each lane
     on its weighted mean.  With ``d = y_mean - C - B x_ref`` the cost of
-    (B, C) is ``sum w (y~ - B u + d)**2 = sum w y~**2 + B (B sum w u**2
-    - 2 sum w u y~ - 2 d sum w u) + d**2 sum w``.
+    (B, C) is ``sum w y~**2 + B (B sum w u**2 - 2 sum w u y~ - 2 d sum w u)
+    + d**2 sum w``.
     """
-    x_ref = x.mean(-1)
-    u = x - x_ref[..., None]
-    sw = w.sum(-1)[:, None]
-    y_mean = (w * y).sum(-1)[:, None] / sw
-    y_c = y - y_mean
-    su, suu, suy = _lane_sums(u, w), _lane_sums(u * u, w), _lane_sums(u, w * y_c)
+    x_ref, u, uu = terms
+    w, wy_c, sw, y_mean, syy = lanes
+    su, suu, suy = _lane_sums(u, w), _lane_sums(uu, w), _lane_sums(u, wy_c)
     # the weighted sums of x, x**2, x y about the origin and about the means
     x_mean = x_ref + su / sw
     sxx_c = suu - su * su / sw
     sx, sxx, sxy = sw * x_mean, sxx_c + sw * x_mean * x_mean, suy + sw * x_mean * y_mean
-    b, c = np.empty((5, *sxx.shape)), np.empty((5, *sxx.shape))
-    b[0] = _clipped_ratio(suy, sxx_c, 1.0)
-    c[0] = y_mean - b[0] * x_mean
-    b[1], c[1] = 0.0, np.minimum(np.maximum(y_mean, 0.0), 1.0)
-    b[2], c[2] = 1.0, np.minimum(np.maximum(y_mean - x_mean, 0.0), 1.0)
-    b[3], c[3] = _clipped_ratio(sxy, sxx, 1.0), 0.0
-    b[4], c[4] = _clipped_ratio(sxy - sx, sxx, 1.0), 1.0
-    free = (sxx_c > 0) & (suy >= 0) & (suy <= sxx_c) & (c[0] >= 0) & (c[0] <= 1)
-    d = y_mean - c - b * x_ref
-    cost = (w * y_c * y_c).sum(-1)[:, None] + b * (b * suu - 2.0 * (suy + d * su)) + d * d * sw
-    cost[0] = np.where(free, cost[0], np.inf)
-    return cost, (b, c)
+    b_free = _clipped_ratio(suy, sxx_c, 1.0)
+    c_free = y_mean - b_free * x_mean
+    free = (sxx_c > 0) & (suy >= 0) & (suy <= sxx_c) & (c_free >= 0) & (c_free <= 1)
+
+    def cost(b, c):
+        d = y_mean - c - b * x_ref
+        return syy + b * (b * suu - 2.0 * (suy + d * su)) + d * d * sw
+
+    # (B, C) of the free solution, B = 0, B = 1, C = 0 and C = 1
+    return cost, [(b_free, c_free), (0.0, np.minimum(np.maximum(y_mean, 0.0), 1.0)),
+                  (1.0, np.minimum(np.maximum(y_mean - x_mean, 0.0), 1.0)),
+                  (_clipped_ratio(sxy, sxx, 1.0), 0.0),
+                  (_clipped_ratio(sxy - sx, sxx, 1.0), 1.0)], free
 
 
 @dataclass(frozen=True)
 class _Law:
-    """A decay law as the fits see it: linear in all parameters but its rate."""
+    """A decay law as the fits see it: linear in all parameters but its rate,
+    which enters as ``x = rate**(length + exponent_offset)``."""
 
+    #: ``model(x, *linear)``, the law's value
     model: object
-    #: ``linear_fit(rate**(length + exponent_offset), means, weights)``
-    #: returns the (K, lanes, points) costs and linear parameters of K
-    #: candidate solutions, each optimal on one face of the parameters' box;
-    #: the first cheapest is the fit
+    #: ``terms(x)``: the rate-only terms ``linear_fit`` reads of ``x``, which is
+    #: (points, lengths), shared by every lane, or (lanes, points, lengths)
+    terms: object
+    #: ``lanes(means, weights)``: the lane-only terms ``linear_fit`` reads
+    lanes: object
+    #: ``linear_fit(terms, lanes)`` returns ``(cost, candidates, feasible)``:
+    #: the linear parameters of K candidate solutions, each optimal on one
+    #: face of the parameters' box, of which the first cheapest is the fit;
+    #: ``cost(*linear)``, the (lanes, points) cost of one candidate or the
+    #: (K, lanes, points) costs of a stack of them; and where the first
+    #: candidate is feasible (its cost is inf elsewhere; the first
+    #: candidate's parameters are full (lanes, points) arrays).
+    #: :func:`_cheapest` and :func:`_stacked` read it.
     linear_fit: object
     exponent_offset: float
     #: parameter names in model order, rate last
     params: tuple[str, ...]
-    #: sign of the first parameter's factor of ``rate**(length + offset)``,
-    #: and the largest rate searched
+    #: sign of the first parameter's factor of ``x``, and the largest rate
+    #: searched
     sign: float = 1.0
     ceiling: float = 1.0
 
 
-_LAWS = {"standard": _Law(standard_decay, lambda x, y, w: _scale_fit(
-             x, y - 0.5, w, PARAMETER_BOUNDS["amplitude"][1]), 0.0, ("amplitude", "base")),
-         "leakage": _Law(leakage_decay, _intercept_asymptote_fit, 1.0,
-                         ("intercept", "asymptote", "t_minus"))}
+_LAWS = {"standard": _Law(_standard, _scale_terms, lambda y, w: _scale_lanes(y - 0.5, w),
+                          lambda terms, lanes: _scale_fit(
+                              terms, lanes, PARAMETER_BOUNDS["amplitude"][1]),
+                          0.0, ("amplitude", "base")),
+         "leakage": _Law(_leakage, _intercept_asymptote_terms, _intercept_asymptote_lanes,
+                         _intercept_asymptote_fit, 1.0, ("intercept", "asymptote", "t_minus"))}
 
 
-def _profile_slope(spec: _Law, lengths, means, w, params) -> np.ndarray:
-    """Slope of the profiled cost in ``s = -ln(rate)`` at ``params`` (the fitted
-    linear parameters, then the rate, as arrays that broadcast against
-    ``means[..., 0]``), in residual form; given every candidate of a
+def _cheapest(fit) -> np.ndarray:
+    """The (lanes, points) cost of a ``linear_fit``'s cheapest candidate: each
+    candidate's cost formed in turn and folded into a running minimum."""
+    cost, (first, *rest), feasible = fit
+    best = cost(*first)
+    np.copyto(best, np.inf, where=np.logical_not(feasible))
+    for linear in rest:
+        np.minimum(best, cost(*linear), out=best)
+    return best
+
+
+def _stacked(fit):
+    """A ``linear_fit``'s candidates as stacks: the (K, lanes, points) costs
+    and the linear parameters as one (parameters, K, lanes, points) array."""
+    cost, candidates, feasible = fit
+    if len(candidates) == 1:  # one face, always feasible: views, no copies
+        linear = [p[None] for p in candidates[0]]
+        return cost(*linear), linear
+    linear = np.empty((len(candidates[0]), len(candidates), *np.shape(candidates[0][0])))
+    for k, params in enumerate(candidates):
+        for stack, p in zip(linear, params):
+            stack[k] = p
+    costs = cost(*linear)
+    np.copyto(costs[0], np.inf, where=np.logical_not(feasible))
+    return costs, linear
+
+
+def _clipped_rate(spec: _Law, s):
+    """``exp(-s)`` clipped into [1e-9, ``spec.ceiling``]."""
+    return np.minimum(np.maximum(np.exp(-s), _RATE_FLOOR), spec.ceiling)
+
+
+def _profile_slope(spec: _Law, exponents, x, means, w, linear) -> np.ndarray:
+    """Slope of the profiled cost in ``s = -ln(rate)`` at ``x = rate**exponents``
+    and the fitted linear parameters ``linear`` (arrays that broadcast
+    against ``x[..., 0]``), in residual form; given every candidate of a
     ``linear_fit``, each candidate's own slope.
 
     By the envelope theorem it is the partial derivative there,
     ``2 scale sum w r e x``: the law's first parameter times its ``sign``
-    as ``scale``, residuals ``r``, ``e = lengths + exponent_offset`` and
-    ``x = rate**e``.  It is exactly 0 where ``scale`` is 0.
+    as ``scale``, residuals ``r`` and ``e = exponents``.  It is exactly 0
+    where ``scale`` is 0.
     """
-    columns = [p[..., None] for p in params]
-    e = lengths + spec.exponent_offset
-    residuals = means - spec.model(lengths, *columns)
-    return 2.0 * spec.sign * params[0] * (w * residuals * e * columns[-1] ** e).sum(-1)
+    residuals = means - spec.model(x, *(p[..., None] for p in linear))
+    return 2.0 * spec.sign * linear[0] * (w * residuals * exponents * x).sum(-1)
+
+
+def _coarse_grid(spec: _Law, exponents, lanes) -> np.ndarray:
+    """Index of each lane's cheapest point of ``_GRID`` (the first, by
+    :func:`_cheapest`; ``lanes`` from ``spec.lanes``), in blocks of at most
+    ``_GRID_BLOCK`` (lane, point) pairs: the rate-only terms once per block
+    of points, then each block of lanes against them."""
+    n = len(lanes[0])
+    points = min(_GRID.size, max(1, _GRID_BLOCK // exponents.size))
+    block = max(1, _GRID_BLOCK // points)  # lanes
+    starts = range(0, _GRID.size, points)
+    least, first = np.empty((len(starts), n)), np.empty((len(starts), n), dtype=np.intp)
+    for j, start in enumerate(starts):
+        terms = spec.terms(_clipped_rate(spec, _GRID[start:start + points])[:, None] ** exponents)
+        for i in range(0, n, block):
+            cost = _cheapest(spec.linear_fit(terms, [a[i:i + block] for a in lanes]))
+            least[j, i:i + block], first[j, i:i + block] = cost.min(-1), start + cost.argmin(-1)
+    # the first cheapest block's first cheapest point is the first cheapest point
+    return first[least.argmin(0), np.arange(n)]
 
 
 def _profile_fit(spec: _Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
@@ -712,41 +824,40 @@ def _profile_fit(spec: _Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
     result, the best coarse point and both bounds wins, a tie going to the
     ceiling, then the floor, then the coarse point (a leakage lane with
     B = 0 costs the same at every rate and reports 1).
-    The coarse grid is scored by ``linear_fit``'s cost, which it forms from
-    weighted sums; the final pick scores its four candidates from their
-    residuals, which round less where the fit is close.  ``means`` and
-    ``sems`` are (lanes, lengths) arrays; returns the law's parameters, rate
-    last, as (lanes,) arrays.  A lane with non-finite statistics gets
-    non-finite parameters.
+    The lane-only terms (``spec.lanes``) are computed once per call.  The
+    coarse grid (:func:`_coarse_grid`) keeps only the cheapest candidate's
+    cost (:func:`_cheapest`), which ``linear_fit``'s cost formula forms
+    from weighted sums.  The search and the final pick take every
+    candidate's cost and parameters as stacks (:func:`_stacked`), and
+    compute ``x = rate**e`` once per evaluation for the linear fit, the
+    slope and the residuals.  The final pick scores its four candidates
+    from their residuals, which round less where the fit is close.
+    ``means`` and ``sems`` are (lanes, lengths) arrays; returns the law's
+    parameters, rate last, as (lanes,) arrays.  A lane with non-finite
+    statistics gets non-finite parameters.
     """
     w = _lane_weights(sems)
-    exponents = lengths + spec.exponent_offset
+    exponents, lanes = lengths + spec.exponent_offset, spec.lanes(means, w)
 
-    def clipped(exponent):
-        return np.minimum(np.maximum(np.exp(-exponent), _RATE_FLOOR), spec.ceiling)
+    def solve(exponent, lanes):
+        # (lanes, points) -> the winning candidate, the rate, x and every
+        # candidate's linear parameters as (K, lanes, points)
+        rate = _clipped_rate(spec, exponent)
+        x = rate[..., None] ** exponents
+        cost, linear = _stacked(spec.linear_fit(spec.terms(x), lanes))
+        return cost.argmin(0), rate, x, linear
 
-    def solve(exponent, y, wy):
-        # (lanes, points) -> the winning candidate, then every candidate's
-        # parameters as (K, lanes, points) and the rate
-        rate = clipped(exponent)
-        cost, params = spec.linear_fit(rate[..., None] ** exponents, y, wy)
-        return cost.argmin(0), (*params, rate)
-
-    n, step = len(means), max(1, _GRID_BLOCK // exponents.size)
-    rates = [clipped(_GRID[j:j + step])[:, None] for j in range(0, _GRID.size, step)]
-    coarse = np.concatenate([np.argmin(np.concatenate([  # the cheapest candidate's cost
-        spec.linear_fit(r ** exponents, means[i:i + _GRID_LANES], w[i:i + _GRID_LANES])[0]
-        .min(0) for r in rates], axis=-1), axis=-1) for i in range(0, n, _GRID_LANES)])
+    n, coarse = len(means), _coarse_grid(spec, exponents, lanes)
     # the bracket: the best point's two neighbours, (lanes, 2)
     ends = _GRID[np.minimum(np.maximum(coarse[:, None] + (-1, 1), 0), _GRID.size - 1)]
 
-    def scored(x, y, wy):
+    def scored(exponent, y, lanes):
         # (lanes, points) -> the winning candidate, and every candidate's slope
-        # as (K, lanes, points)
-        k, params = solve(x, y, wy)
-        return k, _profile_slope(spec, lengths, y[:, None], wy[:, None], params)
+        # as (K, lanes, points); lanes[0] is the weights
+        k, _, x, linear = solve(exponent, lanes)
+        return k, _profile_slope(spec, exponents, x, y[:, None], lanes[0][:, None], linear)
 
-    k, g = scored(ends, means, w)
+    k, g = scored(ends, means, lanes)
     f = k.choose(g)
     root = _GRID[coarse]
     run = np.flatnonzero((f[:, 0] <= 0) & (f[:, 1] > 0))
@@ -755,12 +866,12 @@ def _profile_fit(spec: _Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
     # winner's), then x; and the winning candidates at x1 and x2
     rec, wins = np.empty((3, len(g) + 2, run.size)), k[run].T
     rec[:2] = np.concatenate((g, f[None], ends[None]))[:, run].transpose(2, 0, 1)
-    y, wy, lane = means[run], w[run], np.arange(run.size)
+    y, part, lane = means[run], [a[run] for a in lanes], np.arange(run.size)
     t, dx = np.full(run.size, 0.5), rec[1, -1] - rec[0, -1]
     older = old = dx
     while run.size:
         x = rec[0, -1] + t * dx
-        k, g = scored(x[:, None], y, wy)
+        k, g = scored(x[:, None], y, part)
         k, g = k[:, 0], g[..., 0]
         f = k.choose(g)
         same = (f > 0) == (rec[0, -2] > 0)
@@ -791,15 +902,16 @@ def _profile_fit(spec: _Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
         if done.any():
             root[run[done]] = best[done]
             keep = ~done
-            run, t, dx, older, old, y, wy = (a[keep] for a in (run, t, dx, older, old, y, wy))
+            run, t, dx, older, old, y, *part = (
+                a[keep] for a in (run, t, dx, older, old, y, *part))
             rec, wins, lane = rec[..., keep], wins[:, keep], lane[:run.size]
     tried = np.empty((n, 4))
     tried[:, 0], tried[:, 1], tried[:, 2], tried[:, 3] = _GRID[0], _GRID[-1], _GRID[coarse], root
-    k, (*linear, rate) = solve(tried, means, w)
-    params = (*(k.choose(p) for p in linear), rate)
-    r = means[:, None] - spec.model(lengths, *(p[..., None] for p in params))
+    k, rate, x, linear = solve(tried, lanes)
+    linear = [k.choose(p) for p in linear]
+    r = means[:, None] - spec.model(x, *(p[..., None] for p in linear))
     pick = np.argmin((w[:, None] * r * r).sum(-1), axis=-1)
-    return tuple(p[np.arange(n), pick] for p in params)
+    return tuple(p[np.arange(n), pick] for p in (*linear, rate))
 
 
 def _fit(law: str, stats) -> list[float]:
@@ -1383,6 +1495,7 @@ def run_campaign(configs, seed=None, resamples: int = 200,
     jobs = [(cfg, child, resamples)
             for cfg, child in zip(configs, ss.spawn(len(configs)))]
     if parallel > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # 14-20 ms to import
         with ProcessPoolExecutor(max_workers=min(parallel, len(jobs))) as pool:
             return list(pool.map(_run_campaign_job, jobs))
     return [_run_campaign_job(job) for job in jobs]

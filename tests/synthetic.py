@@ -332,7 +332,7 @@ def profile_fit_oracle(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]
     An earlier ``rb._profile_fit``, kept as the oracle of the current one:
     it solves the linear parameters in residual form (``LINEAR_FIT_ORACLES``)
     and scores the coarse grid that way, one (lanes, points, lengths) array
-    per block of ``rb._GRID_LANES`` lanes, where the package works from each
+    per block of ``GRID_LANES`` lanes, where the package works from each
     lane's weighted sums, and it refines the bracket with ``_ZOOM_STEPS``
     rounds of a ``_ZOOM`` grid, where the package searches for the root of
     the profiled cost's slope.  The final pick is the package's.
@@ -361,8 +361,8 @@ def profile_fit_oracle(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]
         return np.argmin(cost, axis=-1)
 
     n = len(means)
-    coarse = np.concatenate([best_of(rb._GRID, slice(i, i + rb._GRID_LANES))
-                             for i in range(0, n, rb._GRID_LANES)])
+    coarse = np.concatenate([best_of(rb._GRID, slice(i, i + GRID_LANES))
+                             for i in range(0, n, GRID_LANES)])
     lo = rb._GRID[np.maximum(coarse - 1, 0)]
     hi = rb._GRID[np.minimum(coarse + 1, rb._GRID.size - 1)]
     lanes = np.arange(n)
@@ -384,23 +384,46 @@ BISECTIONS = 30
 
 
 def best_linear_fit(spec: rb._Law, x, y, w):
-    """``spec.linear_fit`` reduced to its fit: the first cheapest candidate's
-    (lanes, points) cost and linear parameters."""
-    cost, params = spec.linear_fit(x, y, w)
+    """``spec.linear_fit`` of ``x = rate**e`` reduced to its fit: the first
+    cheapest candidate's (lanes, points) cost and linear parameters."""
+    cost, params = rb._stacked(spec.linear_fit(spec.terms(x), spec.lanes(y, w)))
     k = np.argmin(cost, axis=0)
     return np.choose(k, cost), tuple(np.choose(k, p) for p in params)
 
 
-def _coarse_grid(spec: rb._Law, exponents, means, w) -> np.ndarray:
-    """The package's coarse grid point of every lane (its first cheapest, by
-    the law's cost from weighted sums)."""
-    step = max(1, rb._GRID_BLOCK // exponents.size)
+#: lanes per block of the stacked coarse grid, and (grid point, length)
+#: pairs scored at once
+GRID_LANES = 16
+GRID_BLOCK = 1 << 20
+
+
+def stacked_coarse_grid_oracle(spec: rb._Law, exponents, means, w) -> np.ndarray:
+    """``rb._coarse_grid`` as it was before it scored candidates one at a
+    time: every block of ``GRID_LANES`` lanes forms the (K, lanes, points)
+    cost stack of the law's candidates at every rate, ``x = rate**e`` and its
+    rate-only terms again per block, and keeps each point's cheapest cost.
+    The package must pick the same point on every lane."""
+    step = max(1, GRID_BLOCK // exponents.size)
     rates = [np.clip(np.exp(-rb._GRID[j:j + step]), rb._RATE_FLOOR, spec.ceiling)[:, None]
              for j in range(0, rb._GRID.size, step)]
     return np.concatenate([np.argmin(np.concatenate([
-        best_linear_fit(spec, r ** exponents, means[i:i + rb._GRID_LANES],
-                        w[i:i + rb._GRID_LANES])[0]
-        for r in rates], axis=-1), axis=-1) for i in range(0, len(means), rb._GRID_LANES)])
+        rb._stacked(spec.linear_fit(spec.terms(r ** exponents), spec.lanes(
+            means[i:i + GRID_LANES], w[i:i + GRID_LANES])))[0].min(0)
+        for r in rates], axis=-1), axis=-1) for i in range(0, len(means), GRID_LANES)])
+
+
+def profile_slope(spec: rb._Law, lengths, means, w, params) -> np.ndarray:
+    """``rb._profile_slope`` at ``params``: the linear parameters, then the rate."""
+    *linear, rate = params
+    exponents = lengths + spec.exponent_offset
+    return rb._profile_slope(spec, exponents, rate[..., None] ** exponents, means, w, linear)
+
+
+def law_value(spec: rb._Law, lengths, params):
+    """The law at ``lengths`` (last axis) for ``params``, the rate last, each
+    with a trailing axis."""
+    *linear, rate = params
+    return spec.model(rate ** (lengths + spec.exponent_offset), *linear)
 
 
 def bisection_profile_fit_oracle(spec: rb._Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
@@ -419,18 +442,18 @@ def bisection_profile_fit_oracle(spec: rb._Law, lengths, means, sems) -> tuple[n
         return (*best_linear_fit(spec, rate[..., None] ** exponents, means, w)[1], rate)
 
     n = len(means)
-    coarse = _coarse_grid(spec, exponents, means, w)
+    coarse = stacked_coarse_grid_oracle(spec, exponents, means, w)
     lo = rb._GRID[np.maximum(coarse - 1, 0)]
     hi = rb._GRID[np.minimum(coarse + 1, rb._GRID.size - 1)]
     for _ in range(BISECTIONS):
         mid = 0.5 * (lo + hi)
         params = [p[:, 0] for p in solve(mid[:, None])]
-        rising = rb._profile_slope(spec, lengths, means, w, params) > 0
+        rising = profile_slope(spec, lengths, means, w, params) > 0
         lo, hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
     tried = np.stack([np.full(n, rb._GRID[0]), np.full(n, rb._GRID[-1]), rb._GRID[coarse],
                       0.5 * (lo + hi)], axis=-1)
     params = solve(tried)
-    r = means[:, None] - spec.model(lengths, *(p[..., None] for p in params))
+    r = means[:, None] - law_value(spec, lengths, [p[..., None] for p in params])
     pick = np.argmin((w[:, None] * r * r).sum(-1), axis=-1)[:, None]
     return tuple(np.take_along_axis(p, pick, -1)[:, 0] for p in params)
 
@@ -450,12 +473,12 @@ def chandrupatla_profile_fit_oracle(spec: rb._Law, lengths, means, sems) -> tupl
         rate = np.clip(np.exp(-exponent), rb._RATE_FLOOR, spec.ceiling)
         return (*best_linear_fit(spec, rate[..., None] ** exponents, y, wy)[1], rate)
 
-    n, coarse = len(means), _coarse_grid(spec, exponents, means, w)
+    n, coarse = len(means), stacked_coarse_grid_oracle(spec, exponents, means, w)
     lo = rb._GRID[np.maximum(coarse - 1, 0)]
     hi = rb._GRID[np.minimum(coarse + 1, rb._GRID.size - 1)]
 
     def slope(x, y, wy):  # (lanes, points) -> (lanes, points)
-        return rb._profile_slope(spec, lengths, y[:, None], wy[:, None], solve(x, y, wy))
+        return profile_slope(spec, lengths, y[:, None], wy[:, None], solve(x, y, wy))
 
     f_lo, f_hi = slope(np.stack((lo, hi), axis=-1), means, w).T
     root = rb._GRID[coarse]
@@ -487,7 +510,7 @@ def chandrupatla_profile_fit_oracle(spec: rb._Law, lengths, means, sems) -> tupl
     tried = np.stack([np.full(n, rb._GRID[0]), np.full(n, rb._GRID[-1]), rb._GRID[coarse],
                       root], axis=-1)
     params = solve(tried, means, w)
-    r = means[:, None] - spec.model(lengths, *(p[..., None] for p in params))
+    r = means[:, None] - law_value(spec, lengths, [p[..., None] for p in params])
     pick = np.argmin((w[:, None] * r * r).sum(-1), axis=-1)[:, None]
     return tuple(np.take_along_axis(p, pick, -1)[:, 0] for p in params)
 

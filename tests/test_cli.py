@@ -942,6 +942,17 @@ def test_runtime_loads_no_scipy(tmp_path):
     assert (tmp_path / "run4" / "measure-dark_probe_results.json").exists()
 
 
+def test_import_leaves_out_the_process_pool():
+    """A fresh ``import mcmr`` loads neither ``concurrent.futures`` nor
+    ``multiprocessing``: only a parallel campaign needs them."""
+    probe = ("import sys, mcmr; print(sorted(m for m in ('concurrent.futures', "
+             "'multiprocessing') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_package_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 _NO_WORK_AT_IMPORT = """
 import argparse, sys
 built, solved = [], []

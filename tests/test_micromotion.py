@@ -18,7 +18,8 @@ from scipy.linalg import expm
 from mcmr import cli, micromotion, rb
 from mcmr.errors import ConfigError, DataFormatError, FitError
 from synthetic import (assert_cost_within_slack, bisection_profile_fit_oracle, carrier_null_oracle,
-                       chandrupatla_profile_fit_oracle, fit_depump_oracle)
+                       chandrupatla_profile_fit_oracle, fit_depump_oracle,
+                       stacked_coarse_grid_oracle)
 
 # 60-digit evaluations, rounded to double precision
 FIRST_NULL = 2.4048255576957727686
@@ -433,6 +434,30 @@ def test_fit_depump_equals_chandrupatla_oracle(free_amplitude, monkeypatch):
             m.setattr(rb, "_profile_fit", chandrupatla_profile_fit_oracle)
             assert micromotion.fit_depump(times, fractions, shots=1000,
                                           free_amplitude=free_amplitude) == ours
+
+
+@pytest.mark.parametrize("points", [12, 100_000])
+@pytest.mark.parametrize("free_amplitude", [False, True])
+def test_depump_coarse_grid_matches_stacked_oracle(points, free_amplitude, monkeypatch):
+    """Scoring the coarse grid one point block at a time, without candidate
+    stacks, picks the stacked grid's point for both depump laws, on a short
+    curve and on a long one."""
+    times = np.linspace(0.0, 0.02, points)
+    fractions = np.random.default_rng(72).binomial(
+        1000, micromotion.depump_probability(120.0, times)) / 1000
+    fits = []
+    real = rb._profile_fit
+
+    def recorded(spec, lengths, means, sems):
+        fits.append((spec, lengths + spec.exponent_offset, means, rb._lane_weights(sems)))
+        return real(spec, lengths, means, sems)
+
+    monkeypatch.setattr(rb, "_profile_fit", recorded)
+    micromotion.fit_depump(times, fractions, shots=1000, free_amplitude=free_amplitude)
+    (fit,) = fits
+    spec, exponents, means, w = fit
+    np.testing.assert_array_equal(rb._coarse_grid(spec, exponents, spec.lanes(means, w)),
+                                  stacked_coarse_grid_oracle(*fit))
 
 
 def test_large_fit_depump_matches_bisection_oracle(monkeypatch):

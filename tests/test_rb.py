@@ -1,5 +1,6 @@
 """Tests for sequence generation, exact survival laws, fits and campaigns."""
 
+import concurrent.futures
 import dataclasses
 import itertools
 import math
@@ -11,14 +12,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 
-from mcmr import channels, clifford, liouville, rb
+from mcmr import channels, clifford, liouville, micromotion, rb
 from mcmr.errors import ConfigError, DataFormatError, FitError
 from synthetic import (LINEAR_FIT_ORACLES, assert_cost_within_slack, best_linear_fit,
                        bisection_profile_fit_oracle, chandrupatla_profile_fit_oracle,
                        curve_fit_decay, exact_average_survival, focus_oracle,
-                       generate_sequences_oracle, profile_fit_oracle, random_lambda_channel,
-                       record_resample_stats, record_stats, spam_report_oracle,
-                       survival_oracle, weighted_cost)
+                       generate_sequences_oracle, profile_fit_oracle, profile_slope,
+                       random_lambda_channel, record_resample_stats, record_stats,
+                       spam_report_oracle, stacked_coarse_grid_oracle, survival_oracle,
+                       weighted_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -736,7 +738,7 @@ def test_profile_slope_matches_finite_difference(law):
     rate = np.exp(-s)
     _, params = best_linear_fit(rb._LAWS[law], rate[:, None, None] ** exponents, means, w)
     params = [p[:, 0] for p in params]
-    slope = rb._profile_slope(rb._LAWS[law], lengths, means, w, (*params, rate))
+    slope = profile_slope(rb._LAWS[law], lengths, means, w, (*params, rate))
     h = 1e-6 * s
     fd = (_profiled_cost(law, s + h, exponents, means, w)
           - _profiled_cost(law, s - h, exponents, means, w)) / (2 * h)
@@ -882,11 +884,11 @@ def test_profile_fit_handles_degenerate_lanes(monkeypatch):
     searched and returns the cheapest of the ceiling, the floor and its grid
     point."""
     lanes = list(_degenerate_lanes())
-    slopes, rates = [], []
+    slopes, xs = [], []
     real = rb._profile_slope
 
     def recorded(*args):
-        rates.append(args[-1][-1])
+        xs.append(args[2])
         slopes.append(real(*args))
         return slopes[-1]
 
@@ -902,12 +904,11 @@ def test_profile_fit_handles_degenerate_lanes(monkeypatch):
     # candidate's in the search's first call, is 0 at rate 1 and positive at
     # the other end
     lengths, means, sems = lanes[-1][1:]
-    rate, w = rates[0][1], rb._lane_weights(sems[1:])
-    assert rate[0] == 1.0
-    _, params = best_linear_fit(rb._LAWS["leakage"], rate[None, :, None] ** (lengths + 1.0),
-                                means[1:], w)
-    ends = rb._profile_slope(rb._LAWS["leakage"], lengths, means[1:, None], w[:, None],
-                             (*params, rate))[0]
+    x, w = xs[0][1:2], rb._lane_weights(sems[1:])
+    assert np.all(x[0, 0] == 1.0)  # rate 1
+    _, params = best_linear_fit(rb._LAWS["leakage"], x, means[1:], w)
+    ends = rb._profile_slope(rb._LAWS["leakage"], lengths + 1.0, x, means[1:, None],
+                             w[:, None], params)[0]
     assert ends[0] == 0.0 and ends[1] > 0 and len(slopes) > 1
     assert ends[0] in slopes[0][:, 1, 0] and ends[1] in slopes[0][:, 1, 1]
     for (law, lengths, means, sems), fit, oracle in zip(lanes, fits, oracles):
@@ -947,6 +948,69 @@ def test_profile_fit_matches_chandrupatla_oracle_on_degenerate_lanes():
             _assert_matches_chandrupatla_oracle(law, *args)
 
 
+def _assert_coarse_grid_matches_stacked_oracle(law, lengths, means, sems, context=()) -> None:
+    """Scoring candidates one at a time picks the stacked grid's point."""
+    spec, w = rb._LAWS[law], rb._lane_weights(sems)
+    exponents = lengths + spec.exponent_offset
+    np.testing.assert_array_equal(rb._coarse_grid(spec, exponents, spec.lanes(means, w)),
+                                  stacked_coarse_grid_oracle(spec, exponents, means, w),
+                                  err_msg=str(context))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_coarse_grid_matches_stacked_oracle_on_the_campaign(seed):
+    """Both laws, on the point lanes and on the 200-lane batches."""
+    for label, law, lengths, means, sems in _campaign_fit_lanes(seed):
+        for lanes in (slice(0, 1), slice(1, None)):
+            _assert_coarse_grid_matches_stacked_oracle(law, lengths, means[lanes], sems[lanes],
+                                                       (seed, label, law, lanes))
+
+
+@pytest.mark.parametrize("case", FIT_CASES)
+def test_coarse_grid_matches_stacked_oracle_on_the_fit_cases(case):
+    ds = _fit_case_dataset(case)
+    stats = rb._resample_stats(ds, 200, np.random.default_rng(68))
+    lengths = np.array(ds.lengths, dtype=float)
+    for law, means, sems in (("standard", *stats[:2]), ("leakage", *stats[2:])):
+        _assert_coarse_grid_matches_stacked_oracle(law, lengths, means, sems, (case, law))
+
+
+@pytest.mark.parametrize("law", ["standard", "leakage", "depump", "depump-free"])
+def test_cheapest_candidate_is_the_stacked_minimum(law):
+    """Folding a law's candidates one at a time gives its candidate stack's
+    cheapest cost bit for bit, NaN where the stack has one: on lanes whose
+    fits reach every face of the box, on unweighted lanes, on constant
+    lanes and on lanes with a NaN mean."""
+    spec = {"depump": micromotion._DEPUMP_LAWS[False],
+            "depump-free": micromotion._DEPUMP_LAWS[True]}.get(law) or rb._LAWS[law]
+    rng = np.random.default_rng(31)
+    lengths = np.array([2.0, 9.0, 30.0])
+    means = rng.uniform(-0.2, 1.2, (300, 3))
+    means[:40] = rng.uniform(-0.2, 1.2, (40, 1))
+    means[40:45, 1] = np.nan
+    sems = rng.uniform(0.005, 0.05, (300, 3))
+    sems[::7, 1] = 0.0
+    w = rb._lane_weights(sems)
+    x = rb._clipped_rate(spec, rb._GRID)[:, None] ** (lengths + spec.exponent_offset)
+    terms, lanes = spec.terms(x), spec.lanes(means, w)
+    stack = rb._stacked(spec.linear_fit(terms, lanes))[0]
+    np.testing.assert_array_equal(rb._cheapest(spec.linear_fit(terms, lanes)), stack.min(0))
+    if law == "leakage":  # every candidate is the cheapest somewhere
+        assert set(np.unique(stack.argmin(0))) == set(range(5))
+
+
+def test_coarse_grid_matches_stacked_oracle_on_degenerate_lanes():
+    """NaN statistics, zero SEMs, B = 0 at every rate and constant means."""
+    lengths = np.array([1.0, 10.0, 50.0])
+    constant = np.array([[0.0] * 3, [0.3] * 3, [0.5] * 3, [1.0] * 3])
+    with np.errstate(over="raise"):
+        for law, *args in _degenerate_lanes():
+            _assert_coarse_grid_matches_stacked_oracle(law, *args, law)
+        for law in ("standard", "leakage"):
+            for sems in (np.full((4, 3), 0.01), np.zeros((4, 3))):
+                _assert_coarse_grid_matches_stacked_oracle(law, lengths, constant, sems, law)
+
+
 def test_profile_fit_steps_are_bounded(monkeypatch):
     """The search scores the slope at most ``1 + 3 * 64`` times per fit (both
     bracket ends at once, then at worst three steps per halving of the
@@ -960,9 +1024,9 @@ def test_profile_fit_steps_are_bounded(monkeypatch):
     scored = []  # lanes per call of the slope
     real = rb._profile_slope
 
-    def counted(spec, lengths, means, w, params):
+    def counted(spec, exponents, x, means, w, linear):
         scored.append(len(means))
-        return real(spec, lengths, means, w, params)
+        return real(spec, exponents, x, means, w, linear)
 
     monkeypatch.setattr(rb, "_profile_slope", counted)
     lane_steps = 0
@@ -1582,7 +1646,7 @@ def test_run_campaign_caps_workers_at_experiment_count(monkeypatch):
         def map(self, fn, jobs):
             return map(fn, jobs)
 
-    monkeypatch.setattr(rb, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     configs = [small_config("exp-a"), small_config("exp-b")]
     results = rb.run_campaign(configs, seed=7, resamples=0, parallel=64)
     assert started == [2]
