@@ -216,10 +216,13 @@ def depump_probability(gamma: float, t):
     population of the two field-insensitive neighbours of the initial state.
     """
     t = np.asarray(t, dtype=float)
-    out = BRIGHT_ASYMPTOTE * (1.0 - np.exp(-3.0 * gamma * t))
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    out = _depump(np.exp(-3.0 * gamma * t), BRIGHT_ASYMPTOTE)
+    return float(out) if np.ndim(t) == 0 else out
+
+
+def _depump(x, amplitude):
+    """The depump curve at ``x = exp(-3 gamma t)``."""
+    return amplitude * (1.0 - x)
 
 
 @dataclass(frozen=True)
@@ -310,7 +313,7 @@ def _depump_sigma(fractions: np.ndarray, shots: np.ndarray) -> np.ndarray:
 #: (:func:`mcmr.rb._scale_fit`), in [0, 1] or pinned at 2/3 by the default
 #: argument
 _DEPUMP_LAWS = {free: rb._Law(
-    lambda x, amplitude: amplitude * (1.0 - x), lambda x: rb._scale_terms(1.0 - x),
+    _depump, lambda x: rb._scale_terms(1.0 - x),
     rb._scale_lanes,
     lambda terms, lanes, scale=None if free else BRIGHT_ASYMPTOTE: rb._scale_fit(
         terms, lanes, 1.0, scale),
@@ -371,7 +374,7 @@ def fit_depump(times, dark_fractions, shots=None,
     gamma = -math.log(rate) / (3.0 * t_unit)
     decay = np.exp(-3.0 * gamma * t)
     jac = np.stack((3.0 * amp * t * decay, 1.0 - decay)[:n_params]) / sigma
-    residuals = (f - amp * (1.0 - decay)) / sigma  # without shots, scale as curve_fit
+    residuals = (f - _depump(decay, amp)) / sigma  # without shots, scale as curve_fit
     scale = 1.0 if shots is not None else residuals @ residuals / (t.size - n_params)
     variances = np.diag(np.linalg.pinv(jac @ jac.T)) * scale
     if not np.all(np.isfinite(variances) & (variances > 0)):

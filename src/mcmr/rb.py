@@ -16,7 +16,7 @@ The module provides:
 * exact per-sequence survival probabilities in the Liouville picture,
 * closed-form decay coefficients from the channel's figures of merit,
 * binomial sampling, the two decay fits, scattering-probability estimators,
-  and a semi-parametric bootstrap,
+  and a nonparametric bootstrap over sequences,
 * a classical per-shot simulation of the focus ion (preparation, readout,
   depumping, reset) feeding mid-circuit SPAM reports,
 * experiment configuration objects and a campaign runner.
@@ -491,10 +491,11 @@ class LeakageFit:
     per_length: tuple[PerLengthStats, ...]
 
 
-def _length_columns(dataset: RBDataset) -> list[tuple]:
-    """``(length, shots, dark_counts, target_outcome)`` per length, in record order."""
-    return [(length, *(np.array([getattr(r, name) for r in group])
-                       for name in ("shots", "dark_counts", "target_outcome")))
+def _fraction_tables(dataset: RBDataset) -> list[tuple[int, np.ndarray]]:
+    """``(length, table)`` per length: the correct-outcome and dark-outcome
+    fraction of every sequence, shape ``(2, sequences)``, in record order."""
+    return [(length, np.array([[r.correct_fraction for r in group],
+                               [r.dark_fraction for r in group]]))
             for length, group in sorted(dataset.by_length().items())]
 
 
@@ -505,19 +506,13 @@ def _mean_sem(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values.mean(-1), sem
 
 
-def _fractions(shots, darks, targets) -> tuple[np.ndarray, np.ndarray]:
-    """Correct-outcome and dark-outcome fraction of every sequence."""
-    return np.where(targets == 0, darks, shots - darks) / shots, darks / shots
-
-
 def per_length_stats(dataset: RBDataset) -> tuple[tuple[PerLengthStats, ...],
                                                   tuple[PerLengthStats, ...]]:
     """Per-length (correct-outcome, dark-outcome) statistics: the fits' input."""
-    correct, dark = [], []
-    for length, shots, darks, targets in _length_columns(dataset):
-        for out, values in zip((correct, dark), _fractions(shots, darks, targets)):
-            out.append(PerLengthStats(length, values.size, *map(float, _mean_sem(values))))
-    return tuple(correct), tuple(dark)
+    rows = [[PerLengthStats(length, table.shape[1], float(mean), float(sem))
+             for mean, sem in zip(*_mean_sem(table))]
+            for length, table in _fraction_tables(dataset)]
+    return tuple(zip(*rows))
 
 
 def _standard(x, amplitude):
@@ -1013,30 +1008,31 @@ class BootstrapResult:
 def _resample_stats(dataset: RBDataset, n_resamples: int, rng) -> np.ndarray:
     """Per-length statistics of every bootstrap resample.
 
-    Each resample draws sequences with replacement within every length, then
-    redraws each chosen sequence's counts binomially around its empirical
-    dark rate.  Returns the (correct mean, correct SEM, dark mean, dark SEM)
-    stack, shape ``(4, n_resamples, lengths)``.  Draw order: resamples come
-    in blocks of at most ``_RESAMPLE_BLOCK``; per block and per length, one
-    ``rng.integers`` call picks the sequences of all the block's resamples
-    as a (resamples, sequences) array and one ``rng.binomial`` call redraws
-    their counts, so memory is bounded by one block of one length.
+    A nonparametric bootstrap over sequences: each resample draws sequences
+    with replacement within every length and keeps their fractions as
+    measured, so a length with one sequence has SEM 0 in every resample.
+    Returns the (correct mean, correct SEM, dark mean, dark SEM) stack, shape
+    ``(4, n_resamples, lengths)``.  Draw order: per block of at most
+    ``_RESAMPLE_BLOCK`` resamples and per length, one ``rng.integers`` call
+    picks the block's sequences as a (resamples, sequences) array, so memory
+    is bounded by one block of one length.
     """
-    columns = _length_columns(dataset)
-    stats = np.empty((4, n_resamples, len(columns)))
+    tables = _fraction_tables(dataset)
+    stats = np.empty((4, n_resamples, len(tables)))
     for start in range(0, n_resamples, _RESAMPLE_BLOCK):
         block = slice(start, min(start + _RESAMPLE_BLOCK, n_resamples))
-        for k, (_, shots, darks, targets) in enumerate(columns):
-            picks = rng.integers(0, shots.size, (block.stop - start, shots.size))
-            n = shots[picks]
-            fractions = _fractions(n, rng.binomial(n, darks[picks] / n), targets[picks])
-            stats[0::2, block, k], stats[1::2, block, k] = _mean_sem(np.stack(fractions))
+        for k, (_, table) in enumerate(tables):
+            n = table.shape[1]
+            # take, unlike table[:, picks], returns each resample's fractions
+            # contiguous, so numpy sums them pairwise as per_length_stats does
+            drawn = table.take(rng.integers(0, n, (block.stop - start, n)), axis=1)
+            stats[0::2, block, k], stats[1::2, block, k] = _mean_sem(drawn)
     return stats
 
 
 def bootstrap_analysis(dataset: RBDataset, n_resamples: int = 200,
                        seed=None) -> BootstrapResult:
-    """Semi-parametric bootstrap of both decay fits.
+    """Nonparametric bootstrap of both decay fits over sequences.
 
     Resamples as :func:`_resample_stats` describes, then refits both laws
     for all resamples at once (:func:`_profile_fit`).  A refit with a

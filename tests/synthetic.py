@@ -2,8 +2,8 @@
 
 The all-sequences survival average here accumulates the running Clifford
 product exactly; the package's closed-form ``rb.decay_coefficients`` must
-match it.  The record-based bootstrap here rebuilds every resample as
-records, one scalar binomial draw each; the package's per-length array
+match it.  The record-based bootstrap here rebuilds every resample as a
+dataset of the drawn records; the package's per-length fraction-table
 bootstrap must reproduce its per-resample statistics draw for draw.  The
 ``curve_fit`` fits here are a local solver from a guessed start point; the
 package's variable-projection fits must reach an equal or lower weighted
@@ -41,7 +41,6 @@ its runtime dropped scipy; its numpy routes must reproduce them.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import decimal
 import math
 import warnings
@@ -238,10 +237,9 @@ def record_resample_stats(dataset: rb.RBDataset, n_resamples: int, seed) -> np.n
     """Record-based bootstrap statistics, stacked as ``rb._resample_stats`` returns them.
 
     The draws come in the package's order: per block of ``rb._RESAMPLE_BLOCK``
-    resamples and per length, one (resamples, sequences) array of picks,
-    then one scalar binomial draw per pick in row order.  Every resample is
-    rebuilt as a new dataset of records (one ``dataclasses.replace`` per
-    chosen record) and its statistics come from the record properties.
+    resamples and per length, one (resamples, sequences) array of picks.
+    Every resample is rebuilt as a new dataset of the picked records, taken
+    as they are, and its statistics come from the record properties.
     """
     rng = np.random.default_rng(seed)
     groups = [group for _, group in sorted(dataset.by_length().items())]
@@ -251,10 +249,7 @@ def record_resample_stats(dataset: rb.RBDataset, n_resamples: int, seed) -> np.n
         for group in groups:
             picks = rng.integers(0, len(group), (len(resamples), len(group)))
             for records, row in zip(resamples, picks):
-                for j in row:
-                    r = group[j]
-                    dark = int(rng.binomial(r.shots, r.dark_counts / r.shots))
-                    records.append(dataclasses.replace(r, dark_counts=dark))
+                records.extend(group[j] for j in row)
         for records in resamples:
             resampled = rb.RBDataset(tuple(records))
             correct = record_stats(resampled, lambda r: r.correct_fraction)

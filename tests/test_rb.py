@@ -481,13 +481,15 @@ def _fit_case_dataset(case: str) -> rb.RBDataset:
     probe: ``"campaign"`` with one measurement and one reset per slot,
     ``"control"`` and ``"reset"`` as those experiments.  In the last two
     many resamples have a fully correct length, so their standard-law lanes
-    are unweighted (in ``"control"`` the point fit too)."""
+    are unweighted: in ``"control"`` all of them and the point fit too; in
+    ``"reset"``, whose counts come from seed 79 (39 of the 40 shortest
+    sequences fully correct), 76 of the 200 resamples at bootstrap seed 68."""
     if case not in _CAMPAIGN_CASES:
         return _oracle_dataset(case)
     seqs = rb.generate_sequences(seed=71)
     probe = rb.standard_experiments()[-1].probes["probe"]
     slot = probe.slot_channel(_CAMPAIGN_CASES[case])
-    return rb.simulate_dataset(seqs, slot, shots=100, seed=72)
+    return rb.simulate_dataset(seqs, slot, shots=100, seed=79 if case == "reset" else 72)
 
 
 @pytest.mark.parametrize("case", FIT_CASES)
@@ -678,6 +680,28 @@ def test_resample_stats_match_record_oracle_at_the_edges(case):
     np.testing.assert_array_equal(stats, record_resample_stats(ds, n_resamples, seed=67))
     if case == "single-sequence":
         assert np.all(stats[1::2, :, 1] == 0.0)
+
+
+def test_resample_stats_add_no_noise_of_their_own():
+    """A resample only draws sequences: with two sequences per length, of
+    fractions a and b, every resampled mean is a, (a + b) / 2 or b, and the
+    generator has made only the ``rng.integers`` calls of the picks."""
+    records = [rb.DatasetRecord(length, seq_id, "IX"[seq_id], seq_id, 50, dark)
+               for length, darks in ((2, (1, 47)), (9, (6, 41)), (30, (13, 30)))
+               for seq_id, dark in enumerate(darks)]
+    ds = rb.RBDataset(tuple(records))
+    n_resamples = 2 * rb._RESAMPLE_BLOCK + 13
+    rng, alone = np.random.default_rng(69), np.random.default_rng(69)
+    stats = rb._resample_stats(ds, n_resamples, rng)
+    for half, fraction in ((0, "correct_fraction"), (2, "dark_fraction")):
+        for k, length in enumerate(ds.lengths):
+            a, b = (getattr(r, fraction) for r in ds.by_length()[length])
+            assert a != b
+            assert set(stats[half, :, k]) == {a, (a + b) / 2, b}
+    for start in range(0, n_resamples, rb._RESAMPLE_BLOCK):
+        for _ in ds.lengths:
+            alone.integers(0, 2, (min(rb._RESAMPLE_BLOCK, n_resamples - start), 2))
+    assert rng.bit_generator.state == alone.bit_generator.state
 
 
 def test_bootstrap_counts_refits_at_a_bound():
