@@ -31,7 +31,7 @@ byte for byte, serial or parallel.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -506,13 +506,20 @@ def _mean_sem(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values.mean(-1), sem
 
 
+def _per_length(tables, stats: np.ndarray) -> tuple[tuple[PerLengthStats, ...],
+                                                    tuple[PerLengthStats, ...]]:
+    """Lane 0 of :func:`_lane_stats` as (correct-outcome, dark-outcome)
+    :class:`PerLengthStats`."""
+    return tuple(tuple(PerLengthStats(length, table.shape[1], float(mean), float(sem))
+                       for (length, table), mean, sem in zip(tables, *stats[half:half + 2, 0]))
+                 for half in (0, 2))
+
+
 def per_length_stats(dataset: RBDataset) -> tuple[tuple[PerLengthStats, ...],
                                                   tuple[PerLengthStats, ...]]:
     """Per-length (correct-outcome, dark-outcome) statistics: the fits' input."""
-    rows = [[PerLengthStats(length, table.shape[1], float(mean), float(sem))
-             for mean, sem in zip(*_mean_sem(table))]
-            for length, table in _fraction_tables(dataset)]
-    return tuple(zip(*rows))
+    tables = _fraction_tables(dataset)
+    return _per_length(tables, _lane_stats(tables))
 
 
 def _standard(x, amplitude):
@@ -565,6 +572,12 @@ _GRID_BLOCK = 1 << 13
 np.empty(1 << 20)
 #: bootstrap resamples drawn together, one length at a time
 _RESAMPLE_BLOCK = 64
+#: most lanes one :func:`_profile_fit` call fits, below the 100,001 of a
+#: probe at ``cli.MAX_RESAMPLES``: the canonical campaign's 1,407 lanes per
+#: law fit in one call, and a call's temporaries stay small (the canonical
+#: campaign at 20,000 resamples peaks at 43 MB of traced memory, and at 180
+#: MB with 100,001-lane calls, in equal time)
+_FIT_LANES = 1 << 13
 
 
 def _lane_weights(sems: np.ndarray) -> np.ndarray:
@@ -909,14 +922,32 @@ def _profile_fit(spec: _Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
     return tuple(p[np.arange(n), pick] for p in (*linear, rate))
 
 
-def _fit(law: str, stats) -> list[float]:
-    """One lane of :func:`_profile_fit`."""
-    lengths, means, sems = (np.array([getattr(s, f) for s in stats], dtype=float)
-                            for f in ("length", "mean", "sem"))
-    params = [float(p[0]) for p in _profile_fit(_LAWS[law], lengths, means[None], sems[None])]
+def _check_fit(law: str, per_length, ls_ratio: float = 1.0) -> None:
+    """Raise unless ``law`` can be fitted to one entry of ``per_length`` per
+    length: a length per parameter at least (and, for leakage, ``ls_ratio > 0``)."""
+    if law == "leakage" and ls_ratio <= 0:
+        raise ValueError("ls_ratio must be positive")
+    least = len(_LAWS[law].params)
+    if len(per_length) < least:
+        raise DataFormatError(f"{law} fit needs at least "
+                              f"{'two' if least == 2 else 'three'} distinct lengths")
+
+
+def _point_fit(law: str, params, stats) -> StandardFit | LeakageFit:
+    """The fit of ``stats`` from lane 0 of the law's ``params``, which must be finite."""
+    params = [float(p[0]) for p in params]
     if not all(np.isfinite(params)):
         raise FitError(f"{law} decay fit returned non-finite parameters")
-    return params
+    if law == "standard":
+        return StandardFit(*params, stats)
+    return LeakageFit(*params, *_leakage_seepage(*params), stats)
+
+
+def _one_lane(law: str, stats) -> StandardFit | LeakageFit:
+    """The fit of ``stats`` by :func:`_profile_fit` as one lane."""
+    lengths, means, sems = (np.array([getattr(s, f) for s in stats], dtype=float)
+                            for f in ("length", "mean", "sem"))
+    return _point_fit(law, _profile_fit(_LAWS[law], lengths, means[None], sems[None]), stats)
 
 
 def fit_standard(stats) -> StandardFit:
@@ -924,10 +955,8 @@ def fit_standard(stats) -> StandardFit:
 
     ``stats`` is the correct-outcome half of :func:`per_length_stats`.
     """
-    if len(stats) < 2:
-        raise DataFormatError("standard fit needs at least two distinct lengths")
-    amplitude, base = _fit("standard", stats)
-    return StandardFit(amplitude, base, stats)
+    _check_fit("standard", stats)
+    return _one_lane("standard", stats)
 
 
 def _leakage_seepage(intercept, asymptote, t_minus):
@@ -945,13 +974,8 @@ def fit_leakage(stats, ls_ratio: float = 1.0) -> LeakageFit:
 
     Derived quantities: ``leakage = 2B(1-t)``, ``seepage = 2C(1-t)``.
     """
-    if ls_ratio <= 0:
-        raise ValueError("ls_ratio must be positive")
-    if len(stats) < 3:
-        raise DataFormatError("leakage fit needs at least three distinct lengths")
-    intercept, asymptote, t_minus = _fit("leakage", stats)
-    return LeakageFit(intercept, asymptote, t_minus,
-                      *_leakage_seepage(intercept, asymptote, t_minus), stats)
+    _check_fit("leakage", stats, ls_ratio)
+    return _one_lane("leakage", stats)
 
 
 def average_error(base: float, leakage: float) -> float:
@@ -1005,53 +1029,46 @@ class BootstrapResult:
     unidentified: int = 0
 
 
-def _resample_stats(dataset: RBDataset, n_resamples: int, rng) -> np.ndarray:
-    """Per-length statistics of every bootstrap resample.
+def _lane_stats(tables, n_resamples: int = 0, rng=None) -> np.ndarray:
+    """One dataset's fit lanes, from its :func:`_fraction_tables`: the (correct
+    mean, correct SEM, dark mean, dark SEM) stack, shape ``(4, 1 + n_resamples,
+    lengths)``; lane 0 holds the dataset's own statistics, the others those
+    of its bootstrap resamples.
 
     A nonparametric bootstrap over sequences: each resample draws sequences
     with replacement within every length and keeps their fractions as
     measured, so a length with one sequence has SEM 0 in every resample.
-    Returns the (correct mean, correct SEM, dark mean, dark SEM) stack, shape
-    ``(4, n_resamples, lengths)``.  Draw order: per block of at most
-    ``_RESAMPLE_BLOCK`` resamples and per length, one ``rng.integers`` call
-    picks the block's sequences as a (resamples, sequences) array, so memory
-    is bounded by one block of one length.
+    Draw order: per block of at most ``_RESAMPLE_BLOCK`` resamples and per
+    length, one ``rng.integers`` call picks the block's sequences as a
+    (resamples, sequences) array, so memory is bounded by one block of one
+    length.
     """
-    tables = _fraction_tables(dataset)
-    stats = np.empty((4, n_resamples, len(tables)))
-    for start in range(0, n_resamples, _RESAMPLE_BLOCK):
-        block = slice(start, min(start + _RESAMPLE_BLOCK, n_resamples))
+    stats = np.empty((4, 1 + n_resamples, len(tables)))
+    for k, (_, table) in enumerate(tables):
+        stats[0::2, 0, k], stats[1::2, 0, k] = _mean_sem(table)
+    for start in range(1, 1 + n_resamples, _RESAMPLE_BLOCK):
+        block = slice(start, min(start + _RESAMPLE_BLOCK, 1 + n_resamples))
         for k, (_, table) in enumerate(tables):
             n = table.shape[1]
             # take, unlike table[:, picks], returns each resample's fractions
-            # contiguous, so numpy sums them pairwise as per_length_stats does
+            # contiguous, so numpy sums them pairwise as for lane 0
             drawn = table.take(rng.integers(0, n, (block.stop - start, n)), axis=1)
             stats[0::2, block, k], stats[1::2, block, k] = _mean_sem(drawn)
     return stats
 
 
-def bootstrap_analysis(dataset: RBDataset, n_resamples: int = 200,
-                       seed=None) -> BootstrapResult:
-    """Nonparametric bootstrap of both decay fits over sequences.
-
-    Resamples as :func:`_resample_stats` describes, then refits both laws
-    for all resamples at once (:func:`_profile_fit`).  A refit with a
-    non-finite parameter fails; more than 10% failed refits raises
-    :class:`FitError` (the dataset does not support a stable analysis).
-    """
-    if n_resamples < 2:
-        raise ValueError("need at least two resamples")
-    stats = _resample_stats(dataset, n_resamples, np.random.default_rng(seed))
-    lengths = np.array(dataset.lengths, dtype=float)
-    values = {}
-    for law, means, sems in (("standard", *stats[:2]), ("leakage", *stats[2:])):
-        values.update(zip(_LAWS[law].params, _profile_fit(_LAWS[law], lengths, means, sems)))
+def _bootstrap(values: dict) -> BootstrapResult:
+    """The bootstrap of both laws' refits, ``values`` their parameters by name
+    as (resamples,) arrays.  A refit with a non-finite parameter fails; more
+    than 10% failed refits raise :class:`FitError` (the dataset does not
+    support a stable analysis)."""
     values["leakage"], values["seepage"] = _leakage_seepage(
         values["intercept"], values["asymptote"], values["t_minus"])
     values["epsilon"] = average_error(values["base"], values["leakage"])
     est = scattering_estimates(values["base"], values["t_minus"])
     values["scattering_standard"], values["scattering_leakage"] = est.standard, est.leakage
     ok = np.all([np.isfinite(v) for v in values.values()], axis=0)
+    n_resamples = ok.size
     failures = n_resamples - int(ok.sum())
     if failures > BOOTSTRAP_FAILURE_BUDGET * n_resamples:
         raise FitError(
@@ -1063,6 +1080,15 @@ def bootstrap_analysis(dataset: RBDataset, n_resamples: int = 200,
     return BootstrapResult(n_resamples=n_resamples, failures=failures,
                            sigmas=sigmas, samples=samples, at_bound=at_bound,
                            unidentified=int(np.sum(samples["intercept"] == 0.0)))
+
+
+def bootstrap_analysis(dataset: RBDataset, n_resamples: int = 200,
+                       seed=None) -> BootstrapResult:
+    """Nonparametric bootstrap of both decay fits over sequences: the bootstrap
+    of :func:`analyze_dataset` (see :func:`_lane_stats` and :func:`_bootstrap`)."""
+    if n_resamples < 2:
+        raise ValueError("need at least two resamples")
+    return analyze_dataset(dataset, resamples=n_resamples, seed=seed).bootstrap
 
 
 @dataclass(frozen=True)
@@ -1103,26 +1129,71 @@ class AnalysisResult:
         return out
 
 
+@dataclass(frozen=True)
+class _Lanes:
+    """A dataset, its :func:`_per_length` statistics and its :func:`_lane_stats`."""
+
+    dataset: RBDataset
+    per_length: tuple
+    stats: np.ndarray
+
+
+def _dataset_lanes(dataset: RBDataset, resamples: int, seed,
+                   ls_ratio: float = 1.0) -> _Lanes:
+    """Check that ``dataset`` can be analysed, then build its lanes from one
+    build of its fraction tables; ``seed`` seeds the resamples."""
+    for law in _LAWS:
+        _check_fit(law, dataset.lengths, ls_ratio)
+    if resamples and resamples < 2:
+        raise ValueError("need at least two resamples")
+    tables = _fraction_tables(dataset)
+    stats = _lane_stats(tables, resamples, np.random.default_rng(seed) if resamples else None)
+    return _Lanes(dataset, _per_length(tables, stats), stats)
+
+
+def _analyses(probes: list[_Lanes]):
+    """Yield each probe's :class:`AnalysisResult`, in order.  Every lane of a
+    law and a set of lengths is fitted in one :func:`_profile_fit` call (of
+    at most ``_FIT_LANES`` lanes; no lane's fit depends on its call), then
+    each probe's block is split off: lane 0 the point fits, which must be
+    finite, the others its bootstrap refits."""
+    groups: dict[tuple, list[int]] = {}
+    for i, probe in enumerate(probes):
+        groups.setdefault(probe.dataset.lengths, []).append(i)
+    fitted = [{} for _ in probes]
+    for law, half in (("standard", 0), ("leakage", 2)):
+        for lengths, members in groups.items():
+            means, sems = (np.concatenate([probes[i].stats[k] for i in members])
+                           for k in (half, half + 1))
+            calls = [_profile_fit(_LAWS[law], np.array(lengths, dtype=float),
+                                  means[a:a + _FIT_LANES], sems[a:a + _FIT_LANES])
+                     for a in range(0, len(means), _FIT_LANES)]
+            cuts = np.cumsum([probes[i].stats.shape[1] for i in members])[:-1]
+            for i, *params in zip(members, *(np.split(np.concatenate(p), cuts)
+                                             for p in zip(*calls))):
+                fitted[i][law] = params
+    for probe, fits in zip(probes, fitted):
+        std, leak = (_point_fit(law, fits[law], half) for law, half in zip(fits, probe.per_length))
+        boot = None
+        if probe.stats.shape[1] > 1:
+            boot = _bootstrap({name: p[1:] for law, params in fits.items()
+                               for name, p in zip(_LAWS[law].params, params)})
+        yield AnalysisResult(
+            standard=std, leakage_fit=leak, epsilon=average_error(std.base, leak.leakage),
+            scattering=scattering_estimates(std.base, leak.t_minus), bootstrap=boot,
+            lengths=probe.dataset.lengths,
+            sequences_per_length={s.length: s.n_sequences for s in std.per_length},
+            shots=tuple(sorted({r.shots for r in probe.dataset.records})))
+
+
 def analyze_dataset(dataset: RBDataset, ls_ratio: float = 1.0,
                     resamples: int = 200, seed=None) -> AnalysisResult:
-    """Run both decay fits plus the bootstrap (``resamples=0`` skips it).
+    """Run both decay fits plus the bootstrap (``resamples=0`` skips it): the
+    fit and split of :func:`run_campaign` on one dataset.
 
     ``ls_ratio`` is ignored, as by :func:`fit_leakage`, and must be positive.
     """
-    correct, dark = per_length_stats(dataset)
-    std = fit_standard(correct)
-    leak = fit_leakage(dark, ls_ratio=ls_ratio)
-    boot = None
-    if resamples:
-        boot = bootstrap_analysis(dataset, n_resamples=resamples, seed=seed)
-    counts = {s.length: s.n_sequences for s in correct}
-    shots = tuple(sorted({r.shots for r in dataset.records}))
-    return AnalysisResult(
-        standard=std, leakage_fit=leak,
-        epsilon=average_error(std.base, leak.leakage),
-        scattering=scattering_estimates(std.base, leak.t_minus),
-        bootstrap=boot, lengths=dataset.lengths,
-        sequences_per_length=counts, shots=shots)
+    return next(_analyses([_dataset_lanes(dataset, resamples, seed, ls_ratio)]))
 
 
 # ---------------------------------------------------------------------------
@@ -1435,22 +1506,21 @@ class ExperimentResult:
     spam: tuple
 
 
-def run_experiment(config: ExperimentConfig, seed=None,
-                   resamples: int = 200) -> ExperimentResult:
-    """Simulate and analyse one experiment end to end.
+def _simulate(config: ExperimentConfig, ss, resamples: int) -> tuple[ExperimentResult, dict]:
+    """One experiment's simulate phase: its result without analyses, and its
+    probes' :func:`_dataset_lanes` by label.
 
     One set of sequences is shared by all probes (they ride the same
     circuits); each probe gets its own sampling stream.  The probe's exact
     channel gives the reference figures of merit; the analysis never reads
     it.
     """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     seq_ss, focus_ss, probes_ss = ss.spawn(3)
     sequences = generate_sequences(
         config.lengths, config.sequences_per_length,
         seed=seq_ss, balanced=config.balanced)
 
-    datasets, analyses, references = {}, {}, {}
+    datasets, lanes, references = {}, {}, {}
     probe_children = probes_ss.spawn(len(config.probes))
     for child, (label, probe) in zip(probe_children,
                                      sorted(config.probes.items())):
@@ -1462,21 +1532,32 @@ def run_experiment(config: ExperimentConfig, seed=None,
         dataset = simulate_dataset(sequences, slot, config.shots,
                                    spam=probe.spam, seed=sample_ss)
         datasets[label] = dataset
-        analyses[label] = analyze_dataset(dataset, resamples=resamples, seed=boot_ss)
+        lanes[label] = _dataset_lanes(dataset, resamples, boot_ss)
         references[label] = channel_reference(slot)
 
     focus_records = simulate_focus(
         sequences, config.interleaved_ops, config.initial_focus_state,
         config.focus, config.shots, seed=focus_ss)
-    return ExperimentResult(config=config, datasets=datasets,
-                            analyses=analyses, references=references,
-                            focus_records=focus_records,
-                            spam=spam_report(focus_records))
+    return ExperimentResult(config=config, datasets=datasets, analyses={},
+                            references=references, focus_records=focus_records,
+                            spam=spam_report(focus_records)), lanes
 
 
-def _run_campaign_job(args):
-    config, seed, resamples = args
-    return run_experiment(config, seed=seed, resamples=resamples)
+def _run_share(jobs) -> list[ExperimentResult]:
+    """Simulate every ``(config, SeedSequence, resamples)`` job, then fit and
+    split all their probes' lanes at once (:func:`_analyses`)."""
+    simulated = [_simulate(*job) for job in jobs]
+    analyses = _analyses([probe for _, lanes in simulated for probe in lanes.values()])
+    return [replace(result, analyses={label: next(analyses) for label in lanes})
+            for result, lanes in simulated]
+
+
+def run_experiment(config: ExperimentConfig, seed=None,
+                   resamples: int = 200) -> ExperimentResult:
+    """Simulate and analyse one experiment end to end: :func:`run_campaign` of
+    it alone, on ``seed`` itself."""
+    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    return _run_share([(config, ss, resamples)])[0]
 
 
 def run_campaign(configs, seed=None, resamples: int = 200,
@@ -1485,16 +1566,29 @@ def run_campaign(configs, seed=None, resamples: int = 200,
 
     Experiment ``i`` runs on child ``i`` of ``SeedSequence(seed).spawn(n)``
     (the child itself, spawn key included, so no two experiments share a
-    stream), whether the campaign runs serially or in parallel.
+    stream), whether the campaign runs serially or in parallel.  A share of
+    the experiments runs in three phases: simulate each (sequences,
+    datasets, focus records, and every probe's point and resample
+    statistics, each from its own stream); fit all their lanes, one
+    :func:`_profile_fit` call per law and set of lengths (more past
+    ``_FIT_LANES`` lanes); split the fits
+    back by probe, the failure budget counted per probe and the first
+    experiment's error raised.  Serially the share is the whole campaign;
+    ``parallel`` workers get ``min(parallel, len(configs))`` consecutive
+    shares.  No lane's fit depends on its batch, so the results agree.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     jobs = [(cfg, child, resamples)
             for cfg, child in zip(configs, ss.spawn(len(configs)))]
-    if parallel > 1 and len(jobs) > 1:
+    workers = min(parallel, len(jobs))
+    if workers > 1:
+        size, extra = divmod(len(jobs), workers)
+        cuts = [k * size + min(k, extra) for k in range(workers + 1)]
         from concurrent.futures import ProcessPoolExecutor  # 14-20 ms to import
-        with ProcessPoolExecutor(max_workers=min(parallel, len(jobs))) as pool:
-            return list(pool.map(_run_campaign_job, jobs))
-    return [_run_campaign_job(job) for job in jobs]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            shares = pool.map(_run_share, [jobs[a:b] for a, b in zip(cuts, cuts[1:])])
+            return [result for share in shares for result in share]
+    return _run_share(jobs)
 
 
 def standard_experiments() -> list[ExperimentConfig]:

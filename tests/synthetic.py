@@ -5,6 +5,9 @@ product exactly; the package's closed-form ``rb.decay_coefficients`` must
 match it.  The record-based bootstrap here rebuilds every resample as a
 dataset of the drawn records; the package's per-length fraction-table
 bootstrap must reproduce its per-resample statistics draw for draw.  The
+per-probe analysis here fits each probe's point lanes and its resamples in
+calls of their own; the package fits every lane of a campaign's law in one
+batch and must give every probe the same fits and bootstrap bit for bit.  The
 ``curve_fit`` fits here are a local solver from a guessed start point; the
 package's variable-projection fits must reach an equal or lower weighted
 cost.  The profile fit here solves each law's linear part in residual form
@@ -51,6 +54,7 @@ from scipy.linalg import expm
 from scipy.optimize import OptimizeWarning, brentq, curve_fit
 
 from mcmr import channels, clifford, liouville, micromotion, rb
+from mcmr.errors import FitError
 
 
 def lindblad_vec_oracle(rates: np.ndarray) -> np.ndarray:
@@ -233,8 +237,14 @@ def record_stats(dataset: rb.RBDataset, value) -> tuple:
     return tuple(stats)
 
 
+def resample_stats(dataset: rb.RBDataset, n_resamples: int, rng) -> np.ndarray:
+    """The package's bootstrap statistics of ``dataset``: lanes 1 on of
+    ``rb._lane_stats``, shape ``(4, n_resamples, lengths)``."""
+    return rb._lane_stats(rb._fraction_tables(dataset), n_resamples, rng)[:, 1:]
+
+
 def record_resample_stats(dataset: rb.RBDataset, n_resamples: int, seed) -> np.ndarray:
-    """Record-based bootstrap statistics, stacked as ``rb._resample_stats`` returns them.
+    """Record-based bootstrap statistics, stacked as ``resample_stats`` returns them.
 
     The draws come in the package's order: per block of ``rb._RESAMPLE_BLOCK``
     resamples and per length, one (resamples, sequences) array of picks.
@@ -257,6 +267,58 @@ def record_resample_stats(dataset: rb.RBDataset, n_resamples: int, seed) -> np.n
             lanes.append([[s.mean for s in correct], [s.sem for s in correct],
                           [s.mean for s in dark], [s.sem for s in dark]])
     return np.array(lanes).transpose(1, 0, 2)
+
+
+def per_probe_analysis_oracle(dataset: rb.RBDataset, resamples: int, seed) -> rb.AnalysisResult:
+    """``rb.analyze_dataset`` as it ran before a campaign's lanes were fitted
+    together: the point fits one lane at a time (``rb.fit_standard``,
+    ``rb.fit_leakage``), then the probe's resamples alone, one
+    ``rb._profile_fit`` batch per law, and the bootstrap summary from them."""
+    correct, dark = rb.per_length_stats(dataset)
+    std, leak = rb.fit_standard(correct), rb.fit_leakage(dark)
+    boot = None
+    if resamples:
+        stats = resample_stats(dataset, resamples, np.random.default_rng(seed))
+        lengths = np.array(dataset.lengths, dtype=float)
+        values = {}
+        for law, means, sems in (("standard", *stats[:2]), ("leakage", *stats[2:])):
+            spec = rb._LAWS[law]
+            values.update(zip(spec.params, rb._profile_fit(spec, lengths, means, sems)))
+        values["leakage"], values["seepage"] = (2.0 * values[k] * (1.0 - values["t_minus"])
+                                                for k in ("intercept", "asymptote"))
+        values["epsilon"] = rb.average_error(values["base"], values["leakage"])
+        est = rb.scattering_estimates(values["base"], values["t_minus"])
+        values["scattering_standard"], values["scattering_leakage"] = est.standard, est.leakage
+        ok = np.all([np.isfinite(v) for v in values.values()], axis=0)
+        failures = resamples - int(ok.sum())
+        if failures > rb.BOOTSTRAP_FAILURE_BUDGET * resamples:
+            raise FitError(f"bootstrap unstable: {failures}/{resamples} refits failed")
+        samples = {k: values[k][ok] for k in rb._BOOTSTRAP_FIELDS}
+        boot = rb.BootstrapResult(
+            n_resamples=resamples, failures=failures,
+            sigmas={k: float(a.std(ddof=1)) for k, a in samples.items()}, samples=samples,
+            at_bound={k: int(np.isin(samples[k], bounds).sum())
+                      for k, bounds in rb.PARAMETER_BOUNDS.items()},
+            unidentified=int(np.sum(samples["intercept"] == 0.0)))
+    return rb.AnalysisResult(
+        standard=std, leakage_fit=leak, epsilon=rb.average_error(std.base, leak.leakage),
+        scattering=rb.scattering_estimates(std.base, leak.t_minus), bootstrap=boot,
+        lengths=dataset.lengths, sequences_per_length={s.length: s.n_sequences for s in correct},
+        shots=tuple(sorted({r.shots for r in dataset.records})))
+
+
+def assert_same_analysis(a: rb.AnalysisResult, b: rb.AnalysisResult) -> None:
+    """Equal fits, estimates and bootstraps, every sample bit for bit."""
+    assert (a.standard, a.leakage_fit, a.epsilon, a.scattering) == (
+        b.standard, b.leakage_fit, b.epsilon, b.scattering)
+    assert a.to_dict() == b.to_dict()
+    assert (a.bootstrap is None) == (b.bootstrap is None)
+    if a.bootstrap is not None:
+        for name in ("n_resamples", "failures", "sigmas", "at_bound", "unidentified"):
+            assert getattr(a.bootstrap, name) == getattr(b.bootstrap, name), name
+        assert list(a.bootstrap.samples) == list(b.bootstrap.samples)
+        for name, values in a.bootstrap.samples.items():
+            np.testing.assert_array_equal(values, b.bootstrap.samples[name], strict=True)
 
 
 def _clipped_ratio(num, den, hi: float):

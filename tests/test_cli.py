@@ -633,14 +633,14 @@ def test_fit_optimizer_failure_exits_4(tmp_path, capsys, monkeypatch):
                      "--out", str(bench_out), "--seed", "11",
                      "--resamples", "0"]) == 0
 
-    def explode(dataset):
-        raise FitError("synthetic")
+    def diverge(spec, lengths, means, sems):  # every lane's fit fails
+        return tuple(np.full(len(means), np.nan) for _ in spec.params)
 
-    monkeypatch.setattr(rb, "fit_standard", explode)
+    monkeypatch.setattr(rb, "_profile_fit", diverge)
     rc = cli.main(["fit", "--data", str(bench_out / "measure-dark_probe.csv"),
                    "--out", str(tmp_path / "out")])
     assert rc == 4
-    capsys.readouterr()
+    assert "standard decay fit returned non-finite parameters" in capsys.readouterr().err
 
 
 @st.composite

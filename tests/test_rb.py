@@ -14,13 +14,13 @@ from scipy.optimize import lsq_linear
 
 from mcmr import channels, clifford, liouville, micromotion, rb
 from mcmr.errors import ConfigError, DataFormatError, FitError
-from synthetic import (LINEAR_FIT_ORACLES, assert_cost_within_slack, best_linear_fit,
-                       bisection_profile_fit_oracle, chandrupatla_profile_fit_oracle,
-                       curve_fit_decay, exact_average_survival, focus_oracle,
-                       generate_sequences_oracle, profile_fit_oracle, profile_slope,
-                       random_lambda_channel, record_resample_stats, record_stats,
-                       spam_report_oracle, stacked_coarse_grid_oracle, survival_oracle,
-                       weighted_cost)
+from synthetic import (LINEAR_FIT_ORACLES, assert_cost_within_slack, assert_same_analysis,
+                       best_linear_fit, bisection_profile_fit_oracle,
+                       chandrupatla_profile_fit_oracle, curve_fit_decay, exact_average_survival,
+                       focus_oracle, generate_sequences_oracle, per_probe_analysis_oracle,
+                       profile_fit_oracle, profile_slope, random_lambda_channel,
+                       record_resample_stats, record_stats, resample_stats, spam_report_oracle,
+                       stacked_coarse_grid_oracle, survival_oracle, weighted_cost)
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +592,9 @@ def test_bootstrap_instability_raises(monkeypatch):
     ds = rb.simulate_dataset(seqs, channels.measurement_crosstalk(5e-3),
                              shots=50, seed=40)
     failing = [2]
-    _nan_lanes(monkeypatch, lambda params: np.arange(params[0].size) < failing[0])
+    # lane 0 is the point fit; the refits of the first resamples fail
+    _nan_lanes(monkeypatch, lambda params: np.isin(np.arange(params[0].size),
+                                                   np.arange(1, 1 + failing[0])))
     boot = rb.bootstrap_analysis(ds, n_resamples=20, seed=41)
     assert boot.failures == 2
     assert all(np.all(np.isfinite(v)) and v.size == 18 for v in boot.samples.values())
@@ -641,7 +643,7 @@ def test_bootstrap_matches_record_oracle(case, monkeypatch):
     assert dark == record_stats(ds, lambda r: r.dark_fraction)
     stats = record_resample_stats(ds, 60, seed=66)
     np.testing.assert_array_equal(
-        rb._resample_stats(ds, 60, np.random.default_rng(66)), stats)
+        resample_stats(ds, 60, np.random.default_rng(66)), stats)
     kept = np.ones(60, dtype=bool)
     if case == "failing-refits":
         # the refits with the top 5% of asymptotes fail
@@ -676,7 +678,7 @@ def test_resample_stats_match_record_oracle_at_the_edges(case):
     if case == "single-sequence":
         ds = rb.RBDataset(tuple(r for r in ds.records if r.length != 9 or r.seq_id == 3))
         n_resamples = 20
-    stats = rb._resample_stats(ds, n_resamples, np.random.default_rng(67))
+    stats = resample_stats(ds, n_resamples, np.random.default_rng(67))
     np.testing.assert_array_equal(stats, record_resample_stats(ds, n_resamples, seed=67))
     if case == "single-sequence":
         assert np.all(stats[1::2, :, 1] == 0.0)
@@ -692,7 +694,7 @@ def test_resample_stats_add_no_noise_of_their_own():
     ds = rb.RBDataset(tuple(records))
     n_resamples = 2 * rb._RESAMPLE_BLOCK + 13
     rng, alone = np.random.default_rng(69), np.random.default_rng(69)
-    stats = rb._resample_stats(ds, n_resamples, rng)
+    stats = resample_stats(ds, n_resamples, rng)
     for half, fraction in ((0, "correct_fraction"), (2, "dark_fraction")):
         for k, length in enumerate(ds.lengths):
             a, b = (getattr(r, fraction) for r in ds.by_length()[length])
@@ -727,7 +729,7 @@ def test_bootstrap_counts_unidentified_leakage_refits():
     assert boot.unidentified == int(flat.sum()) > 0
     assert np.all(s["t_minus"][flat] == 1.0)
     # the same resamples, refitted at fixed rates: every rate costs the same
-    stats = rb._resample_stats(ds, 60, np.random.default_rng(66))
+    stats = resample_stats(ds, 60, np.random.default_rng(66))
     lengths = np.array(ds.lengths, dtype=float) + 1.0
     means, w = stats[2][flat], rb._lane_weights(stats[3][flat])
     costs = [best_linear_fit(rb._LAWS["leakage"], np.full((len(means), 1, 1), rate) ** lengths,
@@ -778,7 +780,7 @@ def test_profile_slope_matches_finite_difference(law):
 
 
 def test_profile_fit_lane_equals_one_lane_fit():
-    stats = rb._resample_stats(_oracle_dataset("unequal-shots"), 40,
+    stats = resample_stats(_oracle_dataset("unequal-shots"), 40,
                                np.random.default_rng(5))
     lengths = np.array([2.0, 9.0, 30.0])
     for law, half in (("standard", 0), ("leakage", 2)):
@@ -803,7 +805,7 @@ def test_profile_fit_matches_oracle(case):
     and parameters differ only where the two costs tie to rounding.  No lane
     costs more than the 30-halving bisection oracle's either."""
     ds = _fit_case_dataset(case)
-    stats = rb._resample_stats(ds, 200, np.random.default_rng(68))
+    stats = resample_stats(ds, 200, np.random.default_rng(68))
     if case in ("control", "reset"):
         assert np.sum(np.any(stats[1] == 0.0, axis=-1)) >= 20
     lengths = np.array(ds.lengths, dtype=float)
@@ -828,7 +830,7 @@ def _campaign_fit_lanes(seed: int):
             lengths = np.array(ds.lengths, dtype=float)
             point = [[[getattr(s, f) for s in half] for f in ("mean", "sem")]
                      for half in rb.per_length_stats(ds)]
-            resampled = rb._resample_stats(ds, 200, np.random.default_rng(seed))
+            resampled = resample_stats(ds, 200, np.random.default_rng(seed))
             for k, law in enumerate(("standard", "leakage")):
                 means, sems = (np.concatenate(([point[k][j]], resampled[2 * k + j]))
                                for j in (0, 1))
@@ -876,7 +878,7 @@ def test_profile_fit_matches_chandrupatla_oracle_on_the_campaign(seed):
 @pytest.mark.parametrize("case", FIT_CASES)
 def test_profile_fit_matches_chandrupatla_oracle_on_the_fit_cases(case):
     ds = _fit_case_dataset(case)
-    stats = rb._resample_stats(ds, 200, np.random.default_rng(68))
+    stats = resample_stats(ds, 200, np.random.default_rng(68))
     lengths = np.array(ds.lengths, dtype=float)
     for law, means, sems in (("standard", *stats[:2]), ("leakage", *stats[2:])):
         _assert_matches_chandrupatla_oracle(law, lengths, means, sems, case)
@@ -993,7 +995,7 @@ def test_coarse_grid_matches_stacked_oracle_on_the_campaign(seed):
 @pytest.mark.parametrize("case", FIT_CASES)
 def test_coarse_grid_matches_stacked_oracle_on_the_fit_cases(case):
     ds = _fit_case_dataset(case)
-    stats = rb._resample_stats(ds, 200, np.random.default_rng(68))
+    stats = resample_stats(ds, 200, np.random.default_rng(68))
     lengths = np.array(ds.lengths, dtype=float)
     for law, means, sems in (("standard", *stats[:2]), ("leakage", *stats[2:])):
         _assert_coarse_grid_matches_stacked_oracle(law, lengths, means, sems, (case, law))
@@ -1675,6 +1677,117 @@ def test_run_campaign_caps_workers_at_experiment_count(monkeypatch):
     results = rb.run_campaign(configs, seed=7, resamples=0, parallel=64)
     assert started == [2]
     assert [r.config.name for r in results] == ["exp-a", "exp-b"]
+
+
+def _boot_seeds(configs, seed):
+    """Each probe's bootstrap stream in a campaign, by (experiment, probe)."""
+    out = {}
+    for config, child in zip(configs, np.random.SeedSequence(seed).spawn(len(configs))):
+        probes_ss = child.spawn(3)[2]
+        for label, probe_ss in zip(sorted(config.probes), probes_ss.spawn(len(config.probes))):
+            out[config.name, label] = probe_ss.spawn(2)[1]
+    return out
+
+
+def _assert_same_campaign(a, b):
+    assert [r.config for r in a] == [r.config for r in b]
+    for x, y in zip(a, b):
+        assert list(x.analyses) == list(y.analyses)
+        for label, analysis in x.analyses.items():
+            assert x.datasets[label].records == y.datasets[label].records
+            assert_same_analysis(analysis, y.analyses[label])
+        np.testing.assert_array_equal(x.focus_records, y.focus_records)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_campaign_batch_equals_per_probe_fits(seed):
+    """Fitting every lane of a law in one call gives every probe the point
+    fits, bootstrap samples, failures, ``at_bound`` and ``unidentified`` of
+    fitting its own lanes alone, bit for bit."""
+    configs = rb.standard_experiments()
+    results = rb.run_campaign(configs, seed=seed, resamples=200)
+    boot_seeds = _boot_seeds(configs, seed)
+    for result in results:
+        for label, analysis in result.analyses.items():
+            oracle = per_probe_analysis_oracle(result.datasets[label], 200,
+                                               boot_seeds[result.config.name, label])
+            assert_same_analysis(analysis, oracle)
+
+
+def test_analyze_dataset_equals_per_probe_fits_with_failing_refits(monkeypatch):
+    """The point lane rides in the bootstrap's batch; failed refits are counted
+    as when the resamples were fitted alone."""
+    ds = _oracle_dataset("balanced")
+    _nan_lanes(monkeypatch, lambda params: params[1] > 0.55)
+    oracle = per_probe_analysis_oracle(ds, 60, 66)
+    assert oracle.bootstrap.failures == 5
+    assert_same_analysis(rb.analyze_dataset(ds, resamples=60, seed=66), oracle)
+
+
+def _mixed_campaign():
+    return [small_config("exp-a"), small_config("exp-b", lengths=(3, 6, 20, 40)),
+            small_config("exp-c")]
+
+
+def test_fit_batches_split_at_the_lane_bound(monkeypatch):
+    """No ``_profile_fit`` call fits more than ``_FIT_LANES`` lanes; a campaign
+    whose lanes exceed it is split, with the results of the unsplit run."""
+    configs = _mixed_campaign()
+    real, lanes = rb._profile_fit, []
+
+    def recording(spec, lengths, means, sems):
+        lanes.append(len(means))
+        return real(spec, lengths, means, sems)
+
+    monkeypatch.setattr(rb, "_profile_fit", recording)
+    whole = rb.run_campaign(configs, seed=5, resamples=12)
+    # per law: exp-a and exp-c share lengths (2 x 13 lanes), exp-b has its own
+    assert lanes == [26, 13, 26, 13]
+    lanes.clear()
+    monkeypatch.setattr(rb, "_FIT_LANES", 10)
+    split = rb.run_campaign(configs, seed=5, resamples=12)
+    assert lanes == [10, 10, 6, 10, 3] * 2
+    _assert_same_campaign(whole, split)
+
+
+def test_fit_lane_bound_is_within_one_probe_at_the_resample_limit():
+    from mcmr import cli
+
+    assert 1407 <= rb._FIT_LANES <= cli.MAX_RESAMPLES + 1  # the canonical campaign fits whole
+
+
+def test_run_campaign_serial_equals_parallel_with_the_bootstrap():
+    configs = _mixed_campaign()
+    serial = rb.run_campaign(configs, seed=8, resamples=12, parallel=1)
+    parallel = rb.run_campaign(configs, seed=8, resamples=12, parallel=2)
+    assert all(r.analyses["probe"].bootstrap.n_resamples == 12 for r in serial)
+    _assert_same_campaign(serial, parallel)
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+@pytest.mark.parametrize("failing, message", [
+    ({"exp-b": (2, [0]), "exp-c": (0, [0])}, "leakage decay fit returned non-finite"),
+    ({"exp-b": (2, [1, 2, 3]), "exp-c": (0, [0])}, "bootstrap unstable: 3/12 refits failed"),
+])
+def test_run_campaign_raises_the_first_experiments_fit_error(monkeypatch, parallel,
+                                                             failing, message):
+    """With non-finite lanes in two experiments, the first one's error is
+    raised, serially and in parallel (where the two run in different shares)."""
+    configs = _mixed_campaign()
+    datasets = {r.config.name: r.datasets["probe"].records
+                for r in rb.run_campaign(configs, seed=9, resamples=0)}
+    real = rb._dataset_lanes
+
+    def poisoned(dataset, resamples, seed, ls_ratio=1.0):
+        probe = real(dataset, resamples, seed, ls_ratio)
+        for name, (row, lanes) in failing.items():
+            if dataset.records == datasets[name]:
+                probe.stats[row, lanes] = np.nan  # a mean of the law's lanes
+        return probe
+
+    monkeypatch.setattr(rb, "_dataset_lanes", poisoned)
+    with pytest.raises(FitError, match=message):
+        rb.run_campaign(configs, seed=9, resamples=12, parallel=parallel)
 
 
 def test_standard_experiments_cover_the_canonical_set():
