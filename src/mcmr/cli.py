@@ -39,6 +39,8 @@ MAX_RESAMPLES = 100_000
 MAX_SCAN_POINTS = 1_000_000
 #: most sample times a depump run may ask for
 MAX_DEPUMP_POINTS = 100_000
+#: most processes, the calling one included, a campaign may run at once
+MAX_PARALLEL = 64
 #: longest file name, in bytes, that common file systems accept
 NAME_MAX = 255
 
@@ -64,7 +66,7 @@ _FLAG_LIMITS = {
     "points": (lambda v: 2 <= v <= MAX_SCAN_POINTS, f"from 2 to {MAX_SCAN_POINTS}"),
     "max_index": (lambda v: 0 < v <= micromotion.MAX_MODULATION_INDEX,
                   f"positive and at most {micromotion.MAX_MODULATION_INDEX:g}"),
-    "parallel": (lambda v: v >= 1, "at least 1"),
+    "parallel": (lambda v: 1 <= v <= MAX_PARALLEL, f"from 1 to {MAX_PARALLEL}"),
 }
 
 
@@ -317,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--resamples", type=int, default=DEFAULT_RESAMPLES)
     bench.add_argument("--parallel", type=int, default=1,
-                       help="worker processes for experiments")
+                       help="processes for the experiments, this one included; "
+                            f"at most the experiment count and {MAX_PARALLEL}")
 
     fit = sub.add_parser("fit", help="re-analyse an existing dataset CSV")
     fit.add_argument("--data", required=True, help="dataset CSV")

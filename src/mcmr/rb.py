@@ -1552,6 +1552,14 @@ def _run_share(jobs) -> list[ExperimentResult]:
             for result, lanes in simulated]
 
 
+def _share_child(jobs, send) -> None:
+    """A child process's share: sends ``(True, results)`` or ``(False, error)``."""
+    try:
+        send.send((True, _run_share(jobs)))
+    except Exception as exc:  # raised again by run_campaign, in the caller
+        send.send((False, exc))
+
+
 def run_experiment(config: ExperimentConfig, seed=None,
                    resamples: int = 200) -> ExperimentResult:
     """Simulate and analyse one experiment end to end: :func:`run_campaign` of
@@ -1566,29 +1574,53 @@ def run_campaign(configs, seed=None, resamples: int = 200,
 
     Experiment ``i`` runs on child ``i`` of ``SeedSequence(seed).spawn(n)``
     (the child itself, spawn key included, so no two experiments share a
-    stream), whether the campaign runs serially or in parallel.  A share of
-    the experiments runs in three phases: simulate each (sequences,
-    datasets, focus records, and every probe's point and resample
-    statistics, each from its own stream); fit all their lanes, one
-    :func:`_profile_fit` call per law and set of lengths (more past
-    ``_FIT_LANES`` lanes); split the fits
-    back by probe, the failure budget counted per probe and the first
-    experiment's error raised.  Serially the share is the whole campaign;
-    ``parallel`` workers get ``min(parallel, len(configs))`` consecutive
-    shares.  No lane's fit depends on its batch, so the results agree.
+    stream), whether the campaign runs serially or in parallel.  A share of the
+    experiments runs in three phases: simulate each (sequences, datasets, focus
+    records, and every probe's point and resample statistics, each from its own
+    stream); fit all their lanes, one :func:`_profile_fit` call per law and set
+    of lengths (more past ``_FIT_LANES`` lanes); split the fits back by probe,
+    the failure budget counted per probe and the first experiment's error
+    raised.  Serially the share is the whole campaign; else this process runs
+    the first of ``min(parallel, len(configs))`` consecutive shares, and one
+    child process per other share pipes back its results or error, read in
+    share order.  Every child is joined before this returns or raises.  No
+    lane's fit depends on its batch, so the results agree.
     """
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     jobs = [(cfg, child, resamples)
             for cfg, child in zip(configs, ss.spawn(len(configs)))]
     workers = min(parallel, len(jobs))
-    if workers > 1:
-        size, extra = divmod(len(jobs), workers)
-        cuts = [k * size + min(k, extra) for k in range(workers + 1)]
-        from concurrent.futures import ProcessPoolExecutor  # 14-20 ms to import
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            shares = pool.map(_run_share, [jobs[a:b] for a, b in zip(cuts, cuts[1:])])
-            return [result for share in shares for result in share]
-    return _run_share(jobs)
+    if workers <= 1:
+        return _run_share(jobs)
+    size, extra = divmod(len(jobs), workers)
+    cuts = [k * size + min(k, extra) for k in range(workers + 1)]
+    import multiprocessing  # only a parallel campaign loads it
+    children = []
+    try:
+        for a, b in zip(cuts[1:], cuts[2:]):
+            receive, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_share_child, args=(jobs[a:b], send))
+            child.start()
+            children.append((child, receive))
+            send.close()  # the child holds the only write end: EOF once it exits
+        results = _run_share(jobs[:cuts[1]])
+        for k, (child, receive) in enumerate(children, 2):
+            try:
+                ok, reply = receive.recv()
+            except EOFError:
+                raise RuntimeError(f"campaign share {k} ended without a reply") from None
+            if not ok:
+                raise reply
+            results += reply
+        return results
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
 
 
 def standard_experiments() -> list[ExperimentConfig]:

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import mcmr
 from mcmr import cli, micromotion, rb
-from mcmr.errors import FitError
+from mcmr.errors import ConfigError, FitError
 from synthetic import write_depump_csv_oracle, write_scan_csv_oracle
 
 TRAP_CONFIG = {
@@ -344,11 +345,35 @@ def test_benchmark_bad_campaign_exits_2(tmp_path, capsys):
 
     config_path = small_campaign(tmp_path)
     for flags in (["--resamples", "1"], ["--resamples", "-3"],
-                  ["--seed", "-1"], ["--parallel", "0"], ["--parallel", "-3"]):
+                  ["--seed", "-1"], ["--parallel", "0"], ["--parallel", "-3"],
+                  ["--parallel", "65"]):
         rc = cli.main(["benchmark", "--config", config_path,
                        "--out", str(tmp_path / "out"), *flags])
         assert rc == 2, flags
         assert_one_error_line(capsys)
+
+
+@pytest.mark.parametrize("error, code", [(ConfigError, 2), (FitError, 4)])
+def test_benchmark_error_in_a_child_process_keeps_its_exit_code(tmp_path, capsys,
+                                                                monkeypatch, error, code):
+    """``exp-b`` runs in the child process of ``--parallel 2``; its error ends
+    the run as it would serially, and no child outlives it."""
+    real = rb._simulate
+
+    def simulate(config, ss, resamples):
+        if config.name == "exp-b":
+            raise error(f"exp-b failed in process {os.getpid()}")
+        return real(config, ss, resamples)
+
+    monkeypatch.setattr(rb, "_simulate", simulate)
+    config_path = small_campaign(tmp_path, names=("exp-a", "exp-b"))
+    rc = cli.main(["benchmark", "--config", config_path, "--out", str(tmp_path / "out"),
+                   "--resamples", "0", "--parallel", "2"])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: exp-b failed in process ") and err.count("\n") == 1, err
+    assert f" {os.getpid()}\n" not in err
+    assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("overrides", [

@@ -1,9 +1,12 @@
 """Tests for sequence generation, exact survival laws, fits and campaigns."""
 
-import concurrent.futures
 import dataclasses
 import itertools
 import math
+import multiprocessing
+import os
+import signal
+import time
 import tracemalloc
 
 import numpy as np
@@ -1655,28 +1658,32 @@ def test_run_campaign_gives_each_experiment_its_own_stream():
         np.testing.assert_array_equal(alone.focus_records, result.focus_records)
 
 
-def test_run_campaign_caps_workers_at_experiment_count(monkeypatch):
-    """A pool never starts more workers than there are experiments."""
+@pytest.fixture
+def started(monkeypatch):
+    """The child processes a test starts, in start order."""
     started = []
 
-    class RecordingPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    class RecordingProcess(multiprocessing.Process):
+        def start(self):
+            started.append(self)
+            super().start()
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(multiprocessing, "Process", RecordingProcess)
+    return started
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+def test_run_campaign_caps_workers_at_experiment_count(started):
+    """A campaign never runs in more processes than it has experiments: the
+    calling process runs the first share, one child process each other one,
+    and a serial campaign starts none."""
     configs = [small_config("exp-a"), small_config("exp-b")]
     results = rb.run_campaign(configs, seed=7, resamples=0, parallel=64)
-    assert started == [2]
+    assert len(started) == 1
     assert [r.config.name for r in results] == ["exp-a", "exp-b"]
+    started.clear()
+    assert len(rb.run_campaign(configs, seed=7, resamples=0, parallel=1)) == 2
+    assert started == []
+    assert not multiprocessing.active_children()
 
 
 def _boot_seeds(configs, seed):
@@ -1756,10 +1763,11 @@ def test_fit_lane_bound_is_within_one_probe_at_the_resample_limit():
     assert 1407 <= rb._FIT_LANES <= cli.MAX_RESAMPLES + 1  # the canonical campaign fits whole
 
 
-def test_run_campaign_serial_equals_parallel_with_the_bootstrap():
+@pytest.mark.parametrize("processes", [2, 3])
+def test_run_campaign_serial_equals_parallel_with_the_bootstrap(processes):
     configs = _mixed_campaign()
     serial = rb.run_campaign(configs, seed=8, resamples=12, parallel=1)
-    parallel = rb.run_campaign(configs, seed=8, resamples=12, parallel=2)
+    parallel = rb.run_campaign(configs, seed=8, resamples=12, parallel=processes)
     assert all(r.analyses["probe"].bootstrap.n_resamples == 12 for r in serial)
     _assert_same_campaign(serial, parallel)
 
@@ -1788,6 +1796,78 @@ def test_run_campaign_raises_the_first_experiments_fit_error(monkeypatch, parall
     monkeypatch.setattr(rb, "_dataset_lanes", poisoned)
     with pytest.raises(FitError, match=message):
         rb.run_campaign(configs, seed=9, resamples=12, parallel=parallel)
+
+
+def _failing_simulate(monkeypatch, failing):
+    """Make ``rb._simulate`` raise ``failing[name]`` for the experiments named
+    there, with a message that names the process it ran in."""
+    real = rb._simulate
+
+    def simulate(config, ss, resamples):
+        if config.name in failing:
+            raise failing[config.name](f"{config.name} failed in process {os.getpid()}")
+        return real(config, ss, resamples)
+
+    monkeypatch.setattr(rb, "_simulate", simulate)
+
+
+@pytest.mark.parametrize("error", [ConfigError, FitError])
+def test_run_campaign_raises_a_child_share_error_as_it_was_raised(monkeypatch, started,
+                                                                  error):
+    """An error in a child process's share (``exp-c``) reaches the caller with
+    its type and message, and no child outlives the campaign."""
+    _failing_simulate(monkeypatch, {"exp-c": error})
+    with pytest.raises(error) as raised:
+        rb.run_campaign(_mixed_campaign(), seed=9, resamples=0, parallel=2)
+    assert type(raised.value) is error
+    assert str(raised.value) == f"exp-c failed in process {started[0].pid}"
+    assert started[0].pid != os.getpid()
+    assert not multiprocessing.active_children()
+
+
+def test_run_campaign_raises_the_first_shares_error_when_both_fail(monkeypatch, started):
+    _failing_simulate(monkeypatch, {"exp-a": ConfigError, "exp-c": FitError})
+    with pytest.raises(ConfigError, match=f"exp-a failed in process {os.getpid()}$"):
+        rb.run_campaign(_mixed_campaign(), seed=9, resamples=0, parallel=2)
+    assert len(started) == 1
+    assert not multiprocessing.active_children()
+
+
+def test_run_campaign_reports_a_child_that_exits_without_a_reply(monkeypatch, started):
+    parent, real = os.getpid(), rb._run_share
+
+    def run_share(jobs):
+        if os.getpid() != parent:
+            os._exit(3)
+        return real(jobs)
+
+    monkeypatch.setattr(rb, "_run_share", run_share)
+    with pytest.raises(RuntimeError, match="campaign share 2 ended without a reply"):
+        rb.run_campaign(_mixed_campaign(), seed=9, resamples=0, parallel=2)
+    assert started[0].exitcode == 3
+    assert not multiprocessing.active_children()
+
+
+def test_run_campaign_terminates_the_children_when_its_own_share_fails(monkeypatch,
+                                                                      started):
+    """The calling process's share raises while the children still run: they
+    are terminated and joined before the error propagates."""
+    parent, real = os.getpid(), rb._run_share
+
+    def run_share(jobs):
+        if os.getpid() != parent:
+            time.sleep(60)
+        elif jobs[0][0].name == "exp-a":
+            raise FitError("the first share failed")
+        return real(jobs)
+
+    monkeypatch.setattr(rb, "_run_share", run_share)
+    began = time.perf_counter()
+    with pytest.raises(FitError, match="the first share failed"):
+        rb.run_campaign(_mixed_campaign(), seed=9, resamples=0, parallel=3)
+    assert time.perf_counter() - began < 30
+    assert [child.exitcode for child in started] == [-signal.SIGTERM] * 2
+    assert not multiprocessing.active_children()
 
 
 def test_standard_experiments_cover_the_canonical_set():
