@@ -13,6 +13,7 @@ Subpackages by theme:
   windows, the Clifford twirl and its structure validation,
 * :mod:`mcmr.rb` — randomized-benchmarking sequences, exact survival,
   decay fits, bootstrap, focus-ion SPAM simulation and campaign running,
+* :mod:`mcmr.varpro` — the bounded decay-law fit that rb and micromotion share,
 * :mod:`mcmr.config` — the field-driven parsing every JSON config shares,
 * :mod:`mcmr.cli` — the ``mcmr`` command (not imported by the package).
 """

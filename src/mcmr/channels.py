@@ -57,7 +57,7 @@ TWIRL_MATCH_TOL = 1e-10
 #: largest jump rate per window a channel is built for (about where the
 #: ``scipy.linalg.expm`` of earlier versions stopped being finite)
 MAX_JUMP_RATE = 1e38
-#: Taylor coefficients ``1/k!`` of :func:`_expm` in two blocks of eight, and
+#: Taylor coefficients ``1/k!`` of :func:`expm` in two blocks of eight, and
 #: the norms up to which one or both sum exp to rounding (remainder <= 2**-53)
 _TAYLOR_BLOCKS = np.array([1.0 / math.factorial(k) for k in range(16)]).reshape(2, 8)
 _TAYLOR_REACH = (0.038, 0.682)
@@ -127,7 +127,7 @@ def _identity(n: int) -> np.ndarray:
     return eye
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
+def expm(a: np.ndarray) -> np.ndarray:
     """``exp`` of a matrix or of each matrix of a stack ``(..., n, n)``.
 
     Scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3, 2003): halve
@@ -222,7 +222,7 @@ def rate_scattering_channel(rates: np.ndarray) -> LeakageChannel:
     # |a><b| sits at column-stacked index a + 4 b, its population |a><a| at 5 a
     mvec = np.diag(np.exp(-(totals[:, None] + totals[None, :]) / 2.0).ravel(order="F"))
     populations = np.arange(N_LEVELS) * (N_LEVELS + 1)
-    mvec[np.ix_(populations, populations)] = _expm(rate_generator(r))
+    mvec[np.ix_(populations, populations)] = expm(rate_generator(r))
     return LeakageChannel(liouville.vec_to_basis_superop(mvec))
 
 

@@ -87,8 +87,8 @@ def _write_scan_csv(path, config, nulls, displacements, indices, suppression) ->
                        f"# {name}_null_displacement_m="
                        f"{micromotion.displacement_for_index(config, index):.17g}\n"
                        for name, index in zip(("first", "second"), nulls))
-    rb._write_csv(path, ("displacement_m", "modulation_index", "suppression"),
-                  "%.17g,%.17g,%.17g\r\n", (displacements, indices, suppression), comments)
+    rb.write_csv(path, ("displacement_m", "modulation_index", "suppression"),
+                 "%.17g,%.17g,%.17g\r\n", (displacements, indices, suppression), comments)
 
 
 def _cmd_scan(args) -> int:
@@ -161,8 +161,8 @@ class DepumpConfig(Config):
 
 
 def _write_depump_csv(path, times, shots: int, counts, fractions) -> None:
-    rb._write_csv(path, ("time_s", "shots", "dark_counts", "dark_fraction"),
-                  f"%.17g,{shots},%d,%.17g\r\n", (times, counts, fractions))
+    rb.write_csv(path, ("time_s", "shots", "dark_counts", "dark_fraction"),
+                 f"%.17g,{shots},%d,%.17g\r\n", (times, counts, fractions))
 
 
 def _cmd_depump(args) -> int:
@@ -208,7 +208,7 @@ def _write_decay_csv(path, analysis: rb.AnalysisResult) -> None:
              d.mean, d.sem, rb.leakage_decay(d.length, leak.intercept, leak.asymptote,
                                              leak.t_minus))
             for s, d in zip(std.per_length, leak.per_length)]
-    rb._write_csv(path, DECAY_HEADER, "%d" + ",%.17g" * 6 + "\r\n", list(zip(*rows)))
+    rb.write_csv(path, DECAY_HEADER, "%d" + ",%.17g" * 6 + "\r\n", list(zip(*rows)))
 
 
 def _benchmark_files(configs, out) -> dict:

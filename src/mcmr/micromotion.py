@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rb
-from .channels import _expm, rate_generator
+from . import varpro
+from .channels import expm, rate_generator
 from .config import Config, checked, load_json
 from .errors import ConfigError, DataFormatError, FitError
 
@@ -273,7 +273,7 @@ class RateModel:
         ts = np.atleast_1d(np.asarray(times, dtype=float))
         if not np.all(np.isfinite(ts)):
             raise ValueError("times must be finite")
-        out = _expm(self.generator() * ts[:, None, None]) @ p0
+        out = expm(self.generator() * ts[:, None, None]) @ p0
         return out[0] if scalar else out
 
 
@@ -306,16 +306,15 @@ def _depump_sigma(fractions: np.ndarray, shots: np.ndarray) -> np.ndarray:
     return np.sqrt(smoothed * (1.0 - smoothed) / shots)
 
 
-#: the depump curve, pinned or free, as a law of :func:`mcmr.rb._profile_fit`:
+#: the depump curve, pinned or free, as a law of :func:`mcmr.varpro.profile_fit`:
 #: ``rate = exp(-3 gamma t_unit)``, t_unit the first positive time; the rate
 #: stays 1e-9 short of 1, so gamma stays positive (as ``curve_fit`` kept it).
 #: The amplitude fits ``y`` on ``z = 1 - x``, ``x = rate**t``
-#: (:func:`mcmr.rb._scale_fit`), in [0, 1] or pinned at 2/3 by the default
+#: (:func:`mcmr.varpro.scale_fit`), in [0, 1] or pinned at 2/3 by the default
 #: argument
-_DEPUMP_LAWS = {free: rb._Law(
-    _depump, lambda x: rb._scale_terms(1.0 - x),
-    rb._scale_lanes,
-    lambda terms, lanes, scale=None if free else BRIGHT_ASYMPTOTE: rb._scale_fit(
+_DEPUMP_LAWS = {free: varpro.Law(
+    _depump, lambda x: varpro.scale_terms(1.0 - x), varpro.scale_lanes,
+    lambda terms, lanes, scale=None if free else BRIGHT_ASYMPTOTE: varpro.scale_fit(
         terms, lanes, 1.0, scale),
     0.0, ("amplitude", "rate"), sign=-1.0, ceiling=math.exp(-1e-9)) for free in (False, True)}
 
@@ -333,7 +332,7 @@ def fit_depump(times, dark_fractions, shots=None,
     free_amplitude : bool
         Fit the asymptote too (in [0, 1]) instead of pinning it at 2/3.
 
-    The benchmarking laws' variable projection (:func:`mcmr.rb._profile_fit`)
+    The benchmarking laws' variable projection (:func:`mcmr.varpro.profile_fit`)
     fits; sigmas come from ``(J^T W J)^-1``, scaled by the reduced chi-square
     without ``shots``.  Each fitted parameter needs its own distinct
     positive time (a time-0 point constrains neither), else
@@ -367,8 +366,8 @@ def fit_depump(times, dark_fractions, shots=None,
 
     law = _DEPUMP_LAWS[free_amplitude]
     t_unit = float(t[t > 0].min())
-    amp, rate = (float(p[0]) for p in rb._profile_fit(law, t / t_unit, f[None], sigma[None]))
-    if not (rb._RATE_FLOOR < rate < law.ceiling or rate == law.ceiling and n_times > n_params):
+    amp, rate = (float(p[0]) for p in varpro.profile_fit(law, t / t_unit, f[None], sigma[None]))
+    if not (varpro.RATE_FLOOR < rate < law.ceiling or rate == law.ceiling and n_times > n_params):
         raise FitError(f"depump fit is unconstrained: exp(-3 gamma t) sits on an end "
                        f"of its range, {rate:.9g} at the first positive time {t_unit:.3g} s")
     gamma = -math.log(rate) / (3.0 * t_unit)

@@ -53,7 +53,7 @@ from scipy import special
 from scipy.linalg import expm
 from scipy.optimize import OptimizeWarning, brentq, curve_fit
 
-from mcmr import channels, clifford, liouville, micromotion, rb
+from mcmr import channels, clifford, liouville, micromotion, rb, varpro
 from mcmr.errors import FitError
 
 
@@ -273,7 +273,7 @@ def per_probe_analysis_oracle(dataset: rb.RBDataset, resamples: int, seed) -> rb
     """``rb.analyze_dataset`` as it ran before a campaign's lanes were fitted
     together: the point fits one lane at a time (``rb.fit_standard``,
     ``rb.fit_leakage``), then the probe's resamples alone, one
-    ``rb._profile_fit`` batch per law, and the bootstrap summary from them."""
+    ``varpro.profile_fit`` batch per law, and the bootstrap summary from them."""
     correct, dark = rb.per_length_stats(dataset)
     std, leak = rb.fit_standard(correct), rb.fit_leakage(dark)
     boot = None
@@ -283,7 +283,7 @@ def per_probe_analysis_oracle(dataset: rb.RBDataset, resamples: int, seed) -> rb
         values = {}
         for law, means, sems in (("standard", *stats[:2]), ("leakage", *stats[2:])):
             spec = rb._LAWS[law]
-            values.update(zip(spec.params, rb._profile_fit(spec, lengths, means, sems)))
+            values.update(zip(spec.params, varpro.profile_fit(spec, lengths, means, sems)))
         values["leakage"], values["seepage"] = (2.0 * values[k] * (1.0 - values["t_minus"])
                                                 for k in ("intercept", "asymptote"))
         values["epsilon"] = rb.average_error(values["base"], values["leakage"])
@@ -386,7 +386,7 @@ _ZOOM_STEPS = 14
 def profile_fit_oracle(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]:
     """Bounded weighted least squares of one decay law on every lane at once.
 
-    An earlier ``rb._profile_fit``, kept as the oracle of the current one:
+    An earlier ``varpro.profile_fit``, kept as the oracle of the current one:
     it solves the linear parameters in residual form (``LINEAR_FIT_ORACLES``)
     and scores the coarse grid that way, one (lanes, points, lengths) array
     per block of ``GRID_LANES`` lanes, where the package works from each
@@ -404,12 +404,12 @@ def profile_fit_oracle(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]
     law's parameters, rate last, as (lanes,) arrays.  A lane with
     non-finite statistics gets non-finite parameters.
     """
-    w = rb._lane_weights(sems)
+    w = varpro._lane_weights(sems)
     linear_fit = LINEAR_FIT_ORACLES[law]
     exponents = lengths + rb._LAWS[law].exponent_offset
 
     def profile(exponent, y, w):
-        rate = np.clip(np.exp(-exponent), rb._RATE_FLOOR, 1.0)
+        rate = np.clip(np.exp(-exponent), varpro.RATE_FLOOR, 1.0)
         cost, params = linear_fit(rate[..., None] ** exponents, y, w)
         return cost, (*params, rate)
 
@@ -418,18 +418,18 @@ def profile_fit_oracle(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]
         return np.argmin(cost, axis=-1)
 
     n = len(means)
-    coarse = np.concatenate([best_of(rb._GRID, slice(i, i + GRID_LANES))
+    coarse = np.concatenate([best_of(varpro._GRID, slice(i, i + GRID_LANES))
                              for i in range(0, n, GRID_LANES)])
-    lo = rb._GRID[np.maximum(coarse - 1, 0)]
-    hi = rb._GRID[np.minimum(coarse + 1, rb._GRID.size - 1)]
+    lo = varpro._GRID[np.maximum(coarse - 1, 0)]
+    hi = varpro._GRID[np.minimum(coarse + 1, varpro._GRID.size - 1)]
     lanes = np.arange(n)
     for _ in range(_ZOOM_STEPS):
         points = lo[:, None] + (hi - lo)[:, None] * _ZOOM
         best = best_of(points)
         lo = points[lanes, np.maximum(best - 1, 0)]
         hi = points[lanes, np.minimum(best + 1, _ZOOM.size - 1)]
-    tried = np.stack([np.full(n, rb._GRID[0]), np.full(n, rb._GRID[-1]), rb._GRID[coarse],
-                      points[lanes, best]])
+    tried = np.stack([np.full(n, varpro._GRID[0]), np.full(n, varpro._GRID[-1]),
+                      varpro._GRID[coarse], points[lanes, best]])
     cost, params = profile(tried, means, w)
     pick = np.argmin(cost, axis=0)
     return tuple(np.choose(pick, p) for p in params)
@@ -440,10 +440,10 @@ def profile_fit_oracle(law: str, lengths, means, sems) -> tuple[np.ndarray, ...]
 BISECTIONS = 30
 
 
-def best_linear_fit(spec: rb._Law, x, y, w):
+def best_linear_fit(spec: varpro.Law, x, y, w):
     """``spec.linear_fit`` of ``x = rate**e`` reduced to its fit: the first
     cheapest candidate's (lanes, points) cost and linear parameters."""
-    cost, params = rb._stacked(spec.linear_fit(spec.terms(x), spec.lanes(y, w)))
+    cost, params = varpro._stacked(spec.linear_fit(spec.terms(x), spec.lanes(y, w)))
     k = np.argmin(cost, axis=0)
     return np.choose(k, cost), tuple(np.choose(k, p) for p in params)
 
@@ -454,45 +454,45 @@ GRID_LANES = 16
 GRID_BLOCK = 1 << 20
 
 
-def stacked_coarse_grid_oracle(spec: rb._Law, exponents, means, w) -> np.ndarray:
-    """``rb._coarse_grid`` as it was before it scored candidates one at a
+def stacked_coarse_grid_oracle(spec: varpro.Law, exponents, means, w) -> np.ndarray:
+    """``varpro._coarse_grid`` as it was before it scored candidates one at a
     time: every block of ``GRID_LANES`` lanes forms the (K, lanes, points)
     cost stack of the law's candidates at every rate, ``x = rate**e`` and its
     rate-only terms again per block, and keeps each point's cheapest cost.
     The package must pick the same point on every lane."""
     step = max(1, GRID_BLOCK // exponents.size)
-    rates = [np.clip(np.exp(-rb._GRID[j:j + step]), rb._RATE_FLOOR, spec.ceiling)[:, None]
-             for j in range(0, rb._GRID.size, step)]
+    rates = [np.clip(np.exp(-varpro._GRID[j:j + step]), varpro.RATE_FLOOR, spec.ceiling)[:, None]
+             for j in range(0, varpro._GRID.size, step)]
     return np.concatenate([np.argmin(np.concatenate([
-        rb._stacked(spec.linear_fit(spec.terms(r ** exponents), spec.lanes(
+        varpro._stacked(spec.linear_fit(spec.terms(r ** exponents), spec.lanes(
             means[i:i + GRID_LANES], w[i:i + GRID_LANES])))[0].min(0)
         for r in rates], axis=-1), axis=-1) for i in range(0, len(means), GRID_LANES)])
 
 
-def profile_slope(spec: rb._Law, lengths, means, w, params) -> np.ndarray:
-    """``rb._profile_slope`` at ``params``: the linear parameters, then the rate."""
+def profile_slope(spec: varpro.Law, lengths, means, w, params) -> np.ndarray:
+    """``varpro._profile_slope`` at ``params``: the linear parameters, then the rate."""
     *linear, rate = params
     exponents = lengths + spec.exponent_offset
-    return rb._profile_slope(spec, exponents, rate[..., None] ** exponents, means, w, linear)
+    return varpro._profile_slope(spec, exponents, rate[..., None] ** exponents, means, w, linear)
 
 
-def law_value(spec: rb._Law, lengths, params):
+def law_value(spec: varpro.Law, lengths, params):
     """The law at ``lengths`` (last axis) for ``params``, the rate last, each
     with a trailing axis."""
     *linear, rate = params
     return spec.model(rate ** (lengths + spec.exponent_offset), *linear)
 
 
-def bisection_profile_fit_oracle(spec: rb._Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
-    """``rb._profile_fit`` as it was before its interpolating root search:
+def bisection_profile_fit_oracle(spec: varpro.Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
+    """``varpro.profile_fit`` as it was before its interpolating root search:
     the coarse grid's bracket halved ``BISECTIONS`` times on the sign of the
     profiled cost's slope, one midpoint per lane and step, then the same
     final pick.  The package must reach no higher cost on any lane."""
-    w = rb._lane_weights(sems)
+    w = varpro._lane_weights(sems)
     exponents = lengths + spec.exponent_offset
 
     def clipped(exponent):
-        return np.clip(np.exp(-exponent), rb._RATE_FLOOR, spec.ceiling)
+        return np.clip(np.exp(-exponent), varpro.RATE_FLOOR, spec.ceiling)
 
     def solve(exponent):
         rate = clipped(exponent)
@@ -500,45 +500,46 @@ def bisection_profile_fit_oracle(spec: rb._Law, lengths, means, sems) -> tuple[n
 
     n = len(means)
     coarse = stacked_coarse_grid_oracle(spec, exponents, means, w)
-    lo = rb._GRID[np.maximum(coarse - 1, 0)]
-    hi = rb._GRID[np.minimum(coarse + 1, rb._GRID.size - 1)]
+    lo = varpro._GRID[np.maximum(coarse - 1, 0)]
+    hi = varpro._GRID[np.minimum(coarse + 1, varpro._GRID.size - 1)]
     for _ in range(BISECTIONS):
         mid = 0.5 * (lo + hi)
         params = [p[:, 0] for p in solve(mid[:, None])]
         rising = profile_slope(spec, lengths, means, w, params) > 0
         lo, hi = np.where(rising, lo, mid), np.where(rising, mid, hi)
-    tried = np.stack([np.full(n, rb._GRID[0]), np.full(n, rb._GRID[-1]), rb._GRID[coarse],
-                      0.5 * (lo + hi)], axis=-1)
+    tried = np.stack([np.full(n, varpro._GRID[0]), np.full(n, varpro._GRID[-1]),
+                      varpro._GRID[coarse], 0.5 * (lo + hi)], axis=-1)
     params = solve(tried)
     r = means[:, None] - law_value(spec, lengths, [p[..., None] for p in params])
     pick = np.argmin((w[:, None] * r * r).sum(-1), axis=-1)[:, None]
     return tuple(np.take_along_axis(p, pick, -1)[:, 0] for p in params)
 
 
-def chandrupatla_profile_fit_oracle(spec: rb._Law, lengths, means, sems) -> tuple[np.ndarray, ...]:
-    """``rb._profile_fit`` as it was before it tracked the box's active set:
+def chandrupatla_profile_fit_oracle(spec: varpro.Law, lengths, means,
+                                    sems) -> tuple[np.ndarray, ...]:
+    """``varpro.profile_fit`` as it was before it tracked the box's active set:
     the same coarse grid, Chandrupatla step, safeguards, stopping rule and
     final pick, but every step interpolates on the profiled slope, also
     through values taken from different faces of the box (leakage lanes
     whose root sits where the winning candidate changes halve about 30
     times).  Standard and depump fits, one candidate each, must equal it
     bit for bit; no leakage lane may cost more."""
-    w = rb._lane_weights(sems)
+    w = varpro._lane_weights(sems)
     exponents = lengths + spec.exponent_offset
 
     def solve(exponent, y, wy):  # (lanes, points) -> parameters, rate last, each (lanes, points)
-        rate = np.clip(np.exp(-exponent), rb._RATE_FLOOR, spec.ceiling)
+        rate = np.clip(np.exp(-exponent), varpro.RATE_FLOOR, spec.ceiling)
         return (*best_linear_fit(spec, rate[..., None] ** exponents, y, wy)[1], rate)
 
     n, coarse = len(means), stacked_coarse_grid_oracle(spec, exponents, means, w)
-    lo = rb._GRID[np.maximum(coarse - 1, 0)]
-    hi = rb._GRID[np.minimum(coarse + 1, rb._GRID.size - 1)]
+    lo = varpro._GRID[np.maximum(coarse - 1, 0)]
+    hi = varpro._GRID[np.minimum(coarse + 1, varpro._GRID.size - 1)]
 
     def slope(x, y, wy):  # (lanes, points) -> (lanes, points)
         return profile_slope(spec, lengths, y[:, None], wy[:, None], solve(x, y, wy))
 
     f_lo, f_hi = slope(np.stack((lo, hi), axis=-1), means, w).T
-    root = rb._GRID[coarse]
+    root = varpro._GRID[coarse]
     run = np.flatnonzero((f_lo <= 0) & (f_hi > 0))
     # [x1, x2] is the bracket, x1 its newest point, x3 the point dropped last
     x1, x2, f1, f2, y, wy = lo[run], hi[run], f_lo[run], f_hi[run], means[run], w[run]
@@ -552,7 +553,7 @@ def chandrupatla_profile_fit_oracle(spec: rb._Law, lengths, means, sems) -> tupl
         width = np.abs(x2 - x1)
         best = np.where(np.abs(f1) < np.abs(f2), x1, x2)
         with np.errstate(all="ignore"):  # a non-finite step halves
-            tlim = rb._XRTOL * (np.abs(best) + rb._GRID[1]) / width
+            tlim = varpro._XRTOL * (np.abs(best) + varpro._GRID[1]) / width
             xi, phi = (x1 - x2) / (x3 - x2), (f1 - f2) / (f3 - f2)
             t = f1 / (f3 - f2) * (f3 / (f1 - f2) + (x3 - x1) / (x2 - x1) * f2 / (f3 - f1))
             fits = ((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi) & np.isfinite(t)
@@ -564,8 +565,8 @@ def chandrupatla_profile_fit_oracle(spec: rb._Law, lengths, means, sems) -> tupl
             root[run[done]] = best[done]
             run, x1, x2, f1, f2, t, older, old, y, wy = (
                 a[~done] for a in (run, x1, x2, f1, f2, t, older, old, y, wy))
-    tried = np.stack([np.full(n, rb._GRID[0]), np.full(n, rb._GRID[-1]), rb._GRID[coarse],
-                      root], axis=-1)
+    tried = np.stack([np.full(n, varpro._GRID[0]), np.full(n, varpro._GRID[-1]),
+                      varpro._GRID[coarse], root], axis=-1)
     params = solve(tried, means, w)
     r = means[:, None] - law_value(spec, lengths, [p[..., None] for p in params])
     pick = np.argmin((w[:, None] * r * r).sum(-1), axis=-1)[:, None]

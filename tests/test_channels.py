@@ -321,8 +321,8 @@ def test_expm_matches_scipy_oracle():
     rates = np.exp(rng.uniform(np.log(1e-6), np.log(10.0), (2000, 4, 4)))
     gens = np.stack([channels.rate_generator(r) for r in rates])
     want = np.stack([expm(g) for g in gens])
-    assert max(np.max(np.abs(channels._expm(g) - w)) for g, w in zip(gens, want)) <= 5e-14
-    assert np.max(np.abs(channels._expm(gens[:50]) - want[:50])) <= 5e-14
+    assert max(np.max(np.abs(channels.expm(g) - w)) for g, w in zip(gens, want)) <= 5e-14
+    assert np.max(np.abs(channels.expm(gens[:50]) - want[:50])) <= 5e-14
 
 
 def test_jump_rate_limit():

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mcmr
-from mcmr import cli, micromotion, rb
+from mcmr import cli, micromotion, rb, varpro
 from mcmr.errors import ConfigError, FitError
 from synthetic import write_depump_csv_oracle, write_scan_csv_oracle
 
@@ -661,7 +661,7 @@ def test_fit_optimizer_failure_exits_4(tmp_path, capsys, monkeypatch):
     def diverge(spec, lengths, means, sems):  # every lane's fit fails
         return tuple(np.full(len(means), np.nan) for _ in spec.params)
 
-    monkeypatch.setattr(rb, "_profile_fit", diverge)
+    monkeypatch.setattr(varpro, "profile_fit", diverge)
     rc = cli.main(["fit", "--data", str(bench_out / "measure-dark_probe.csv"),
                    "--out", str(tmp_path / "out")])
     assert rc == 4

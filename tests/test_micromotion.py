@@ -15,7 +15,7 @@ import pytest
 from scipy import special
 from scipy.linalg import expm
 
-from mcmr import cli, micromotion, rb
+from mcmr import cli, micromotion, rb, varpro
 from mcmr.errors import ConfigError, DataFormatError, FitError
 from synthetic import (assert_cost_within_slack, bisection_profile_fit_oracle, carrier_null_oracle,
                        chandrupatla_profile_fit_oracle, fit_depump_oracle,
@@ -399,7 +399,7 @@ def _assert_depump_no_costlier(monkeypatch, times, fractions, cost=_depump_cost,
     the bisection oracle's (the slack's floor is the cost of model 0)."""
     ours = micromotion.fit_depump(times, fractions, shots=1000, **kwargs)
     with monkeypatch.context() as m:
-        m.setattr(rb, "_profile_fit", bisection_profile_fit_oracle)
+        m.setattr(varpro, "profile_fit", bisection_profile_fit_oracle)
         oracle = micromotion.fit_depump(times, fractions, shots=1000, **kwargs)
     if ours != oracle:
         sigma = micromotion._depump_sigma(fractions, np.full(times.shape, 1000.0))
@@ -431,7 +431,7 @@ def test_fit_depump_equals_chandrupatla_oracle(free_amplitude, monkeypatch):
         fractions = rng.binomial(1000, 0.6 * (1.0 - np.exp(-3.0 * gamma * times))) / 1000
         ours = micromotion.fit_depump(times, fractions, shots=1000, free_amplitude=free_amplitude)
         with monkeypatch.context() as m:
-            m.setattr(rb, "_profile_fit", chandrupatla_profile_fit_oracle)
+            m.setattr(varpro, "profile_fit", chandrupatla_profile_fit_oracle)
             assert micromotion.fit_depump(times, fractions, shots=1000,
                                           free_amplitude=free_amplitude) == ours
 
@@ -446,17 +446,17 @@ def test_depump_coarse_grid_matches_stacked_oracle(points, free_amplitude, monke
     fractions = np.random.default_rng(72).binomial(
         1000, micromotion.depump_probability(120.0, times)) / 1000
     fits = []
-    real = rb._profile_fit
+    real = varpro.profile_fit
 
     def recorded(spec, lengths, means, sems):
-        fits.append((spec, lengths + spec.exponent_offset, means, rb._lane_weights(sems)))
+        fits.append((spec, lengths + spec.exponent_offset, means, varpro._lane_weights(sems)))
         return real(spec, lengths, means, sems)
 
-    monkeypatch.setattr(rb, "_profile_fit", recorded)
+    monkeypatch.setattr(varpro, "profile_fit", recorded)
     micromotion.fit_depump(times, fractions, shots=1000, free_amplitude=free_amplitude)
     (fit,) = fits
     spec, exponents, means, w = fit
-    np.testing.assert_array_equal(rb._coarse_grid(spec, exponents, spec.lanes(means, w)),
+    np.testing.assert_array_equal(varpro._coarse_grid(spec, exponents, spec.lanes(means, w)),
                                   stacked_coarse_grid_oracle(*fit))
 
 

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import lsq_linear
 
-from mcmr import channels, clifford, liouville, micromotion, rb
+from mcmr import channels, clifford, liouville, micromotion, rb, varpro
 from mcmr.errors import ConfigError, DataFormatError, FitError
 from synthetic import (LINEAR_FIT_ORACLES, assert_cost_within_slack, assert_same_analysis,
                        best_linear_fit, bisection_profile_fit_oracle,
@@ -576,7 +576,7 @@ def test_bootstrap_deterministic_and_reports_failures():
 
 def _nan_lanes(monkeypatch, lanes_of) -> None:
     """Make the leakage refits of the lanes ``lanes_of(params)`` selects non-finite."""
-    real = rb._profile_fit
+    real = varpro.profile_fit
 
     def failing(law, lengths, means, sems):
         params = real(law, lengths, means, sems)
@@ -585,7 +585,7 @@ def _nan_lanes(monkeypatch, lanes_of) -> None:
             params = tuple(np.where(bad, np.nan, p) for p in params)
         return params
 
-    monkeypatch.setattr(rb, "_profile_fit", failing)
+    monkeypatch.setattr(varpro, "profile_fit", failing)
 
 
 def test_bootstrap_instability_raises(monkeypatch):
@@ -650,7 +650,7 @@ def test_bootstrap_matches_record_oracle(case, monkeypatch):
     kept = np.ones(60, dtype=bool)
     if case == "failing-refits":
         # the refits with the top 5% of asymptotes fail
-        asymptote = rb._profile_fit(rb._LAWS["leakage"], np.array(ds.lengths, dtype=float),
+        asymptote = varpro.profile_fit(rb._LAWS["leakage"], np.array(ds.lengths, dtype=float),
                                     stats[2], stats[3])[1]
         cutoff = np.quantile(asymptote, 0.95)
         kept = asymptote <= cutoff
@@ -734,7 +734,7 @@ def test_bootstrap_counts_unidentified_leakage_refits():
     # the same resamples, refitted at fixed rates: every rate costs the same
     stats = resample_stats(ds, 60, np.random.default_rng(66))
     lengths = np.array(ds.lengths, dtype=float) + 1.0
-    means, w = stats[2][flat], rb._lane_weights(stats[3][flat])
+    means, w = stats[2][flat], varpro._lane_weights(stats[3][flat])
     costs = [best_linear_fit(rb._LAWS["leakage"], np.full((len(means), 1, 1), rate) ** lengths,
                              means, w)[0]
              for rate in (1.0, 0.999, 0.9, 0.5)]
@@ -763,7 +763,7 @@ def test_profile_slope_matches_finite_difference(law):
         means[::3] = 0.5 + 1.2 * np.exp(-s[::3, None] * exponents) + rng.normal(0, 0.01, (100, 3))
     sems = rng.uniform(0.005, 0.05, (n, 3))
     sems[::7, 1] = 0.0  # unweighted lanes
-    w = rb._lane_weights(sems)
+    w = varpro._lane_weights(sems)
     rate = np.exp(-s)
     _, params = best_linear_fit(rb._LAWS[law], rate[:, None, None] ** exponents, means, w)
     params = [p[:, 0] for p in params]
@@ -788,14 +788,14 @@ def test_profile_fit_lane_equals_one_lane_fit():
     lengths = np.array([2.0, 9.0, 30.0])
     for law, half in (("standard", 0), ("leakage", 2)):
         means, sems = stats[half], stats[half + 1]
-        batch = rb._profile_fit(rb._LAWS[law], lengths, means, sems)
+        batch = varpro.profile_fit(rb._LAWS[law], lengths, means, sems)
         for i in range(0, 40, 3):
-            one = rb._profile_fit(rb._LAWS[law], lengths, means[i:i + 1], sems[i:i + 1])
+            one = varpro.profile_fit(rb._LAWS[law], lengths, means[i:i + 1], sems[i:i + 1])
             assert [p[i] for p in batch] == [p[0] for p in one], i
         # a lane with non-finite statistics fails alone
         means = means.copy()
         means[7, 1] = np.nan
-        broken = rb._profile_fit(rb._LAWS[law], lengths, means, sems)
+        broken = varpro.profile_fit(rb._LAWS[law], lengths, means, sems)
         assert not all(np.isfinite(p[7]) for p in broken)
         for p, q in zip(broken, batch):
             np.testing.assert_array_equal(np.delete(p, 7), np.delete(q, 7))
@@ -813,7 +813,7 @@ def test_profile_fit_matches_oracle(case):
         assert np.sum(np.any(stats[1] == 0.0, axis=-1)) >= 20
     lengths = np.array(ds.lengths, dtype=float)
     for law, means, sems in (("standard", *stats[:2]), ("leakage", *stats[2:])):
-        ours = rb._profile_fit(rb._LAWS[law], lengths, means, sems)
+        ours = varpro.profile_fit(rb._LAWS[law], lengths, means, sems)
         oracle = profile_fit_oracle(law, lengths, means, sems)
         bisection = bisection_profile_fit_oracle(rb._LAWS[law], lengths, means, sems)
         for i in range(len(means)):
@@ -847,20 +847,20 @@ def test_profile_fit_matches_bisection_oracle_on_the_campaign(seed):
     equals the same lanes of the 201-lane batch bit for bit."""
     for label, law, lengths, means, sems in _campaign_fit_lanes(seed):
         oracle = bisection_profile_fit_oracle(rb._LAWS[law], lengths, means, sems)
-        batch = rb._profile_fit(rb._LAWS[law], lengths, means, sems)
+        batch = varpro.profile_fit(rb._LAWS[law], lengths, means, sems)
         for i in range(len(means)):
             mine, theirs = [p[i] for p in batch], [p[i] for p in oracle]
             if mine != theirs:
                 assert_no_costlier(law, lengths, means[i], sems[i], mine, theirs)
         for i in range(0, 201, 8):
-            one = rb._profile_fit(rb._LAWS[law], lengths, means[i:i + 1], sems[i:i + 1])
+            one = varpro.profile_fit(rb._LAWS[law], lengths, means[i:i + 1], sems[i:i + 1])
             assert [p[0] for p in one] == [p[i] for p in batch], (label, law, i)
 
 
 def _assert_matches_chandrupatla_oracle(law, lengths, means, sems, context=()) -> None:
     """Standard fits equal the single-face Chandrupatla oracle's bit for bit;
     no leakage lane costs more than the oracle's fit."""
-    ours = rb._profile_fit(rb._LAWS[law], lengths, means, sems)
+    ours = varpro.profile_fit(rb._LAWS[law], lengths, means, sems)
     oracle = chandrupatla_profile_fit_oracle(rb._LAWS[law], lengths, means, sems)
     if law == "standard":
         for p, q in zip(ours, oracle):
@@ -914,7 +914,7 @@ def test_profile_fit_handles_degenerate_lanes(monkeypatch):
     point."""
     lanes = list(_degenerate_lanes())
     slopes, xs = [], []
-    real = rb._profile_slope
+    real = varpro._profile_slope
 
     def recorded(*args):
         xs.append(args[2])
@@ -922,21 +922,21 @@ def test_profile_fit_handles_degenerate_lanes(monkeypatch):
         return slopes[-1]
 
     with np.errstate(over="raise"):
-        fits = [rb._profile_fit(rb._LAWS[law], *args) for law, *args in lanes[:-1]]
-        monkeypatch.setattr(rb, "_profile_slope", recorded)
-        fits.append(rb._profile_fit(rb._LAWS["leakage"], *lanes[-1][1:]))
+        fits = [varpro.profile_fit(rb._LAWS[law], *args) for law, *args in lanes[:-1]]
+        monkeypatch.setattr(varpro, "_profile_slope", recorded)
+        fits.append(varpro.profile_fit(rb._LAWS["leakage"], *lanes[-1][1:]))
         monkeypatch.undo()
         oracles = [bisection_profile_fit_oracle(rb._LAWS[law], *args) for law, *args in lanes]
-        unit = [rb._profile_fit(rb._LAWS[law], lengths, means[1:2], np.ones((1, 3)))
+        unit = [varpro.profile_fit(rb._LAWS[law], lengths, means[1:2], np.ones((1, 3)))
                 for law, lengths, means, _ in lanes[:2]]
     # the decay lane's profiled slope at its bracket's ends, scored with every
     # candidate's in the search's first call, is 0 at rate 1 and positive at
     # the other end
     lengths, means, sems = lanes[-1][1:]
-    x, w = xs[0][1:2], rb._lane_weights(sems[1:])
+    x, w = xs[0][1:2], varpro._lane_weights(sems[1:])
     assert np.all(x[0, 0] == 1.0)  # rate 1
     _, params = best_linear_fit(rb._LAWS["leakage"], x, means[1:], w)
-    ends = rb._profile_slope(rb._LAWS["leakage"], lengths + 1.0, x, means[1:, None],
+    ends = varpro._profile_slope(rb._LAWS["leakage"], lengths + 1.0, x, means[1:, None],
                              w[:, None], params)[0]
     assert ends[0] == 0.0 and ends[1] > 0 and len(slopes) > 1
     assert ends[0] in slopes[0][:, 1, 0] and ends[1] in slopes[0][:, 1, 1]
@@ -956,14 +956,14 @@ def test_profile_fit_handles_degenerate_lanes(monkeypatch):
     spec, lengths, sems = rb._LAWS["standard"], lanes[0][1], np.full((1, 3), 0.01)
     rising = 0.6 + 0.3 * (1.0 - 0.97 ** lengths[None])
     slopes.clear()
-    monkeypatch.setattr(rb, "_profile_slope", recorded)
-    amplitude, rate = (p[0] for p in rb._profile_fit(spec, lengths, rising, sems))
+    monkeypatch.setattr(varpro, "_profile_slope", recorded)
+    amplitude, rate = (p[0] for p in varpro.profile_fit(spec, lengths, rising, sems))
     monkeypatch.undo()
     assert len(slopes) == 1 and np.all(slopes[0] > 0)  # both ends, then no step
-    grid = np.clip(np.exp(-rb._GRID), rb._RATE_FLOOR, 1.0)
+    grid = np.clip(np.exp(-varpro._GRID), varpro.RATE_FLOOR, 1.0)
     w = 1.0 / sems ** 2
     grid_cost = best_linear_fit(spec, grid[:, None] ** lengths, rising, w)[0]
-    rates = np.array([1.0, rb._RATE_FLOOR, grid[np.argmin(grid_cost)]])
+    rates = np.array([1.0, varpro.RATE_FLOOR, grid[np.argmin(grid_cost)]])
     amplitudes = best_linear_fit(spec, rates[:, None] ** lengths, rising, w)[1][0][0]
     costs = [weighted_cost("standard", lengths, rising[0], sems[0], params)
              for params in zip(amplitudes, rates)]
@@ -979,9 +979,9 @@ def test_profile_fit_matches_chandrupatla_oracle_on_degenerate_lanes():
 
 def _assert_coarse_grid_matches_stacked_oracle(law, lengths, means, sems, context=()) -> None:
     """Scoring candidates one at a time picks the stacked grid's point."""
-    spec, w = rb._LAWS[law], rb._lane_weights(sems)
+    spec, w = rb._LAWS[law], varpro._lane_weights(sems)
     exponents = lengths + spec.exponent_offset
-    np.testing.assert_array_equal(rb._coarse_grid(spec, exponents, spec.lanes(means, w)),
+    np.testing.assert_array_equal(varpro._coarse_grid(spec, exponents, spec.lanes(means, w)),
                                   stacked_coarse_grid_oracle(spec, exponents, means, w),
                                   err_msg=str(context))
 
@@ -1019,11 +1019,11 @@ def test_cheapest_candidate_is_the_stacked_minimum(law):
     means[40:45, 1] = np.nan
     sems = rng.uniform(0.005, 0.05, (300, 3))
     sems[::7, 1] = 0.0
-    w = rb._lane_weights(sems)
-    x = rb._clipped_rate(spec, rb._GRID)[:, None] ** (lengths + spec.exponent_offset)
+    w = varpro._lane_weights(sems)
+    x = varpro._clipped_rate(spec, varpro._GRID)[:, None] ** (lengths + spec.exponent_offset)
     terms, lanes = spec.terms(x), spec.lanes(means, w)
-    stack = rb._stacked(spec.linear_fit(terms, lanes))[0]
-    np.testing.assert_array_equal(rb._cheapest(spec.linear_fit(terms, lanes)), stack.min(0))
+    stack = varpro._stacked(spec.linear_fit(terms, lanes))[0]
+    np.testing.assert_array_equal(varpro._cheapest(spec.linear_fit(terms, lanes)), stack.min(0))
     if law == "leakage":  # every candidate is the cheapest somewhere
         assert set(np.unique(stack.argmin(0))) == set(range(5))
 
@@ -1045,23 +1045,23 @@ def test_profile_fit_steps_are_bounded(monkeypatch):
     bracket ends at once, then at worst three steps per halving of the
     bracket); on the canonical campaign a lane takes fewer than 8 steps on
     average, where bisection took 30."""
-    widest = np.max(rb._GRID[2:] - rb._GRID[:-2])
-    bound = 1 + 3 * math.ceil(math.log2(widest / (2.0 * rb._XRTOL * rb._GRID[1])))
+    widest = np.max(varpro._GRID[2:] - varpro._GRID[:-2])
+    bound = 1 + 3 * math.ceil(math.log2(widest / (2.0 * varpro._XRTOL * varpro._GRID[1])))
     assert bound == 1 + 3 * 64
     fits = [(law, lengths, means, sems) for _, law, lengths, means, sems
             in _campaign_fit_lanes(9001)]
     scored = []  # lanes per call of the slope
-    real = rb._profile_slope
+    real = varpro._profile_slope
 
     def counted(spec, exponents, x, means, w, linear):
         scored.append(len(means))
         return real(spec, exponents, x, means, w, linear)
 
-    monkeypatch.setattr(rb, "_profile_slope", counted)
+    monkeypatch.setattr(varpro, "_profile_slope", counted)
     lane_steps = 0
     for law, *args in [*fits, *_degenerate_lanes()]:
         start = len(scored)
-        rb._profile_fit(rb._LAWS[law], *args)
+        varpro.profile_fit(rb._LAWS[law], *args)
         assert len(scored) - start <= bound
         lane_steps += sum(scored[start + 1:])
     assert lane_steps < 8 * sum(len(means) for _, _, means, _ in fits)
@@ -1073,18 +1073,18 @@ def test_leakage_fit_steps_track_the_active_set(seed, monkeypatch):
     fit of the canonical campaign, one lane or 201, within 16 slope calls;
     on the profiled slope alone they took up to 33."""
     calls = []
-    real = rb._profile_slope
+    real = varpro._profile_slope
 
     def counted(*args):
         calls.append(1)
         return real(*args)
 
-    monkeypatch.setattr(rb, "_profile_slope", counted)
+    monkeypatch.setattr(varpro, "_profile_slope", counted)
     for label, law, lengths, means, sems in _campaign_fit_lanes(seed):
         if law == "leakage":
             for lanes in (slice(0, 1), slice(None)):
                 calls.clear()
-                rb._profile_fit(rb._LAWS[law], lengths, means[lanes], sems[lanes])
+                varpro.profile_fit(rb._LAWS[law], lengths, means[lanes], sems[lanes])
                 assert len(calls) <= 16, (label, lanes, len(calls))
 
 
@@ -1094,11 +1094,11 @@ def test_clipped_amplitude_never_exceeds_its_bound():
     amplitude exceeds it."""
     rng = np.random.default_rng(14)
     den = rng.uniform(0.0, 10.0, 10_000)
-    assert np.all(rb._clipped_ratio(2.0 * den, den, 0.75) == 0.75)
+    assert np.all(varpro._clipped_ratio(2.0 * den, den, 0.75) == 0.75)
     lengths = np.array([2.0, 11.0, 81.0])
     rate = rng.uniform(0.95, 0.999, (300, 1))
     means = 0.5 + rng.uniform(0.8, 1.5, (300, 1)) * rate ** lengths
-    amplitude, _ = rb._profile_fit(rb._LAWS["standard"], lengths, means,
+    amplitude, _ = varpro.profile_fit(rb._LAWS["standard"], lengths, means,
                                    np.full((300, 3), 0.01))
     assert np.sum(amplitude == 0.75) >= 100 and np.all(amplitude <= 0.75)
 
@@ -1740,13 +1740,13 @@ def test_fit_batches_split_at_the_lane_bound(monkeypatch):
     """No ``_profile_fit`` call fits more than ``_FIT_LANES`` lanes; a campaign
     whose lanes exceed it is split, with the results of the unsplit run."""
     configs = _mixed_campaign()
-    real, lanes = rb._profile_fit, []
+    real, lanes = varpro.profile_fit, []
 
     def recording(spec, lengths, means, sems):
         lanes.append(len(means))
         return real(spec, lengths, means, sems)
 
-    monkeypatch.setattr(rb, "_profile_fit", recording)
+    monkeypatch.setattr(varpro, "profile_fit", recording)
     whole = rb.run_campaign(configs, seed=5, resamples=12)
     # per law: exp-a and exp-c share lengths (2 x 13 lanes), exp-b has its own
     assert lanes == [26, 13, 26, 13]
