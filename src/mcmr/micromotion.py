@@ -34,9 +34,9 @@ from .channels import expm, rate_generator
 from .config import Config, checked, load_json
 from .errors import ConfigError, DataFormatError, FitError
 
-#: default number of sideband harmonics kept in the suppression sum
-DEFAULT_HARMONIC_CUTOFF = 50
-#: largest modulation index the default sum is exact for: against 400
+#: number of sideband harmonics kept in the suppression sum
+HARMONIC_CUTOFF = 50
+#: largest modulation index the sum is exact for: against 400
 #: harmonics its relative error is 0 up to 30, 1.4e-12 at 35 and 2e-8 at 40
 MAX_MODULATION_INDEX = 30.0
 
@@ -44,7 +44,7 @@ MAX_MODULATION_INDEX = 30.0
 FIRST_NULL_BRACKET = (2.0, 3.0)
 #: midpoints of the trapezoid rule for ``J_v``: its error, about
 #: ``J_{2N-v}(n)``, is below rounding for ``2N - v >= 78`` and ``|n| <= 40``,
-#: a margin N keeps by growing past the default cutoff
+#: which holds for every order up to ``HARMONIC_CUTOFF``
 BESSEL_NODES = 64
 
 #: displacements per evaluation of a scan's suppression
@@ -108,10 +108,10 @@ def displacement_for_index(config: TrapBeamConfig, index: float) -> float:
 def _bessel_tables(orders: int):
     """``sin(t)``, ``2 cos(v t)/N`` for even v and ``2 sin(v t)/N`` for odd v
     on the first half of the N midpoints ``t`` of [0, pi], v <= orders."""
-    nodes = 2 * max(BESSEL_NODES // 2, (orders + 81) // 4)
-    t = (np.arange(nodes // 2) + 0.5) * (math.pi / nodes)
+    t = (np.arange(BESSEL_NODES // 2) + 0.5) * (math.pi / BESSEL_NODES)
     vt = np.outer(t, np.arange(orders + 1))
-    return np.sin(t), 2.0 * np.cos(vt[:, 0::2]) / nodes, 2.0 * np.sin(vt[:, 1::2]) / nodes
+    return (np.sin(t), 2.0 * np.cos(vt[:, 0::2]) / BESSEL_NODES,
+            2.0 * np.sin(vt[:, 1::2]) / BESSEL_NODES)
 
 
 def _bessel(n: np.ndarray, orders: int) -> np.ndarray:
@@ -131,9 +131,8 @@ def _bessel(n: np.ndarray, orders: int) -> np.ndarray:
     return out
 
 
-def suppression_factor(index, rf_over_linewidth: float,
-                       harmonic_cutoff: int = DEFAULT_HARMONIC_CUTOFF):
-    """Scattering rate relative to an undisplaced ion.
+def suppression_factor(index, rf_over_linewidth: float):
+    """Scattering rate relative to an undisplaced ion, summed over ``HARMONIC_CUTOFF`` sidebands.
 
     Parameters
     ----------
@@ -142,21 +141,16 @@ def suppression_factor(index, rf_over_linewidth: float,
     rf_over_linewidth : float
         RF drive frequency over the transition linewidth, ``Omega / Gamma``
         (same frequency convention for both).
-    harmonic_cutoff : int
-        Highest sideband order kept; ``J_v(n)`` decays super-exponentially
-        past ``v ~ n`` so the default is far more than enough for ``n < 30``.
 
     Returns
     -------
     float or ndarray, in (0, 1]; equals 1 at ``n = 0``.
     """
-    if rf_over_linewidth <= 0:
+    if not rf_over_linewidth > 0:  # NaN too
         raise ValueError("rf_over_linewidth must be positive")
-    if harmonic_cutoff < 1:
-        raise ValueError("harmonic_cutoff must be at least 1")
-    v = np.arange(1, harmonic_cutoff + 1)
+    v = np.arange(1, HARMONIC_CUTOFF + 1)
     weights = np.concatenate(([1.0], 2.0 / (1.0 + (2.0 * v * rf_over_linewidth) ** 2)))
-    j = _bessel(np.asarray(index, dtype=float), harmonic_cutoff)
+    j = _bessel(np.asarray(index, dtype=float), HARMONIC_CUTOFF)
     total = np.einsum("...v,v->...", j * j, weights)
     if np.ndim(index) == 0:
         return float(total)
@@ -360,8 +354,8 @@ def fit_depump(times, dark_fractions, shots=None,
     sigma = np.ones_like(t)
     if shots is not None:
         n = np.broadcast_to(np.asarray(shots, dtype=float), t.shape)
-        if np.any(n <= 0):
-            raise DataFormatError("shots must be positive")
+        if not np.all((n > 0) & (n < np.inf)):  # NaN too
+            raise DataFormatError("shots must be positive and finite")
         sigma = _depump_sigma(f, n)
 
     law = _DEPUMP_LAWS[free_amplitude]

@@ -422,7 +422,7 @@ class RBDataset:
             DatasetRecord(length=s.length, seq_id=s.seq_id, pauli=s.pauli,
                           target_outcome=s.target_outcome, shots=int(shots),
                           dark_counts=int(d))
-            for s, d in zip(sequences, dark_counts))
+            for s, d in zip(sequences, dark_counts, strict=True))
         return cls(records)
 
     def to_csv(self, path) -> None:
@@ -796,12 +796,11 @@ def _dataset_lanes(dataset: RBDataset, resamples: int, seed,
     return _Lanes(dataset, _per_length(tables, stats), stats)
 
 
-def _analyses(probes: list[_Lanes]):
-    """Yield each probe's :class:`AnalysisResult`, in order.  Every lane of a
-    law and a set of lengths is fitted in one :func:`varpro.profile_fit` call (of
-    at most ``_FIT_LANES`` lanes; no lane's fit depends on its call), then
-    each probe's block is split off: lane 0 the point fits, which must be
-    finite, the others its bootstrap refits."""
+def _fit_lanes(probes: list[_Lanes]) -> list[dict]:
+    """The fit phase: each probe's fitted parameters by law, in order.  Every
+    lane of a law and a set of lengths is fitted in one :func:`varpro.profile_fit`
+    call (of at most ``_FIT_LANES`` lanes; no lane's fit depends on its call),
+    then split back by probe."""
     groups: dict[tuple, list[int]] = {}
     for i, probe in enumerate(probes):
         groups.setdefault(probe.dataset.lengths, []).append(i)
@@ -817,18 +816,26 @@ def _analyses(probes: list[_Lanes]):
             for i, *params in zip(members, *(np.split(np.concatenate(p), cuts)
                                              for p in zip(*calls))):
                 fitted[i][law] = params
+    return fitted
+
+
+def _analyses(probes: list[_Lanes], fitted: list[dict]) -> list[AnalysisResult]:
+    """The split phase: each probe's :class:`AnalysisResult`, in order.  Lane 0
+    of its fits gives the point fits, which must be finite, the others its refits."""
+    analyses = []
     for probe, fits in zip(probes, fitted):
         std, leak = (_point_fit(law, fits[law], half) for law, half in zip(fits, probe.per_length))
         boot = None
         if probe.stats.shape[1] > 1:
             boot = _bootstrap({name: p[1:] for law, params in fits.items()
                                for name, p in zip(_LAWS[law].params, params)})
-        yield AnalysisResult(
+        analyses.append(AnalysisResult(
             standard=std, leakage_fit=leak, epsilon=average_error(std.base, leak.leakage),
             scattering=scattering_estimates(std.base, leak.t_minus), bootstrap=boot,
             lengths=probe.dataset.lengths,
             sequences_per_length={s.length: s.n_sequences for s in std.per_length},
-            shots=tuple(sorted({r.shots for r in probe.dataset.records})))
+            shots=tuple(sorted({r.shots for r in probe.dataset.records}))))
+    return analyses
 
 
 def analyze_dataset(dataset: RBDataset, ls_ratio: float = 1.0,
@@ -838,7 +845,8 @@ def analyze_dataset(dataset: RBDataset, ls_ratio: float = 1.0,
 
     ``ls_ratio`` is ignored, as by :func:`fit_leakage`, and must be positive.
     """
-    return next(_analyses([_dataset_lanes(dataset, resamples, seed, ls_ratio)]))
+    probes = [_dataset_lanes(dataset, resamples, seed, ls_ratio)]
+    return _analyses(probes, _fit_lanes(probes))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1189,10 +1197,11 @@ def _simulate(config: ExperimentConfig, ss, resamples: int) -> tuple[ExperimentR
 
 
 def _run_share(jobs) -> list[ExperimentResult]:
-    """Simulate every ``(config, SeedSequence, resamples)`` job, then fit and
-    split all their probes' lanes at once (:func:`_analyses`)."""
+    """Simulate every ``(config, SeedSequence, resamples)`` job, then fit
+    (:func:`_fit_lanes`) and split (:func:`_analyses`) all their probes' lanes."""
     simulated = [_simulate(*job) for job in jobs]
-    analyses = _analyses([probe for _, lanes in simulated for probe in lanes.values()])
+    probes = [probe for _, lanes in simulated for probe in lanes.values()]
+    analyses = iter(_analyses(probes, _fit_lanes(probes)))
     return [replace(result, analyses={label: next(analyses) for label in lanes})
             for result, lanes in simulated]
 

@@ -1,6 +1,7 @@
 """Tests for sequence generation, exact survival laws, fits and campaigns."""
 
 import dataclasses
+import inspect
 import itertools
 import math
 import multiprocessing
@@ -398,6 +399,15 @@ def test_simulate_dataset_deterministic_by_seed():
     assert a.records != d.records
     with pytest.raises(ConfigError):
         rb.simulate_dataset(seqs, slot, shots=0)
+
+
+def test_from_counts_rejects_a_count_per_sequence_mismatch():
+    """12 sequences with 5 counts raise, rather than keep the first 5."""
+    seqs = rb.generate_sequences(lengths=(2, 3, 4), sequences_per_length=4, seed=1)
+    assert len(rb.RBDataset.from_counts(seqs, 10, [5] * 12).records) == 12
+    for counts in ([5] * 5, [5] * 13):
+        with pytest.raises(ValueError):
+            rb.RBDataset.from_counts(seqs, 10, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -1755,6 +1765,52 @@ def test_fit_batches_split_at_the_lane_bound(monkeypatch):
     split = rb.run_campaign(configs, seed=5, resamples=12)
     assert lanes == [10, 10, 6, 10, 3] * 2
     _assert_same_campaign(whole, split)
+
+
+def test_fit_and_split_are_one_plain_call_each(monkeypatch):
+    """A campaign's share and ``analyze_dataset`` call the fit phase
+    (``_fit_lanes``) once, which makes every ``profile_fit`` call, and then
+    the split phase (``_analyses``) once, which makes none and returns one
+    ``AnalysisResult`` per probe."""
+    assert not inspect.isgeneratorfunction(rb._analyses)
+    calls, phase, split = [], [None], []
+
+    def wrap(name, real):
+        def wrapped(*args):
+            calls.append(name)
+            phase[0] = name
+            try:
+                out = real(*args)
+            finally:
+                phase[0] = None
+            if name == "split":
+                split.append((len(args[0]), out))
+            return out
+        return wrapped
+
+    real_profile = varpro.profile_fit
+
+    def profile_fit(*args):
+        calls.append(("profile_fit", phase[0]))
+        return real_profile(*args)
+
+    monkeypatch.setattr(rb, "_fit_lanes", wrap("fit", rb._fit_lanes))
+    monkeypatch.setattr(rb, "_analyses", wrap("split", rb._analyses))
+    monkeypatch.setattr(varpro, "profile_fit", profile_fit)
+    configs = [small_config("exp-a"), small_config("exp-b", lengths=(3, 6, 20, 40))]
+    results = rb.run_campaign(configs, seed=5, resamples=4)
+    # per law, one call for each set of lengths, all inside the fit phase
+    assert calls == ["fit"] + [("profile_fit", "fit")] * 4 + ["split"]
+    (n_probes, analyses), = split
+    assert n_probes == len(analyses) == 2
+    assert all(type(a) is rb.AnalysisResult for a in analyses)
+    assert [r.analyses["probe"] for r in results] == analyses
+
+    calls.clear()
+    split.clear()
+    one = rb.analyze_dataset(results[0].datasets["probe"], resamples=4, seed=6)
+    assert calls == ["fit"] + [("profile_fit", "fit")] * 2 + ["split"]
+    assert split == [(1, [one])]
 
 
 def test_fit_lane_bound_is_within_one_probe_at_the_resample_limit():
