@@ -133,9 +133,11 @@ def expm(a: np.ndarray) -> np.ndarray:
     Scaling and squaring (Moler & Van Loan, SIAM Rev. 45, 3, 2003): halve
     ``a`` until the stack's Frobenius norm, which bounds each matrix's, is
     within reach of one or two Taylor blocks, sum those over the powers
-    ``x**0..x**7`` in one product, then square back.
+    ``x**0..x**7`` in one product, then square back.  A non-finite norm is a ValueError.
     """
     norm = math.sqrt(np.vdot(a, a))
+    if not norm < math.inf:  # NaN too
+        raise ValueError(f"cannot exponentiate a matrix of norm {norm}")
     s = math.ceil(math.log2(norm / _TAYLOR_REACH[1])) if norm > _TAYLOR_REACH[1] else 0
     blocks = 1 if norm <= _TAYLOR_REACH[0] else 2
     x = a * 2.0 ** -s if s else a  # exact: a power of two

@@ -138,25 +138,15 @@ def vec_to_basis_superop(mvec: np.ndarray) -> np.ndarray:
                  "map is not Hermiticity-preserving")
 
 
-def embed_gate(qubit_unitary: np.ndarray, extra_unitary: np.ndarray | None = None) -> np.ndarray:
-    """Superoperator of a unitary acting block-diagonally on qubit/extra levels.
-
-    Parameters
-    ----------
-    qubit_unitary : (2, 2) array_like
-    extra_unitary : (2, 2) array_like, optional
-        Defaults to the identity on the extra levels.
-    """
+def embed_gate(qubit_unitary: np.ndarray) -> np.ndarray:
+    """Superoperator of a (2, 2) qubit unitary, the identity on the extra levels."""
     V = np.asarray(qubit_unitary, dtype=complex)
-    W = np.eye(2, dtype=complex) if extra_unitary is None else np.asarray(extra_unitary, dtype=complex)
-    for name, U in (("qubit_unitary", V), ("extra_unitary", W)):
-        if U.shape != (2, 2):
-            raise ValueError(f"{name} must be 2x2, got {U.shape}")
-        if not np.allclose(U.conj().T @ U, np.eye(2), atol=1e-12):
-            raise ValueError(f"{name} is not unitary")
-    U4 = np.zeros((DIM, DIM), dtype=complex)
+    if V.shape != (2, 2):
+        raise ValueError(f"qubit_unitary must be 2x2, got {V.shape}")
+    if not np.allclose(V.conj().T @ V, np.eye(2), atol=1e-12):
+        raise ValueError("qubit_unitary is not unitary")
+    U4 = np.eye(DIM, dtype=complex)
     U4[:2, :2] = V
-    U4[2:, 2:] = W
     return kraus_to_superop([U4])
 
 

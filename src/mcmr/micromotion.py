@@ -31,7 +31,7 @@ import numpy as np
 
 from . import varpro
 from .channels import expm, rate_generator
-from .config import Config, checked, load_json
+from .config import INT64_MAX, Config, checked, load_json
 from .errors import ConfigError, DataFormatError, FitError
 
 #: number of sideband harmonics kept in the suppression sum
@@ -254,9 +254,9 @@ class RateModel:
     def evolve(self, populations, times):
         """Populations at the requested times.
 
-        One matrix exponential of the generator for all (finite) times at
-        once.  Returns an array of shape ``(len(times), 3)``, or ``(3,)`` for
-        a scalar time.
+        One matrix exponential of the generator for all times at once, each
+        non-negative and finite times the rates, else ``ValueError``.  Returns
+        an array of shape ``(len(times), 3)``, or ``(3,)`` for a scalar time.
         """
         p0 = np.asarray(populations, dtype=float)
         if p0.shape != (N_BRIGHT,):
@@ -265,9 +265,12 @@ class RateModel:
             raise ValueError("populations must be non-negative")
         scalar = np.ndim(times) == 0
         ts = np.atleast_1d(np.asarray(times, dtype=float))
-        if not np.all(np.isfinite(ts)):
-            raise ValueError("times must be finite")
-        out = expm(self.generator() * ts[:, None, None]) @ p0
+        if not np.all((ts >= 0) & (ts < np.inf)):  # NaN too
+            raise ValueError("times must be finite and non-negative")
+        with np.errstate(all="ignore"):  # an overflow raises below, not a warning
+            out = expm(self.generator() * ts[:, None, None]) @ p0
+        if not np.all(np.isfinite(out)):
+            raise ValueError("rates times times overflow the matrix exponential")
         return out[0] if scalar else out
 
 
@@ -294,7 +297,7 @@ class DepumpFit:
         return self.gamma_sigma / self.gamma ** 2
 
 
-def _depump_sigma(fractions: np.ndarray, shots: np.ndarray) -> np.ndarray:
+def _depump_sigma(fractions: np.ndarray, shots: float) -> np.ndarray:
     # binomial error bars with a mild regularisation so 0/1 fractions stay usable
     smoothed = (fractions * shots + 1.0) / (shots + 2.0)
     return np.sqrt(smoothed * (1.0 - smoothed) / shots)
@@ -313,7 +316,7 @@ _DEPUMP_LAWS = {free: varpro.Law(
     0.0, ("amplitude", "rate"), sign=-1.0, ceiling=math.exp(-1e-9)) for free in (False, True)}
 
 
-def fit_depump(times, dark_fractions, shots=None,
+def fit_depump(times, dark_fractions, shots: int,
                free_amplitude: bool = False) -> DepumpFit:
     """Fit the bright-state depumping curve and return the pumping rate.
 
@@ -321,19 +324,18 @@ def fit_depump(times, dark_fractions, shots=None,
     ----------
     times, dark_fractions : array_like
         Exposure times and the measured dark-outcome fractions.
-    shots : array_like or int, optional
-        Shots behind each fraction; enables binomial weighting.
+    shots : int
+        Shots behind every fraction; weights each point by its binomial error bar.
     free_amplitude : bool
         Fit the asymptote too (in [0, 1]) instead of pinning it at 2/3.
 
     The benchmarking laws' variable projection (:func:`mcmr.varpro.profile_fit`)
-    fits; sigmas come from ``(J^T W J)^-1``, scaled by the reduced chi-square
-    without ``shots``.  Each fitted parameter needs its own distinct
-    positive time (a time-0 point constrains neither), else
-    :class:`DataFormatError`.  :class:`FitError` marks an unconstrained fit:
-    a rate on the floor (saturated by the first positive time), on the
-    ceiling with no more positive times than parameters, or a sigma 0 or
-    non-finite.
+    fits; sigmas come from ``(J^T W J)^-1``.  ``shots`` other than a positive
+    integer, or a fitted parameter without its own distinct positive time
+    (a time-0 point constrains neither), is a :class:`DataFormatError`.
+    :class:`FitError` marks an unconstrained fit: a rate on the floor
+    (saturated by the first positive time), on the ceiling with no more
+    positive times than parameters, or a sigma 0 or non-finite.
     """
     t = np.asarray(times, dtype=float)
     f = np.asarray(dark_fractions, dtype=float)
@@ -351,12 +353,10 @@ def fit_depump(times, dark_fractions, shots=None,
         raise DataFormatError(f"the depump fit needs {n_params} distinct positive "
                               f"time(s), got {n_times}")
 
-    sigma = np.ones_like(t)
-    if shots is not None:
-        n = np.broadcast_to(np.asarray(shots, dtype=float), t.shape)
-        if not np.all((n > 0) & (n < np.inf)):  # NaN too
-            raise DataFormatError("shots must be positive and finite")
-        sigma = _depump_sigma(f, n)
+    if (type(shots) is bool or not isinstance(shots, (int, np.integer))
+            or not 0 < shots <= INT64_MAX):
+        raise DataFormatError(f"shots must be a positive integer, got {shots!r}")
+    sigma = _depump_sigma(f, float(shots))
 
     law = _DEPUMP_LAWS[free_amplitude]
     t_unit = float(t[t > 0].min())
@@ -367,9 +367,7 @@ def fit_depump(times, dark_fractions, shots=None,
     gamma = -math.log(rate) / (3.0 * t_unit)
     decay = np.exp(-3.0 * gamma * t)
     jac = np.stack((3.0 * amp * t * decay, 1.0 - decay)[:n_params]) / sigma
-    residuals = (f - _depump(decay, amp)) / sigma  # without shots, scale as curve_fit
-    scale = 1.0 if shots is not None else residuals @ residuals / (t.size - n_params)
-    variances = np.diag(np.linalg.pinv(jac @ jac.T)) * scale
+    variances = np.diag(np.linalg.pinv(jac @ jac.T))
     if not np.all(np.isfinite(variances) & (variances > 0)):
         raise FitError(f"depump fit is unconstrained: variances {variances.tolist()}")
     sigmas = np.sqrt(variances).tolist() + [0.0]

@@ -21,11 +21,11 @@ The module provides:
   depumping, reset) feeding mid-circuit SPAM reports,
 * experiment configuration objects and a campaign runner.
 
-Randomness policy: every public entry point takes one ``seed`` (anything
-``numpy.random.default_rng`` accepts, a ``Generator`` included); campaigns
-derive independent child streams for sequence generation, shot sampling,
-focus trajectories and the bootstrap, so campaign outputs are reproducible
-byte for byte, serial or parallel.
+Randomness policy: every public entry point takes one ``seed``, anything
+``numpy.random.default_rng`` accepts, except that campaigns take an int,
+None or a ``SeedSequence``: they spawn independent child streams for each
+experiment's sequences, shots, focus trajectories and bootstrap, so campaign
+outputs are reproducible byte for byte, serial or parallel.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import channels, clifford, liouville, varpro
 from .channels import ChannelSpec  # rb.ChannelSpec; resolves the ProbeSpec hints
-from .config import INT64_MAX, Config, checked, load_json
+from .config import INT64_MAX, Config, checked, load_json, parse
 from .errors import ConfigError, DataFormatError, FitError
 
 DEFAULT_LENGTHS = (2, 11, 81)
@@ -162,10 +162,11 @@ def generate_sequences(lengths=DEFAULT_LENGTHS,
     together, one product-table lookup per position.
     """
     rng = np.random.default_rng(seed)
-    lengths = tuple(int(l) for l in lengths)
+    lengths = tuple(parse(int, l, f"lengths[{i}]") for i, l in enumerate(lengths))
     if any(l < 1 for l in lengths) or len(set(lengths)) != len(lengths):
         raise ConfigError(f"sequence lengths must be positive and distinct, "
                           f"got {list(lengths)}")
+    sequences_per_length = parse(int, sequences_per_length, "sequences_per_length")
     if sequences_per_length < 1:
         raise ConfigError("sequences_per_length must be positive")
     if balanced and sequences_per_length % 2:
@@ -1214,12 +1215,19 @@ def _share_child(jobs, send) -> None:
         send.send((False, exc))
 
 
+def _seed_sequence(seed) -> np.random.SeedSequence:
+    """``seed`` itself if a ``SeedSequence``, else ``SeedSequence(seed)`` of an int or None."""
+    if not (seed is None or isinstance(seed, (int, np.integer, np.random.SeedSequence))):
+        raise TypeError(f"a campaign's seed must be an int, None or a numpy "
+                        f"SeedSequence, got {type(seed).__name__}")
+    return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+
 def run_experiment(config: ExperimentConfig, seed=None,
                    resamples: int = 200) -> ExperimentResult:
     """Simulate and analyse one experiment end to end: :func:`run_campaign` of
-    it alone, on ``seed`` itself."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return _run_share([(config, ss, resamples)])[0]
+    it alone, on ``seed`` itself (an int, None or a ``SeedSequence``)."""
+    return _run_share([(config, _seed_sequence(seed), resamples)])[0]
 
 
 def run_campaign(configs, seed=None, resamples: int = 200,
@@ -1228,7 +1236,8 @@ def run_campaign(configs, seed=None, resamples: int = 200,
 
     Experiment ``i`` runs on child ``i`` of ``SeedSequence(seed).spawn(n)``
     (the child itself, spawn key included, so no two experiments share a
-    stream), whether the campaign runs serially or in parallel.  A share of the
+    stream; ``seed`` an int, None or a ``SeedSequence``, else a ``TypeError``),
+    whether the campaign runs serially or in parallel.  A share of the
     experiments runs in three phases: simulate each (sequences, datasets, focus
     records, and every probe's point and resample statistics, each from its own
     stream); fit all their lanes, one :func:`varpro.profile_fit` call per law and set
@@ -1240,9 +1249,8 @@ def run_campaign(configs, seed=None, resamples: int = 200,
     share order.  Every child is joined before this returns or raises.  No
     lane's fit depends on its batch, so the results agree.
     """
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     jobs = [(cfg, child, resamples)
-            for cfg, child in zip(configs, ss.spawn(len(configs)))]
+            for cfg, child in zip(configs, _seed_sequence(seed).spawn(len(configs)))]
     workers = min(parallel, len(jobs))
     if workers <= 1:
         return _run_share(jobs)

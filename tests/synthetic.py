@@ -80,11 +80,11 @@ def lindblad_vec_oracle(rates: np.ndarray) -> np.ndarray:
     return liouville.vec_to_basis_superop(expm(gen))
 
 
-def conjugation_oracle(qubit_unitary, extra_unitary=None) -> np.ndarray:
-    """Superoperator of a block-diagonal unitary (:func:`unitary_superop_oracle`)."""
-    u4 = np.zeros((liouville.DIM, liouville.DIM), dtype=complex)
+def conjugation_oracle(qubit_unitary) -> np.ndarray:
+    """Superoperator of a qubit unitary that leaves the extra levels alone
+    (:func:`unitary_superop_oracle`)."""
+    u4 = np.eye(liouville.DIM, dtype=complex)
     u4[:2, :2] = qubit_unitary
-    u4[2:, 2:] = np.eye(2) if extra_unitary is None else extra_unitary
     return unitary_superop_oracle(u4)
 
 
@@ -138,8 +138,7 @@ def random_lambda_channel(rng: np.random.Generator) -> channels.LeakageChannel:
     parts = [channels.rate_scattering_channel(random_symmetric_rates(rng))]
     phase_q = liouville.embed_gate(np.diag([1.0, np.exp(1j * rng.uniform(0, 2 * np.pi))]))
     chi = rng.uniform(0, 2 * np.pi)
-    phase_e = liouville.embed_gate(np.eye(2),
-                                   np.diag([1.0, np.exp(1j * chi)]))
+    phase_e = liouville.kraus_to_superop([np.diag([1.0, 1.0, 1.0, np.exp(1j * chi)])])
     parts.append(channels.LeakageChannel(phase_q))
     parts.append(channels.LeakageChannel(phase_e))
     q = float(rng.uniform(0.0, 0.3))
@@ -773,14 +772,12 @@ def carrier_null_oracle(bracket) -> float:
     return float(brentq(special.j0, *bracket, xtol=1e-14, rtol=8.9e-16))
 
 
-def fit_depump_oracle(times, fractions, shots=None, free_amplitude=False, tol=None):
+def fit_depump_oracle(times, fractions, shots, free_amplitude=False, tol=None):
     """``(gamma, gamma_sigma, amplitude, amplitude_sigma)`` of the ``curve_fit``
     depump fit ``micromotion.fit_depump`` was, from its half-rise start guess;
     ``tol`` sets ``ftol``, ``xtol`` and ``gtol`` (scipy's defaults, 1e-8, then)."""
     t, f = np.asarray(times, dtype=float), np.asarray(fractions, dtype=float)
-    sigma = None
-    if shots is not None:
-        sigma = micromotion._depump_sigma(f, np.broadcast_to(float(shots), t.shape))
+    sigma = micromotion._depump_sigma(f, np.broadcast_to(float(shots), t.shape))
     a0 = max(float(f.max()), 1e-3) if free_amplitude else micromotion.BRIGHT_ASYMPTOTE
     above = np.nonzero(f >= 0.5 * a0)[0]
     t_half = t[above[0]] if above.size and t[above[0]] > 0 else max(float(np.median(t)), 1e-12)
@@ -791,7 +788,7 @@ def fit_depump_oracle(times, fractions, shots=None, free_amplitude=False, tol=No
         return amplitude * (1.0 - np.exp(-3.0 * gamma * t))
 
     tols = {} if tol is None else {"ftol": tol, "xtol": tol, "gtol": tol}
-    popt, pcov = curve_fit(curve, t, f, p0=p0, sigma=sigma, absolute_sigma=sigma is not None,
+    popt, pcov = curve_fit(curve, t, f, p0=p0, sigma=sigma, absolute_sigma=True,
                            bounds=bounds, maxfev=10000, **tols)
     sigmas = np.sqrt(np.diag(pcov))
     if free_amplitude:

@@ -72,15 +72,15 @@ def test_identity_supervector_components():
 
 def test_kraus_and_direct_embedding_agree():
     """``embed_gate`` (one basis change of the kron form) matches conjugating
-    every basis operator, for each Clifford and for random block unitaries."""
+    every basis operator, for each Clifford and for random qubit unitaries."""
     for elem in clifford.clifford_table():
         np.testing.assert_allclose(liouville.embed_gate(elem.unitary),
                                    conjugation_oracle(elem.unitary), rtol=0, atol=1e-15)
     rng = np.random.default_rng(11)
     for _ in range(20):
-        q, w = random_unitary(rng), random_unitary(rng)
-        np.testing.assert_allclose(liouville.embed_gate(q, w),
-                                   conjugation_oracle(q, w), rtol=0, atol=1e-15)
+        q = random_unitary(rng)
+        np.testing.assert_allclose(liouville.embed_gate(q), conjugation_oracle(q),
+                                   rtol=0, atol=1e-15)
 
 
 def test_embed_gate_rejects_non_unitary():

@@ -9,6 +9,7 @@ import dataclasses
 import decimal
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -249,13 +250,24 @@ def test_rate_model_validation():
         micromotion.RateModel(-np.ones((3, 3)))
     with pytest.raises(ValueError):
         micromotion.RateModel.equal_rates(1.0).evolve(np.array([1.0, 0.0]), 0.1)
+    # a negative time, or rates times times past float range, is a
+    # ValueError: no RuntimeWarning, no OverflowError from the exponential
+    p0 = [1.0, 0.0, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for gamma, times in ((1.0, -1.0), (1.0, [0.0, -1e-3]), (1.0, np.nan),
+                             (1e300, 1e10), (1e308, 1.0), (1.0, 1e18)):
+            with pytest.raises(ValueError):
+                micromotion.RateModel.equal_rates(gamma).evolve(p0, times)
+        np.testing.assert_allclose(micromotion.RateModel.equal_rates(1.0).evolve(p0, 1e3),
+                                   np.full(3, 1.0 / 3.0), rtol=1e-12)
 
 
 def test_fit_depump_recovers_rate_noiseless():
     gamma = 156.25
     times = np.linspace(0.5e-3, 20e-3, 12)
     fractions = micromotion.depump_probability(gamma, times)
-    fit = micromotion.fit_depump(times, fractions)
+    fit = micromotion.fit_depump(times, fractions, shots=1000)
     assert fit.gamma == pytest.approx(gamma, rel=1e-8)
     assert fit.amplitude == micromotion.BRIGHT_ASYMPTOTE
     assert fit.time_constant == pytest.approx(1.0 / gamma, rel=1e-8)
@@ -264,7 +276,7 @@ def test_fit_depump_recovers_rate_noiseless():
 def test_fit_depump_free_amplitude():
     times = np.linspace(0.5e-3, 30e-3, 20)
     fractions = 0.58 * (1.0 - np.exp(-3.0 * 100.0 * times))
-    fit = micromotion.fit_depump(times, fractions, free_amplitude=True)
+    fit = micromotion.fit_depump(times, fractions, shots=1000, free_amplitude=True)
     assert fit.free_amplitude
     assert fit.gamma == pytest.approx(100.0, rel=1e-6)
     assert fit.amplitude == pytest.approx(0.58, rel=1e-6)
@@ -286,26 +298,29 @@ def test_fit_depump_noisy_round_trip():
 
 def test_fit_depump_input_validation():
     with pytest.raises(DataFormatError):
-        micromotion.fit_depump([1e-3], [0.5, 0.6])
+        micromotion.fit_depump([1e-3], [0.5, 0.6], shots=1000)
     with pytest.raises(DataFormatError):
-        micromotion.fit_depump([1e-3, 2e-3], [0.5, 1.5])
+        micromotion.fit_depump([1e-3, 2e-3], [0.5, 1.5], shots=1000)
     with pytest.raises(DataFormatError):
-        micromotion.fit_depump([-1e-3, 2e-3], [0.5, 0.6])
+        micromotion.fit_depump([-1e-3, 2e-3], [0.5, 0.6], shots=1000)
     with pytest.raises(DataFormatError):
-        micromotion.fit_depump([1e-3], [0.5])
+        micromotion.fit_depump([1e-3], [0.5], shots=1000)
     for times, fractions in (([1e-3, 2e-3, np.inf], [0.1, 0.2, 0.3]),
                              ([1e-3, 2e-3, 3e-3], [0.1, np.nan, 0.3])):
         with pytest.raises(DataFormatError):
-            micromotion.fit_depump(times, fractions)
-    for shots in (0, -5, np.nan, np.inf, [100, np.nan, 100]):
-        with pytest.raises(DataFormatError, match="shots must be positive"):
+            micromotion.fit_depump(times, fractions, shots=1000)
+    for shots in (None, 0, -5, 2.5, 1000.0, True, np.nan, np.inf, 2 ** 63,
+                  [100, 200], [100, np.nan, 100]):
+        with pytest.raises(DataFormatError, match="shots must be a positive integer"):
             micromotion.fit_depump([1e-3, 2e-3, 3e-3], [0.1, 0.2, 0.3], shots=shots)
+    fit = micromotion.fit_depump([1e-3, 2e-3, 3e-3], [0.1, 0.2, 0.3], shots=np.int64(1000))
+    assert fit == micromotion.fit_depump([1e-3, 2e-3, 3e-3], [0.1, 0.2, 0.3], shots=1000)
 
 
 def test_fit_depump_all_dark_never_resolves_a_rate():
     """All-zero fractions fit to a rate indistinguishable from zero."""
     times = np.linspace(1e-3, 5e-3, 6)
-    fit = micromotion.fit_depump(times, np.zeros_like(times))
+    fit = micromotion.fit_depump(times, np.zeros_like(times), shots=1000)
     assert fit.gamma * times.max() < 1e-3
     assert fit.gamma < 3.0 * fit.gamma_sigma
 
@@ -315,7 +330,7 @@ def test_fit_depump_pinned_rate_is_a_fit_error(tmp_path, capsys):
     time's resolution (every point saturated), or about 0 with no more
     positive times than parameters.  The CLI exits 4 on the first."""
     with pytest.raises(FitError, match="unconstrained.*1e-09 at the first positive time"):
-        micromotion.fit_depump([0.0, 1e-3, 2e-3, 3e-3], [0.0, 0.7, 0.7, 0.7])
+        micromotion.fit_depump([0.0, 1e-3, 2e-3, 3e-3], [0.0, 0.7, 0.7, 0.7], shots=1000)
     with pytest.raises(FitError, match="unconstrained.*0.999999999 at"):
         micromotion.fit_depump([0.0, 0.0, 0.01], [0.0, 0.0, 0.0], shots=1000)
     config = tmp_path / "depump.json"
@@ -353,7 +368,7 @@ def test_null_finder_matches_brentq_oracle():
 
 
 @pytest.mark.parametrize("free_amplitude", [False, True])
-@pytest.mark.parametrize("shots", [None, 1000])
+@pytest.mark.parametrize("shots", [1000])
 def test_fit_depump_matches_curve_fit_oracle(free_amplitude, shots):
     """Rates within 1e-8 and sigmas within 1e-6 relative of the tightened
     ``curve_fit`` fit of earlier versions.  Where the rates differ by more,
@@ -370,8 +385,7 @@ def test_fit_depump_matches_curve_fit_oracle(free_amplitude, shots):
         oracle = fit_depump_oracle(times, fractions, shots, free_amplitude, tol=1e-15)
         np.testing.assert_allclose(ours[1::2], oracle[1::2], rtol=1e-6)
         if abs(ours[0] / oracle[0] - 1.0) > 1e-8:
-            sigma = np.ones(12) if shots is None else micromotion._depump_sigma(
-                fractions, np.full(12, 1000.0))
+            sigma = micromotion._depump_sigma(fractions, np.full(12, 1000.0))
             assert (_depump_cost(times, fractions, sigma, ours[0], ours[2])
                     <= _depump_cost(times, fractions, sigma, oracle[0], oracle[2]))
         np.testing.assert_allclose(ours[2], oracle[2], rtol=1e-7)

@@ -105,6 +105,15 @@ def test_generate_sequences_seeded_and_validated():
     unbalanced = rb.generate_sequences(lengths=(3,), sequences_per_length=7,
                                        seed=9, balanced=False)
     assert len(unbalanced) == 7
+    # a fractional or NaN length, or a fractional ``sequences_per_length``,
+    # names the argument; none is truncated or a bare ValueError
+    for lengths, per_length, name in (((2.7, 5), 2, r"lengths\[0\]"),
+                                      ((2, float("nan")), 2, r"lengths\[1\]"),
+                                      ((2, 5), 2.5, "sequences_per_length")):
+        with pytest.raises(ConfigError, match=f"^{name} must be an integer"):
+            rb.generate_sequences(lengths, per_length, seed=1)
+    assert (rb.generate_sequences((2.0, np.int64(5)), np.int64(2), seed=1)
+            == rb.generate_sequences((2, 5), 2, seed=1))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1630,6 +1639,23 @@ def test_run_experiment_structure_and_determinism():
     assert ref.epsilon == pytest.approx(
         rb.average_error(ref.base, ref.leakage))
     assert a.analyses["probe"].bootstrap is None
+
+
+def test_campaign_seed_is_an_int_none_or_seed_sequence():
+    """A campaign spawns one child stream per experiment, so it takes an int,
+    None or a SeedSequence; a Generator (or anything else) is a TypeError
+    naming those types."""
+    config = small_config()
+    for seed in (np.random.default_rng(1), 1.5, "7", (1, 2)):
+        for run in (lambda: rb.run_experiment(config, seed=seed, resamples=0),
+                    lambda: rb.run_campaign([config], seed=seed, resamples=0)):
+            with pytest.raises(TypeError, match="int, None or a numpy SeedSequence"):
+                run()
+    ss = np.random.SeedSequence(3)
+    assert (rb.run_experiment(config, seed=ss, resamples=0).datasets
+            == rb.run_experiment(config, seed=np.random.SeedSequence(3), resamples=0).datasets)
+    assert rb.run_campaign([config], seed=np.int64(3), resamples=0)[0].datasets == \
+        rb.run_campaign([config], seed=3, resamples=0)[0].datasets
 
 
 def test_channel_reference_matches_channel_figures():
